@@ -15,10 +15,6 @@ from repro.isa.opcodes import Op
 from repro.isa.operands import Imm, Reg
 
 
-def _is_label(insn: Instruction) -> bool:
-    return insn.op is Op.NOP and insn.note.startswith("label:")
-
-
 def peephole(items: list[Instruction]) -> list[Instruction]:
     """Return a cleaned copy of ``items``."""
     out: list[Instruction] = []

@@ -18,22 +18,3 @@ class ShadowFrame:
     return_addr: int
     fn_addr: int
     config: FunctionConfig  # the *caller's* effective config, to restore
-
-
-class ShadowStack:
-    """The stack of traced (inlined) call frames."""
-    def __init__(self) -> None:
-        self.frames: list[ShadowFrame] = []
-
-    def push(self, return_addr: int, fn_addr: int, caller_config: FunctionConfig) -> None:
-        self.frames.append(ShadowFrame(return_addr, fn_addr, caller_config))
-
-    def pop(self) -> ShadowFrame:
-        return self.frames.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self.frames)
-
-    def __bool__(self) -> bool:
-        return bool(self.frames)

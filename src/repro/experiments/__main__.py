@@ -7,14 +7,23 @@ import sys
 from repro.experiments import ALL_EXPERIMENTS, format_table
 
 
+def experiment_id(fn) -> str:
+    """The id an experiment function reports, read off its name
+    (``ext10_tracejit`` -> ``EXT-10``), so filtering runs only the
+    requested experiments."""
+    head = fn.__name__.split("_", 1)[0]
+    letters = head.rstrip("0123456789")
+    return f"{letters.upper()}-{head[len(letters):]}"
+
+
 def main(argv: list[str]) -> int:
     """Print the requested experiment tables (all when no ids given)."""
     wanted = set(a.upper() for a in argv)
     failures = 0
     for fn in ALL_EXPERIMENTS:
-        exp = fn()
-        if wanted and exp.id.upper() not in wanted:
+        if wanted and experiment_id(fn) not in wanted:
             continue
+        exp = fn()
         print(format_table(exp))
         if not exp.all_checks_hold:
             failures += 1

@@ -1,8 +1,11 @@
-"""Experiment result structures and paper-style table formatting."""
+"""Experiment result structures, paper-style table formatting, and the
+measurement helpers the execution-tier experiments share."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from time import perf_counter
 
 
 @dataclass
@@ -89,3 +92,28 @@ def format_table(exp: Experiment) -> str:
         lines.append(f"   fallback rate: {rate}")
     lines.append("")
     return "\n".join(lines)
+
+
+def result_fingerprint(result) -> tuple:
+    """Everything architectural about one run, bitwise-comparable."""
+    return (
+        result.uint_return,
+        struct.pack("<d", result.float_return),
+        result.steps,
+        tuple(sorted(result.perf.as_dict().items())),
+        tuple(sorted(result.perf.by_segment_loads.items())),
+        tuple(sorted(result.perf.by_segment_stores.items())),
+    )
+
+
+def best_of(run_fn, rounds: int):
+    """Best-of-``rounds`` wall clock of ``run_fn()`` in seconds (the
+    minimum is the least-noise estimate) and the last run's result."""
+    best = None
+    result = None
+    for _ in range(rounds):
+        started = perf_counter()
+        result = run_fn()
+        elapsed = perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result

@@ -29,10 +29,9 @@ invalidations) is embedded in the table and persisted by
 
 from __future__ import annotations
 
-import struct
-from time import perf_counter
-
-from repro.experiments.harness import Experiment, Row
+from repro.experiments.harness import (
+    Experiment, Row, best_of, result_fingerprint,
+)
 from repro.models.pgas import PgasLab
 from repro.models.stencil import StencilLab
 from repro.obs import Metrics
@@ -51,28 +50,11 @@ TIMING_ROUNDS = 3
 SPEEDUP_FLOOR = 3.0
 
 
-def _result_fingerprint(result) -> tuple:
-    """Everything architectural about one run, bitwise-comparable."""
-    return (
-        result.uint_return,
-        struct.pack("<d", result.float_return),
-        result.steps,
-        tuple(sorted(result.perf.as_dict().items())),
-        tuple(sorted(result.perf.by_segment_loads.items())),
-        tuple(sorted(result.perf.by_segment_stores.items())),
-    )
-
-
 def _best_ns_per_insn(run_fn) -> float:
-    """Best-of-N host nanoseconds per emulated instruction."""
-    best = None
-    for _ in range(TIMING_ROUNDS):
-        started = perf_counter()
-        result = run_fn()
-        elapsed = perf_counter() - started
-        per = elapsed / result.perf.instructions
-        best = per if best is None else min(best, per)
-    return best * 1e9
+    """Best-of-N host nanoseconds per emulated instruction (every run
+    of one workload executes the same instruction count)."""
+    seconds, result = best_of(run_fn, TIMING_ROUNDS)
+    return seconds / result.perf.instructions * 1e9
 
 
 def _stencil_pair(metrics: Metrics) -> tuple[StencilLab, StencilLab]:
@@ -99,7 +81,7 @@ def ext6_blockjit() -> Experiment:
     r_jit = jitted.run_generic(iters=STENCIL_ITERS)
     matrix_bytes = STENCIL_EDGE * STENCIL_EDGE * 8
     stencil_identical = (
-        _result_fingerprint(r_interp) == _result_fingerprint(r_jit)
+        result_fingerprint(r_interp) == result_fingerprint(r_jit)
         and interp.machine.image.peek(interp.final_matrix, matrix_bytes)
         == jitted.machine.image.peek(jitted.final_matrix, matrix_bytes)
     )
@@ -115,7 +97,7 @@ def ext6_blockjit() -> Experiment:
     p_jitted.machine.enable_jit()
     g_interp = p_interp.sum_generic(0, p_interp.nelems)
     g_jit = p_jitted.sum_generic(0, p_jitted.nelems)
-    pgas_identical = _result_fingerprint(g_interp) == _result_fingerprint(g_jit)
+    pgas_identical = result_fingerprint(g_interp) == result_fingerprint(g_jit)
     pgas_interp_ns = _best_ns_per_insn(
         lambda: p_interp.sum_generic(0, p_interp.nelems)
     )

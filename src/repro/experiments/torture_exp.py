@@ -41,7 +41,7 @@ from time import perf_counter
 from repro.core import StaticImageRewriter, brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
 from repro.core.manager import SpecializationManager
 from repro.errors import FAILURE_REASONS
-from repro.experiments.harness import Experiment, Row
+from repro.experiments.harness import Experiment, Row, best_of
 from repro.models.pgas import PgasLab
 from repro.models.stencil import StencilLab
 from repro.obs import Metrics
@@ -70,16 +70,6 @@ def _stencil_outcome(lab: StencilLab, run) -> tuple:
         struct.pack("<d", run.float_return).hex(),
         hashlib.sha1(bytes(lab.machine.image.seg_heap.data)).hexdigest(),
     )
-
-
-def _best_seconds(fn):
-    best = None
-    for _ in range(TIMING_ROUNDS):
-        started = perf_counter()
-        fn()
-        elapsed = perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
 
 
 def ext8_static_vs_runtime() -> Experiment:
@@ -195,8 +185,8 @@ def ext8_static_vs_runtime() -> Experiment:
         for _ in range(DISPATCH_LOOKUPS):
             static.entry("apply")
 
-    rt_ns = _best_seconds(runtime_dispatch) / DISPATCH_LOOKUPS * 1e9
-    st_ns = _best_seconds(static_dispatch) / DISPATCH_LOOKUPS * 1e9
+    rt_ns = best_of(runtime_dispatch, TIMING_ROUNDS)[0] / DISPATCH_LOOKUPS * 1e9
+    st_ns = best_of(static_dispatch, TIMING_ROUNDS)[0] / DISPATCH_LOOKUPS * 1e9
     exp.rows.append(Row(
         "warm dispatch, runtime mode (host ns)", rt_ns,
         note="manager cache hit (fingerprint + lookup)"))

@@ -44,9 +44,10 @@ persisted by ``benchmarks/`` as ``BENCH_ext10.json``.
 from __future__ import annotations
 
 import struct
-from time import perf_counter
 
-from repro.experiments.harness import Experiment, Row
+from repro.experiments.harness import (
+    Experiment, Row, best_of, result_fingerprint,
+)
 from repro.machine.vm import Machine
 from repro.models.pgas import PgasLab
 from repro.obs import Metrics
@@ -138,30 +139,6 @@ double ga_sum_inline(long block, long localbase, long remotebase,
 """
 
 
-def _result_fingerprint(result) -> tuple:
-    """Everything architectural about one run, bitwise-comparable."""
-    return (
-        result.uint_return,
-        struct.pack("<d", result.float_return),
-        result.steps,
-        tuple(sorted(result.perf.as_dict().items())),
-        tuple(sorted(result.perf.by_segment_loads.items())),
-        tuple(sorted(result.perf.by_segment_stores.items())),
-    )
-
-
-def _best_seconds(run_fn, rounds: int = TIMING_ROUNDS):
-    """Best-of-N wall clock and the last run's result."""
-    best = None
-    result = None
-    for _ in range(rounds):
-        started = perf_counter()
-        result = run_fn()
-        elapsed = perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def _stencil_machine(tier: int, metrics=None):
     """A machine with the stencil kernel loaded and ``tier`` enabled,
     plus initialized src/dst matrices."""
@@ -220,9 +197,9 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         # parity capture at the same call index on every tier — the
         # per-segment access counters are cumulative per machine, so
         # the tiers must have executed the same number of calls here
-        st_fps[tier] = _result_fingerprint(run())
+        st_fps[tier] = result_fingerprint(run())
         rounds = TIMING_ROUNDS if tier == 0 else TIMING_ROUNDS_JITTED
-        st_times[tier], _ = _best_seconds(run, rounds)
+        st_times[tier], _ = best_of(run, rounds)
     st_speedup_t1 = st_times[1] / st_times[2]
     st_speedup_t0 = st_times[0] / st_times[2]
     st_stats = st[2][0].jit.stats()
@@ -237,9 +214,9 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
             lab.remote_stride, lab.nelems)
         run()  # warm: forms the local-phase trace, then the remote one
         # same-call-index parity capture (see the stencil note)
-        pg_fps[tier] = _result_fingerprint(run())
+        pg_fps[tier] = result_fingerprint(run())
         rounds = TIMING_ROUNDS if tier == 0 else TIMING_ROUNDS_JITTED
-        pg_times[tier], _ = _best_seconds(run, rounds)
+        pg_times[tier], _ = best_of(run, rounds)
     pg_speedup_t1 = pg_times[1] / pg_times[2]
     pg_speedup_t0 = pg_times[0] / pg_times[2]
     pg_stats = pg[2].machine.jit.stats()

@@ -304,18 +304,6 @@ def decode(buf: bytes | bytearray | memoryview, addr: int = 0, offset: int = 0) 
     return Instruction(op, tuple(operands), addr=addr, size=pos - offset)
 
 
-def decode_range(buf: bytes, base_addr: int, start: int, end: int) -> list[Instruction]:
-    """Decode every instruction in ``buf[start:end]`` sequentially."""
-    out: list[Instruction] = []
-    pos = start
-    while pos < end:
-        insn = decode(buf, base_addr + (pos - start), pos)
-        assert insn.size is not None
-        out.append(insn)
-        pos += insn.size
-    return out
-
-
 def encode_program(
     instructions: Sequence[Instruction],
     base_addr: int = 0,

@@ -71,13 +71,3 @@ R12, R13, R14, R15 = GPR.R12, GPR.R13, GPR.R14, GPR.R15
 
 GPR_NAMES = {r.name.lower(): r for r in GPR}
 XMM_NAMES = {x.name.lower(): x for x in XMM}
-
-
-def gpr_by_name(name: str) -> GPR:
-    """Look up a GPR by its lower-case textual name (``"rax"``)."""
-    return GPR_NAMES[name.lower()]
-
-
-def xmm_by_name(name: str) -> XMM:
-    """Look up an XMM register by its lower-case textual name (``"xmm3"``)."""
-    return XMM_NAMES[name.lower()]

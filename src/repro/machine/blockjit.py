@@ -18,6 +18,14 @@ body is the whole block with
 * memory accesses inlined against the segment TLB with the same
   counters and remote-segment surcharges the interpreter charges.
 
+The translators reach guest state only through a small state-access
+interface on :class:`_BlockCompiler` — ``reg``, ``lane`` and ``flag``
+name a GPR, an xmm lane or a condition flag; ``signed`` is the signed
+view of a value; ``divide`` is signed division.  Tier 1 implements it
+with the cpu's list and dict slots and the ``ts``/``IDIV`` helpers; the
+tier-2 trace compiler (:mod:`.tracejit`) implements it with Python
+locals and inline arithmetic, so one set of translators serves both.
+
 Compiled blocks live in a **code cache** keyed by start address and are
 chained: once block A has fallen through or jumped to block B, A
 remembers B and the dispatch loop follows the link without a cache
@@ -121,20 +129,21 @@ class _Unsupported(Exception):
     handle; the block falls back to a single interpreted step."""
 
 
-#: Condition-code expressions over the bound ``flags`` dict.
+#: Condition-code expressions over the four flags; each ``{ZF}``-style
+#: field is filled with :meth:`_BlockCompiler.flag`'s name for it.
 _COND_EXPR = {
-    Cond.E: "flags[ZF]",
-    Cond.NE: "not flags[ZF]",
-    Cond.L: "flags[SF] != flags[OF]",
-    Cond.GE: "flags[SF] == flags[OF]",
-    Cond.LE: "flags[ZF] or flags[SF] != flags[OF]",
-    Cond.G: "not flags[ZF] and flags[SF] == flags[OF]",
-    Cond.B: "flags[CF]",
-    Cond.AE: "not flags[CF]",
-    Cond.BE: "flags[CF] or flags[ZF]",
-    Cond.A: "not flags[CF] and not flags[ZF]",
-    Cond.S: "flags[SF]",
-    Cond.NS: "not flags[SF]",
+    Cond.E: "{ZF}",
+    Cond.NE: "not {ZF}",
+    Cond.L: "{SF} != {OF}",
+    Cond.GE: "{SF} == {OF}",
+    Cond.LE: "{ZF} or {SF} != {OF}",
+    Cond.G: "not {ZF} and {SF} == {OF}",
+    Cond.B: "{CF}",
+    Cond.AE: "not {CF}",
+    Cond.BE: "{CF} or {ZF}",
+    Cond.A: "not {CF} and not {ZF}",
+    Cond.S: "{SF}",
+    Cond.NS: "not {SF}",
 }
 
 
@@ -167,7 +176,9 @@ class CompiledBlock:
 
 
 class _BlockCompiler:
-    """Translates one decoded basic block into Python source."""
+    """Translates one decoded basic block into Python source; guest
+    state is reached only through the state-access methods (see the
+    module docstring), which the trace compiler re-implements."""
 
     def __init__(self, insns: list[Instruction], fall_pc: int, costs):
         self.insns = insns
@@ -190,15 +201,46 @@ class _BlockCompiler:
         self._tmp_n += 1
         return f"_t{self._tmp_n}"
 
+    # -------------------------------------------------------- state access
+    def reg(self, n: int) -> str:
+        """Expression naming GPR ``n``, readable and assignable."""
+        return f"regs[{n}]"
+
+    def lane(self, n: int, lane: int) -> str:
+        """Expression naming lane ``lane`` of xmm register ``n``."""
+        self.needs.add("xmm")
+        return f"xmm[{n}][{lane}]"
+
+    def flag(self, name: str) -> str:
+        """Expression naming condition flag ``name`` (``"ZF"``...)."""
+        self.needs.add("flags")
+        return f"flags[{name}]"
+
+    def signed(self, x: str) -> str:
+        """Signed view of the canonical value ``x``."""
+        return f"ts({x})"
+
+    def divide(self, b: str) -> None:
+        """Signed division RAX / ``b``: quotient to RAX, remainder to
+        RDX, faulting on a zero divisor."""
+        q, r = self.reg(_RAX), self.reg(_RDX)
+        self.emit(f"{q}, {r} = IDIV({q}, {b})")
+
+    def cond(self, cond: Cond) -> str:
+        """Expression that is true when ``cond`` holds on the flags."""
+        return _COND_EXPR[cond].format(
+            ZF=self.flag("ZF"), SF=self.flag("SF"),
+            CF=self.flag("CF"), OF=self.flag("OF"))
+
     # ------------------------------------------------------------ operands
     def ea(self, mem: Mem) -> str:
         """Expression for a memory operand's effective address (canonical
         unsigned, exactly like :meth:`CPU.ea`)."""
         parts = []
         if mem.base is not None:
-            parts.append(f"regs[{int(mem.base)}]")
+            parts.append(self.reg(int(mem.base)))
         if mem.index is not None:
-            term = f"regs[{int(mem.index)}]"
+            term = self.reg(int(mem.index))
             if mem.scale != 1:
                 term += f"*{mem.scale}"
             parts.append(term)
@@ -268,7 +310,7 @@ class _BlockCompiler:
         """Expression (or temp) holding an integer operand's canonical
         value; memory operands emit an inline load first."""
         if type(operand) is Reg:
-            return f"regs[{int(operand.reg)}]"
+            return self.reg(int(operand.reg))
         if type(operand) is Imm:
             return repr(operand.value)
         if type(operand) is Mem:
@@ -280,7 +322,7 @@ class _BlockCompiler:
     def write_int(self, operand, value_expr: str) -> None:
         """Store a canonical value into a register or memory operand."""
         if type(operand) is Reg:
-            self.emit(f"regs[{int(operand.reg)}] = {value_expr}")
+            self.emit(f"{self.reg(int(operand.reg))} = {value_expr}")
         elif type(operand) is Mem:
             self.store(self.ea(operand), value_expr, "Q")
         else:
@@ -289,8 +331,7 @@ class _BlockCompiler:
     def read_float(self, operand) -> str:
         """Expression/temp holding a float source operand's value."""
         if type(operand) is FReg:
-            self.needs.add("xmm")
-            return f"xmm[{int(operand.reg)}][0]"
+            return self.lane(int(operand.reg), 0)
         if type(operand) is Mem:
             v = self.tmp()
             self.load(self.ea(operand), v, "D")
@@ -300,9 +341,8 @@ class _BlockCompiler:
     def read_packed(self, operand) -> tuple[str, str]:
         """Expressions/temps for both 64-bit lanes of a packed operand."""
         if type(operand) is FReg:
-            self.needs.add("xmm")
             n = int(operand.reg)
-            return f"xmm[{n}][0]", f"xmm[{n}][1]"
+            return self.lane(n, 0), self.lane(n, 1)
         if type(operand) is Mem:
             lo, hi = self.tmp(), self.tmp()
             at = self.load(self.ea(operand), lo, "D")
@@ -311,10 +351,12 @@ class _BlockCompiler:
         raise _Unsupported(f"packed operand {operand!r}")
 
     # --------------------------------------------------------------- flags
+    def _flags_line(self, zf: str, sf: str, cf: str, of: str) -> str:
+        return (f"{self.flag('ZF')} = {zf}; {self.flag('SF')} = {sf}; "
+                f"{self.flag('CF')} = {cf}; {self.flag('OF')} = {of}")
+
     def set_flags(self, zf: str, sf: str, cf: str, of: str) -> None:
-        self.needs.add("flags")
-        self.emit(f"flags[ZF] = {zf}; flags[SF] = {sf}; "
-                  f"flags[CF] = {cf}; flags[OF] = {of}")
+        self.emit(self._flags_line(zf, sf, cf, of))
 
     def logic_flags(self, r: str) -> None:
         self.set_flags(f"{r} == 0", f"{r} >= SB", "False", "False")
@@ -372,15 +414,12 @@ class _BlockCompiler:
         ops = insn.operands
         return bool(ops) and type(ops[0]) is Mem
 
-    def _flag_liveness(self, insns, live_at_end: bool = True) -> list[bool]:
-        """need[i]: must insn i's flag results land in the flags dict?
-        Live at block end (the next block may read them) unless the
-        caller knows better (``live_at_end`` — the trace tier passes
-        False when the first flag event past the loop seam is an
-        overwrite); dead once a later insn overwrites all four before
-        any reader."""
+    def _flag_liveness(self, insns) -> list[bool]:
+        """need[i]: must insn i's flag results land in the flags?  Live
+        at block end (the next block may read them); dead once a later
+        insn overwrites all four before any reader."""
         need = [False] * len(insns)
-        live = live_at_end
+        live = True
         for i in range(len(insns) - 1, -1, -1):
             info = insns[i].info
             cls = info.opclass
@@ -440,55 +479,50 @@ class _BlockCompiler:
         elif cls is OpClass.LEA:
             if type(ops[1]) is not Mem:
                 raise _Unsupported("LEA without memory source")
-            e(f"regs[{int(ops[0].reg)}] = {self.ea(ops[1])}")
+            e(f"{self.reg(int(ops[0].reg))} = {self.ea(ops[1])}")
         elif cls is OpClass.FMOV:
             if op is Op.XORPD:
                 a0, a1 = self.read_packed(ops[0])
                 b0, b1 = self.read_packed(ops[1])
                 d = int(ops[0].reg)
-                e(f"xmm[{d}][0], xmm[{d}][1] = XPD({a0}, {a1}, {b0}, {b1})")
+                e(f"{self.lane(d, 0)}, {self.lane(d, 1)} = "
+                  f"XPD({a0}, {a1}, {b0}, {b1})")
             else:  # MOVSD
                 if type(ops[0]) is FReg:
-                    self.needs.add("xmm")
-                    e(f"xmm[{int(ops[0].reg)}][0] = {self.read_float(ops[1])}")
+                    e(f"{self.lane(int(ops[0].reg), 0)} = "
+                      f"{self.read_float(ops[1])}")
                 else:
                     self.store(self.ea(ops[0]), self.read_float(ops[1]), "D")
         elif cls is OpClass.FALU:
-            d = int(ops[0].reg)
-            self.needs.add("xmm")
+            d = self.lane(int(ops[0].reg), 0)
             sym = {Op.ADDSD: "+", Op.SUBSD: "-", Op.MULSD: "*"}[op]
-            e(f"xmm[{d}][0] = xmm[{d}][0] {sym} {self.read_float(ops[1])}")
+            e(f"{d} = {d} {sym} {self.read_float(ops[1])}")
         elif cls is OpClass.FDIV:
-            d = int(ops[0].reg)
-            self.needs.add("xmm")
+            d = self.lane(int(ops[0].reg), 0)
             if op is Op.SQRTSD:
                 b = self.read_float(ops[1])
                 e(f"_fb = {b}")
-                e(f"xmm[{d}][0] = NAN if _fb < 0 else sqrt(_fb)")
+                e(f"{d} = NAN if _fb < 0 else sqrt(_fb)")
             else:  # DIVSD
                 e(f"_fb = {self.read_float(ops[1])}")
-                e(f"_fa = xmm[{d}][0]")
+                e(f"_fa = {d}")
                 e("if _fb == 0.0:")
-                e(f"    xmm[{d}][0] = "
-                  "INF if _fa > 0 else (-INF if _fa < 0 else NAN)")
+                e(f"    {d} = INF if _fa > 0 else (-INF if _fa < 0 else NAN)")
                 e("else:")
-                e(f"    xmm[{d}][0] = _fa / _fb")
+                e(f"    {d} = _fa / _fb")
         elif cls is OpClass.FCMP:
             e(f"_fa = {self.read_float(ops[0])}")
             e(f"_fb = {self.read_float(ops[1])}")
             if flags_needed:
-                self.needs.add("flags")
                 e("if _fa != _fa or _fb != _fb:")
-                e("    flags[ZF] = True; flags[SF] = False; "
-                  "flags[CF] = True; flags[OF] = False")
+                e("    " + self._flags_line("True", "False", "True", "False"))
                 e("else:")
-                e("    flags[ZF] = _fa == _fb; flags[SF] = False; "
-                  "flags[CF] = _fa < _fb; flags[OF] = False")
+                e("    " + self._flags_line("_fa == _fb", "False",
+                                             "_fa < _fb", "False"))
         elif cls is OpClass.FCVT:
             if op is Op.CVTSI2SD:
-                self.needs.add("xmm")
-                e(f"xmm[{int(ops[0].reg)}][0] = "
-                  f"float(ts({self.read_int(ops[1])}))")
+                e(f"{self.lane(int(ops[0].reg), 0)} = "
+                  f"float({self.signed(self.read_int(ops[1]))})")
             else:  # CVTTSD2SI
                 e(f"_fa = {self.read_float(ops[1])}")
                 e("if _fa != _fa or _fa >= 9223372036854775808.0 "
@@ -499,18 +533,16 @@ class _BlockCompiler:
                 self.write_int(ops[0], "_r")
         elif cls is OpClass.BITMOV:
             if type(ops[0]) is Reg:
-                e(f"regs[{int(ops[0].reg)}] = "
+                e(f"{self.reg(int(ops[0].reg))} = "
                   f"UQ(PD({self.read_float(ops[1])}))[0]")
             else:
-                self.needs.add("xmm")
-                e(f"xmm[{int(ops[0].reg)}][0] = "
+                e(f"{self.lane(int(ops[0].reg), 0)} = "
                   f"UD(PQ({self.read_int(ops[1])}))[0]")
         elif cls is OpClass.VMOV:
             lo, hi = self.read_packed(ops[1])
             if type(ops[0]) is FReg:
-                self.needs.add("xmm")
                 d = int(ops[0].reg)
-                e(f"xmm[{d}][0] = {lo}; xmm[{d}][1] = {hi}")
+                e(f"{self.lane(d, 0)} = {lo}; {self.lane(d, 1)} = {hi}")
             else:
                 at = self.tmp()
                 e(f"{at} = {self.ea(ops[0])}")
@@ -520,30 +552,30 @@ class _BlockCompiler:
             a0, a1 = self.read_packed(ops[0])
             b0, b1 = self.read_packed(ops[1])
             d = int(ops[0].reg)
+            dst = f"{self.lane(d, 0)}, {self.lane(d, 1)}"
             if op is Op.HADDPD:
-                e(f"xmm[{d}][0], xmm[{d}][1] = {a0} + {a1}, {b0} + {b1}")
+                e(f"{dst} = {a0} + {a1}, {b0} + {b1}")
             else:
                 sym = {Op.ADDPD: "+", Op.SUBPD: "-", Op.MULPD: "*"}[op]
-                e(f"xmm[{d}][0], xmm[{d}][1] = "
-                  f"{a0} {sym} {b0}, {a1} {sym} {b1}")
+                e(f"{dst} = {a0} {sym} {b0}, {a1} {sym} {b1}")
         elif cls is OpClass.SETCC:
-            self.needs.add("flags")
-            cond = _COND_EXPR[insn.info.cond]
+            cond = self.cond(insn.info.cond)
             self.write_int(ops[0], f"(1 if {cond} else 0)")
         elif cls is OpClass.PUSH:
             v = self.read_int(ops[0])
+            sp = self.reg(_RSP)
             e(f"_v = {v}")
-            e(f"_sp = (regs[{_RSP}] - 8) & M")
-            e(f"regs[{_RSP}] = _sp")
+            e(f"_sp = ({sp} - 8) & M")
+            e(f"{sp} = _sp")
             self.store("_sp", "_v", "Q")
         elif cls is OpClass.POP:
             v = self.tmp()
-            self.load(f"regs[{_RSP}]", v, "Q")
-            e(f"regs[{_RSP}] = (regs[{_RSP}] + 8) & M")
+            sp = self.reg(_RSP)
+            self.load(sp, v, "Q")
+            e(f"{sp} = ({sp} + 8) & M")
             self.write_int(ops[0], v)
         elif cls is OpClass.DIV:
-            b = self.read_int(ops[0])
-            e(f"regs[{_RAX}], regs[{_RDX}] = IDIV(regs[{_RAX}], {b})")
+            self.divide(self.read_int(ops[0]))
         elif cls is OpClass.NOP:
             pass
         else:  # pragma: no cover - enders are handled by gen_ender
@@ -551,6 +583,7 @@ class _BlockCompiler:
 
     def _gen_unop(self, op: Op, operand, flags_needed: bool) -> None:
         e = self.emit
+        ts = self.signed
         # read-modify-write through one EA for memory destinations
         if type(operand) is Mem:
             at = self.load(self.ea(operand), "_a", "Q")
@@ -570,17 +603,17 @@ class _BlockCompiler:
             e("_r = (-_a) & M")
             if flags_needed:
                 self.set_flags("_r == 0", "_r >= SB", "0 < _a",
-                               "(-ts(_a)) != ts(_r)")
+                               f"(-{ts('_a')}) != {ts('_r')}")
         elif op is Op.INC:
             e("_r = (_a + 1) & M")
             if flags_needed:
                 self.set_flags("_r == 0", "_r >= SB", "_a + 1 > M",
-                               "ts(_a) + 1 != ts(_r)")
+                               f"{ts('_a')} + 1 != {ts('_r')}")
         elif op is Op.DEC:
             e("_r = (_a - 1) & M")
             if flags_needed:
                 self.set_flags("_r == 0", "_r >= SB", "_a < 1",
-                               "ts(_a) - 1 != ts(_r)")
+                               f"{ts('_a')} - 1 != {ts('_r')}")
         else:
             raise _Unsupported(f"unary {op}")
         if type(operand) is Mem:
@@ -591,6 +624,7 @@ class _BlockCompiler:
     def _gen_binop(self, op: Op, dst, src, flags_needed: bool,
                    write_result: bool) -> None:
         e = self.emit
+        ts = self.signed
         at = None
         if write_result and type(dst) is Mem:
             # read-modify-write: one EA, load now, store after
@@ -608,7 +642,7 @@ class _BlockCompiler:
             e("_r = (_a + _b) & M")
             if flags_needed:
                 self.set_flags("_r == 0", "_r >= SB", "_a + _b > M",
-                               "ts(_a) + ts(_b) != ts(_r)")
+                               f"{ts('_a')} + {ts('_b')} != {ts('_r')}")
         elif op is Op.SUB or op is Op.CMP:
             if simple:
                 self.write_int(dst, f"({a} - {b}) & M")
@@ -617,7 +651,7 @@ class _BlockCompiler:
             e("_r = (_a - _b) & M")
             if flags_needed:
                 self.set_flags("_r == 0", "_r >= SB", "_a < _b",
-                               "ts(_a) - ts(_b) != ts(_r)")
+                               f"{ts('_a')} - {ts('_b')} != {ts('_r')}")
         elif op in (Op.AND, Op.TEST):
             if simple:
                 self.write_int(dst, f"{a} & {b}")
@@ -640,10 +674,10 @@ class _BlockCompiler:
             if flags_needed:
                 self.logic_flags("_r")
         elif op is Op.IMUL:
-            e(f"_f = ts({a}) * ts({b})")
+            e(f"_f = {ts(a)} * {ts(b)}")
             e("_r = _f & M")
             if flags_needed:
-                e("_o = _f != ts(_r)")
+                e(f"_o = _f != {ts('_r')}")
                 self.set_flags("_r == 0", "_r >= SB", "_o", "_o")
         elif op is Op.SHL:
             if simple:
@@ -661,9 +695,9 @@ class _BlockCompiler:
                 self.logic_flags("_r")
         elif op is Op.SAR:
             if simple:
-                self.write_int(dst, f"(ts({a}) >> ({b} & 63)) & M")
+                self.write_int(dst, f"({ts(a)} >> ({b} & 63)) & M")
                 return
-            e(f"_r = (ts({a}) >> ({b} & 63)) & M")
+            e(f"_r = ({ts(a)} >> ({b} & 63)) & M")
             if flags_needed:
                 self.logic_flags("_r")
         else:
@@ -688,16 +722,14 @@ class _BlockCompiler:
             e("perf.branches += 1")
             e("perf.taken_branches += 1")
             if op is Op.JMPI:
-                e(f"_t = regs[{int(ops[0].reg)}]")
+                e(f"_t = {self.reg(int(ops[0].reg))}")
                 self.epilogue(body + costs.base_cost(insn, False), "_t")
             else:
                 self.epilogue(body + costs.base_cost(insn, False),
                               repr(ops[0].value))
         elif cls is OpClass.JCC:
-            self.needs.add("flags")
-            cond = _COND_EXPR[insn.info.cond]
             e("perf.branches += 1")
-            e(f"if {cond}:")
+            e(f"if {self.cond(insn.info.cond)}:")
             e("    perf.taken_branches += 1")
             self.epilogue(body + costs.base_cost(insn, True),
                           repr(ops[0].value), indent="    ")
@@ -706,7 +738,7 @@ class _BlockCompiler:
         elif cls is OpClass.CALL:
             self.needs.add("call")
             if op is Op.CALLI:
-                e(f"_t = regs[{int(ops[0].reg)}]")
+                e(f"_t = {self.reg(int(ops[0].reg))}")
                 target = "_t"
             else:
                 target = repr(ops[0].value)
@@ -730,8 +762,9 @@ class _BlockCompiler:
             e(f"    perf.cycles += {call_cost}")
             e(f"    cpu.pc = {repr(self.fall_pc)}")
             e(f"    return {repr(self.fall_pc)}")
-            e(f"_sp = (regs[{_RSP}] - 8) & M")
-            e(f"regs[{_RSP}] = _sp")
+            sp = self.reg(_RSP)
+            e(f"_sp = ({sp} - 8) & M")
+            e(f"{sp} = _sp")
             self.store("_sp", repr(self.fall_pc), "Q", count_inline=True)
             e(f"perf.cycles += {call_cost}")
             e(f"stack.append(CFI({target}, {repr(self.fall_pc)}))")
@@ -740,8 +773,9 @@ class _BlockCompiler:
         elif cls is OpClass.RET:
             self.needs.add("call")
             t = self.tmp()
-            self.load(f"regs[{_RSP}]", t, "Q")
-            e(f"regs[{_RSP}] = (regs[{_RSP}] + 8) & M")
+            sp = self.reg(_RSP)
+            self.load(sp, t, "Q")
+            e(f"{sp} = ({sp} + 8) & M")
             e("perf.rets += 1")
             e("if stack:")
             e("    stack.pop()")

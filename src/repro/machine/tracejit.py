@@ -34,12 +34,23 @@ is compiled into ONE Python function with
 * self-modification exits after every store that hits executable bytes,
   with the same exact accounting (the ``cw_`` contract of tier 1).
 
-Multi-version traces: each head keeps up to ``max_versions`` compiled
-traces keyed by the **branch-direction signature** (the tuple of
-taken/not-taken decisions along the path).  When the profile shifts, the
-installed trace starts exiting early; the dispatch loop notices (exit
-count high, iterations-per-exit low), deactivates it, re-profiles, and
-installs — or reuses — the version matching the new signature.
+One emitter serves both tiers.  :class:`_TraceCompiler` runs tier 1's
+per-instruction translators unchanged and re-implements only the
+state-access methods of :class:`~repro.machine.blockjit._BlockCompiler`:
+``reg``/``lane``/``flag`` name Python locals (``r3``, ``x8_0``, ``zf_``)
+and record which registers and lanes the trace touches, ``signed`` is
+inline arithmetic, and ``divide`` is inline truncating division.  Memory
+accessors get per-site TLB slots.  Exits are recorded during the walk
+and rendered last, once the per-iteration counter totals, the touched
+registers and the TLB sites of the whole trace are known.
+
+Multi-version traces: each head keeps up to :data:`MAX_VERSIONS`
+compiled traces keyed by the **branch-direction signature** (the tuple
+of taken/not-taken decisions along the path).  When the profile shifts,
+the installed trace starts exiting early; the dispatch loop notices
+(:data:`DEACT_MIN_EXITS` consecutive low-yield exits), deactivates it,
+re-profiles, and installs — or reuses — the version matching the new
+signature.
 
 Invalidation: trace entries live in the tier-1 code cache, so every
 existing invalidation path (``Image.notify_code_write`` →
@@ -61,14 +72,14 @@ oversteps its budget, and the loop hands the tail to the interpreter.
 
 from __future__ import annotations
 
-import re
-
 from repro.isa.flags import Cond
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.operands import Mem
+from repro.isa.operands import FReg, Mem, Reg
 from repro.machine.blockjit import (
     _BLOCK_ENDERS,
     _COND_EXPR,
+    _RAX,
+    _RDX,
     _BlockCompiler,
     _Unsupported,
     BlockJIT,
@@ -85,9 +96,9 @@ MAX_TRACE_BLOCKS = 16
 MAX_TRACE_INSNS = 384
 #: Compiled versions kept per head address.
 MAX_VERSIONS = 4
-#: Deactivation: after at least this many side exits since install, ...
+#: Deactivation: after this many consecutive side exits, ...
 DEACT_MIN_EXITS = 8
-#: ... deactivate when iterations-per-exit has fallen below this.
+#: ... each yielding fewer iterations than this.
 DEACT_ITERS_PER_EXIT = 2
 
 #: Loop-exit guard expressions under a *deferred* CMP (``_ga - _gb``):
@@ -124,92 +135,28 @@ _TEST_DIRECT = {
     Cond.AE: "True",
     Cond.BE: "(_ga & _gb) == 0",
     Cond.A: "(_ga & _gb) != 0",
+    Cond.S: "(_ga & _gb) >= SB",
+    Cond.NS: "(_ga & _gb) < SB",
 }
 
-_RE_REG = re.compile(r"regs\[(\d+)\]")
-_RE_LANE = re.compile(r"xmm\[(\d+)\]\[([01])\]")
-_RE_ZERO_CHARGE = re.compile(r"perf\.\w+ \+= (?:it_|mx_)\*0( \+ 0)?$")
+# A guard after a deferred CMP/TEST looks its condition up here, so
+# both tables must cover every condition a Jcc can carry.
+assert _CMP_DIRECT.keys() == _TEST_DIRECT.keys() == _COND_EXPR.keys()
 
-#: ``ts(x)`` calls on a simple operand are inlined arithmetically:
-#: ``x - ((x & SB) << 1)`` is the signed view with zero call overhead
-#: (``(x & SB) << 1`` is exactly ``2**64`` when the sign bit is set).
-_RE_TS = re.compile(r"ts\((\w+)\)")
-
-#: ``IDIV`` on the hot path, inlined arithmetically (a division-heavy
-#: loop otherwise pays a helper call plus three conversion calls per
-#: iteration).  Matches the localized two-target form the block
-#: compiler emits; the divide-by-zero fault path falls back to the
-#: helper so the guest-visible ``CpuError`` is identical.
-_RE_IDIV = re.compile(r"^(\s*)(\w+), (\w+) = IDIV\((\w+), (.+)\)$", re.M)
-
-
-def _inline_idiv(match: re.Match) -> str:
-    """C-truncation signed division as pure arithmetic.  With the
-    floor-division sign trick ``-(-a // b)`` the truncated quotient
-    needs no abs() calls, and the remainder follows exactly as the
-    interpreter computes it (``rem = sa - quot*sb``).  The zero
-    divisor falls into an ``IDIV`` call that raises the helper's
-    exact ``CpuError`` before its ``[0]`` subscript evaluates.
-    Emitted as ONE line: render_trace indents by precomputed line
-    index, so the expansion must not shift line counts."""
-    ind, quo, rem, a, b = match.groups()
-    return (
-        f"{ind}_dv = {b}; "
-        f"_da = {a} - (({a} & SB) << 1); "
-        f"_db = _dv - ((_dv & SB) << 1); "
-        f"_dq = (-(-_da // _db) if (_da < 0) != (_db < 0)"
-        f" else _da // _db) if _db else IDIV({a}, 0)[0]; "
-        f"{quo} = _dq & M; "
-        f"{rem} = (_da - _dq * _db) & M"
-    )
-
-#: Globals the trace body references per iteration, hoisted into
-#: function locals (LOAD_FAST) by the render pass when present.
-_HOT_GLOBALS = (
-    ("UQF", "uqf_"), ("UDF", "udf_"), ("PQI", "pqi_"), ("PDI", "pdi_"),
-    ("XPD", "xpd_"), ("IDIV", "idiv_"), ("sqrt", "sqrt_"),
-    ("ts", "ts_"), ("M", "M_"), ("SB", "SB_"),
-    ("NAN", "NAN_"), ("INF", "INF_"),
-)
-
-
-_RE_TMP_DEF = re.compile(r"^(\s*)(_t\d+) = (.+)$")
-_RE_LOCAL_COPY = re.compile(r"^(\s*)(\w+) = (\w+)$")
-
-
-def _peephole(src: str) -> str:
-    """Two safe line-level rewrites on the rendered trace:
-
-    * **copy propagation** — ``_tN = expr`` immediately followed by
-      ``var = _tN``, where ``_tN`` occurs nowhere else, folds to
-      ``var = expr`` (the loaded-value temp of every memory access);
-    * **redundant copy-back** — ``a = b`` immediately followed by
-      ``b = a`` drops the second line (guest MOV ping-pong between
-      two state locals is a no-op on the Python locals).
-    """
-    lines = src.split("\n")
-    out = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        nxt = lines[i + 1] if i + 1 < len(lines) else None
-        m = _RE_TMP_DEF.match(line)
-        if m and nxt is not None:
-            ind, tmp, expr = m.groups()
-            m2 = re.match(rf"^{re.escape(ind)}(\w+) = {tmp}$", nxt)
-            if m2 and len(re.findall(rf"\b{tmp}\b", src)) == 2:
-                out.append(f"{ind}{m2.group(1)} = {expr}")
-                i += 2
-                continue
-        m = _RE_LOCAL_COPY.match(line)
-        if (m and nxt == f"{m.group(1)}{m.group(3)} = {m.group(2)}"
-                and m.group(2) != m.group(3)):
-            out.append(line)
-            i += 2
-            continue
-        out.append(line)
-        i += 1
-    return "\n".join(out)
+#: The trace function's signature.  The globals the body reads every
+#: iteration are bound as parameter defaults, so each reference is a
+#: local load rather than a global dict lookup.
+_TRACE_DEF = ("def _trace(cpu, budget, M=M, SB=SB, UQF=UQF, UDF=UDF, "
+              "PQI=PQI, PDI=PDI, XPD=XPD, IDIV=IDIV, sqrt=sqrt, NAN=NAN, "
+              "INF=INF):")
+#: Body lines run inside the iteration loop; a guard's or store's exit
+#: sits one level deeper, under its ``if``.
+_BODY_IND = " " * 8
+_EXIT_IND = " " * 12
+#: The perf counters an exit charges, in the order of its prefix tuple.
+_EXIT_COUNTERS = ("instructions", "loads", "stores", "cycles", "branches",
+                  "taken_branches")
+_FLAGS = ("ZF", "SF", "CF", "OF")
 
 
 class TraceVersion:
@@ -269,11 +216,12 @@ class TraceEntry:
 class _TraceCompiler(_BlockCompiler):
     """Compiles a closed path of decoded blocks into one trace function.
 
-    Reuses the tier-1 per-instruction translators verbatim, then runs a
-    post-pass over the emitted body that rewrites ``regs[i]`` /
-    ``xmm[i][lane]`` / ``flags[F]`` subscripts into plain Python locals;
-    exit paths are emitted against distinct aliases (``rg_``, ``xm_``,
-    ``fd_``) so the writebacks escape the rewrite.
+    Tier 1's per-instruction translators emit the body; this class
+    supplies their state-access methods over Python locals, per-site
+    TLB memory accessors, the deferred CMP/TEST protocol, and the
+    guards and exits.  Exits are kept in :attr:`lines` as tuples and
+    rendered by :meth:`render` once the walk has fixed the
+    per-iteration totals.
     """
 
     def __init__(self, path, costs):
@@ -298,6 +246,44 @@ class _TraceCompiler(_BlockCompiler):
         #: single-entry TLB into a ``segment_for`` walk per access.
         self._load_slots: list[int] = []
         self._store_slots: list[int] = []
+        #: GPRs and xmm lanes the trace touches: loaded into locals on
+        #: entry and written back at every exit.
+        self._regs: set[int] = set()
+        self._lanes: set[tuple[int, int]] = set()
+
+    # ------------------------------------------------- state in locals
+    def emit(self, line):
+        self.lines.append(_BODY_IND + line)
+
+    def reg(self, n):
+        self._regs.add(n)
+        return f"r{n}"
+
+    def lane(self, n, lane):
+        self._lanes.add((n, lane))
+        return f"x{n}_{lane}"
+
+    def flag(self, name):
+        return f"{name.lower()}_"
+
+    def signed(self, x):
+        # x is canonical (0 <= x < 2**64), so ``(x & SB) << 1`` is
+        # exactly 2**64 when the sign bit is set: no helper call.
+        return f"({x} - (({x} & SB) << 1))"
+
+    def divide(self, b):
+        """C-truncation signed division as pure arithmetic.  With the
+        floor-division sign trick ``-(-a // b)`` the truncated quotient
+        needs no abs() calls, and the remainder follows exactly as the
+        interpreter computes it (``rem = sa - quot*sb``).  The zero
+        divisor falls into an ``IDIV`` call that raises the helper's
+        exact ``CpuError`` before its ``[0]`` subscript evaluates."""
+        q, r = self.reg(_RAX), self.reg(_RDX)
+        e = self.emit
+        e(f"_dv = {b}; _da = {self.signed(q)}; _db = {self.signed('_dv')}")
+        e("_dq = (-(-_da // _db) if (_da < 0) != (_db < 0) else _da // _db)"
+          f" if _db else IDIV({q}, 0)[0]")
+        e(f"{q} = _dq & M; {r} = (_da - _dq * _db) & M")
 
     # ------------------------------------------------- memory fast path
     def _site_refill(self, j, t):
@@ -363,19 +349,26 @@ class _TraceCompiler(_BlockCompiler):
             self.n_stores += 1
         self.needs.update(("mem", "mstores"))
 
-    # ------------------------------------------------------ deferred flags
+    # ------------------------------------------------------ translation
     def gen_insn(self, insn, flags_needed):
-        """Tier-1 translation plus the deferred CMP/TEST protocol:
-        comparisons keep their operands in ``_ga``/``_gb`` instead of
-        computing four flags; guards and exits consume them directly."""
+        """Tier-1 translation plus two trace-only forms: comparisons
+        keep their operands in ``_ga``/``_gb`` instead of computing four
+        flags (guards and exits consume them directly), and a load into
+        a register or scalar lane lands straight in its local."""
         cls = insn.info.opclass
+        ops = insn.operands
         if cls is OpClass.CMP and flags_needed:
-            # Keep the operands, not the flags: guards compare the
-            # values directly; any exit materializes the four flags.
-            a = self.read_int(insn.operands[0])
-            b = self.read_int(insn.operands[1])
+            a = self.read_int(ops[0])
+            b = self.read_int(ops[1])
             self.emit(f"_ga = {a}; _gb = {b}")
             self._defer = "test" if insn.op is Op.TEST else "cmp"
+            return
+        if cls is OpClass.MOV and type(ops[0]) is Reg and type(ops[1]) is Mem:
+            self.load(self.ea(ops[1]), self.reg(int(ops[0].reg)))
+            return
+        if (insn.op is Op.MOVSD and type(ops[0]) is FReg
+                and type(ops[1]) is Mem):
+            self.load(self.ea(ops[1]), self.lane(int(ops[0].reg), 0), "D")
             return
         if cls is OpClass.SETCC and self._defer is not None:
             self._materialize_locals()
@@ -384,16 +377,22 @@ class _TraceCompiler(_BlockCompiler):
                 and cls is not OpClass.DIV and cls is not OpClass.CMP):
             self._defer = None  # flag locals are current again
 
+    def _deferred_flags(self, defer):
+        """The statement and the four flag expressions that materialize
+        a deferred CMP/TEST from ``_ga``/``_gb``."""
+        if defer == "test":
+            return "_gr = _ga & _gb", ("_gr == 0", "_gr >= SB", "False",
+                                       "False")
+        ts = self.signed
+        return "_gr = (_ga - _gb) & M", (
+            "_gr == 0", "_gr >= SB", "_ga < _gb",
+            f"{ts('_ga')} - {ts('_gb')} != {ts('_gr')}")
+
     def _materialize_locals(self):
-        """Fold a deferred CMP/TEST into the four flag *locals*."""
-        e = self.emit
-        if self._defer == "test":
-            e("_gr = _ga & _gb")
-            e("zf_ = _gr == 0; sf_ = _gr >= SB; cf_ = False; of_ = False")
-        else:
-            e("_gr = (_ga - _gb) & M")
-            e("zf_ = _gr == 0; sf_ = _gr >= SB; cf_ = _ga < _gb; "
-              "of_ = ts(_ga) - ts(_gb) != ts(_gr)")
+        """Fold a deferred CMP/TEST into the four flag locals."""
+        setup, flags = self._deferred_flags(self._defer)
+        self.emit(setup)
+        self.set_flags(*flags)
         self._defer = None
 
     def _flags_dead_at_head(self):
@@ -401,9 +400,8 @@ class _TraceCompiler(_BlockCompiler):
         the loop seam: scanning from the head, a flag *writer* comes
         before any reader (JCC/SETCC) or exit site (a store's ``cw_``
         exit).  Then the end-of-iteration materialization can be
-        skipped and the liveness pass may start with dead flags — exits
-        before the first writer do not exist, and everything after it
-        sees freshly-defined state."""
+        skipped — exits before the first writer do not exist, and
+        everything after it sees freshly-defined state."""
         for insn in self.insns:
             cls = insn.info.opclass
             if cls is OpClass.SETCC or cls is OpClass.JCC:
@@ -415,46 +413,49 @@ class _TraceCompiler(_BlockCompiler):
         return False
 
     # ------------------------------------------------------------- exits
-    def _emit_exit(self, ind, k, target, br, tk, cyc, loads, stores,
-                   count_exit=True, itvar="it_"):
-        """Write back live state, charge exact counters for ``itvar``
-        full iterations plus the ``k``-instruction prefix, and return to
-        tier 1 at ``target``.  Per-iteration totals are unknown until
-        the walk completes, so they are emitted as ``@N@``-style tokens
-        and substituted in :meth:`render_trace`."""
-        e = self.emit
-        e(f"{ind}perf.instructions += {itvar}*@N@ + {k}")
-        e(f"{ind}perf.loads += {itvar}*@L@ + {loads}")
-        e(f"{ind}perf.stores += {itvar}*@S@ + {stores}")
-        e(f"{ind}perf.cycles += {itvar}*@C@ + {cyc}")
-        e(f"{ind}perf.branches += {itvar}*@B@ + {br}")
-        e(f"{ind}perf.taken_branches += {itvar}*@T@ + {tk}")
-        e(f"{ind}@MF@")
-        e(f"{ind}@WB@")
-        if self._defer == "test":
-            e(f"{ind}_gr = _ga & _gb")
-            e(f"{ind}fd_[ZF] = _gr == 0; fd_[SF] = _gr >= SB; "
-              "fd_[CF] = False; fd_[OF] = False")
-        elif self._defer == "cmp":
-            e(f"{ind}_gr = (_ga - _gb) & M")
-            e(f"{ind}fd_[ZF] = _gr == 0; fd_[SF] = _gr >= SB; "
-              "fd_[CF] = _ga < _gb; fd_[OF] = ts(_ga) - ts(_gb) != ts(_gr)")
+    def _exit(self, ind, prefix, target, count_exit=True, itvar="it_"):
+        """Record an exit at indent ``ind``: write back live state,
+        charge exact counters for ``itvar`` full iterations plus the
+        ``prefix`` (one count per :data:`_EXIT_COUNTERS` entry) of the
+        current one, and return to tier 1 at ``target``."""
+        self.lines.append(
+            (ind, prefix, target, self._defer, count_exit, itvar))
+
+    def _exit_lines(self, writeback, ind, prefix, target, defer,
+                    count_exit, itvar):
+        per_iter = (len(self.insns), self.n_loads, self.n_stores,
+                    self._cyc, self._br, self._tk)
+        out = [f"perf.{name} += {itvar}*{n} + {p}"
+               for name, n, p in zip(_EXIT_COUNTERS, per_iter, prefix)
+               if n or p]
+        out += [f"if mlc{j}_: mloads[sn{j}_] += mlc{j}_"
+                for j in self._load_slots]
+        out += [f"if msc{j}_: mstores[sn{j}_] += msc{j}_"
+                for j in self._store_slots]
+        if writeback:
+            out.append(writeback)
+        if defer is None:
+            values = tuple(self.flag(f) for f in _FLAGS)
         else:
-            e(f"{ind}@FWB@")
+            setup, values = self._deferred_flags(defer)
+            out.append(setup)
+        out.append("; ".join(
+            f"flags[{f}] = {v}" for f, v in zip(_FLAGS, values)))
         if count_exit:
-            e(f"{ind}VC[1] += 1")
-        e(f"{ind}VC[2] += {itvar}")
-        e(f"{ind}cpu._ran_partial = {itvar}*@N@ + {k}")
-        e(f"{ind}cpu.pc = {target}")
-        e(f"{ind}return {target}")
+            out.append("VC[1] += 1")
+        out.append(f"VC[2] += {itvar}")
+        out.append(f"cpu._ran_partial = {itvar}*{per_iter[0]} + {prefix[0]}")
+        out.append(f"cpu.pc = {target}")
+        out.append(f"return {target}")
+        return [ind + line for line in out]
 
     def _emit_cw_exit(self, k, next_pc):
         """Self-modification exit right after a store into executable
         bytes, at the next instruction boundary (tier-1 ``cw_``
         contract)."""
         self.emit("if cw_:")
-        self._emit_exit("    ", k, next_pc, self._br, self._tk, self._cyc,
-                        self.n_loads, self.n_stores)
+        self._exit(_EXIT_IND, (k, self.n_loads, self.n_stores, self._cyc,
+                               self._br, self._tk), next_pc)
 
     def _emit_guard(self, insn, direction, k, fall_pc):
         """Guard an on-trace conditional branch; exit on disagreement."""
@@ -464,23 +465,22 @@ class _TraceCompiler(_BlockCompiler):
         elif self._defer == "test":
             expr = _TEST_DIRECT[cond]
         else:
-            expr = _COND_EXPR[cond]
-        taken_pc = insn.operands[0].value
-        costs = self._costs
+            expr = self.cond(cond)
+        cost = self._costs.base_cost
         if direction:
             self.emit(f"if not ({expr}):")
-            exit_pc, exit_taken = fall_pc, False
+            exit_pc = fall_pc
         else:
             self.emit(f"if {expr}:")
-            exit_pc, exit_taken = taken_pc, True
-        self._emit_exit(
-            "    ", k, exit_pc,
-            self._br + 1, self._tk + (1 if exit_taken else 0),
-            self._cyc + costs.base_cost(insn, exit_taken),
-            self.n_loads, self.n_stores)
+            exit_pc = insn.operands[0].value
+        exit_taken = not direction
+        self._exit(_EXIT_IND, (k, self.n_loads, self.n_stores,
+                               self._cyc + cost(insn, exit_taken),
+                               self._br + 1, self._tk + int(exit_taken)),
+                   exit_pc)
         self._br += 1
-        self._tk += 1 if direction else 0
-        self._cyc += costs.base_cost(insn, direction)
+        self._tk += int(direction)
+        self._cyc += cost(insn, direction)
 
     # ---------------------------------------------------------- translate
     def gen_trace(self):
@@ -512,96 +512,34 @@ class _TraceCompiler(_BlockCompiler):
                     self._cyc += costs.base_cost(last, False)
                 else:  # pragma: no cover - formation rejects other enders
                     raise _Unsupported(f"trace ender {cls}")
-        if not self._flags_dead_at_head():
-            if self._defer is not None:
-                self._materialize_locals()
-        # Iteration-cap exit: rendered *after* the for-loop, so it runs
-        # exactly when the trace has executed mx_ full iterations.
-        self._cap_at = len(self.lines)
-        self._emit_exit("", 0, self.head, 0, 0, 0, 0, 0,
-                        count_exit=False, itvar="mx_")
-        return self.render_trace()
+        if not self._flags_dead_at_head() and self._defer is not None:
+            self._materialize_locals()
+        if not self.lines:
+            self.emit("pass")  # a cycle of NOPs and jumps emits no code
+        # Iteration-cap exit, after the for-loop: it runs exactly when
+        # the trace has executed mx_ full iterations.
+        self._exit("    ", (0,) * len(_EXIT_COUNTERS), self.head,
+                   count_exit=False, itvar="mx_")
+        return self.render()
 
     # -------------------------------------------------------------- render
-    def render_trace(self):
-        """Post-process the emitted lines into the final function:
-        localize architectural state, substitute per-iteration totals,
-        inline ``ts()``, hoist hot globals, expand writeback/flush
-        placeholders, indent the iteration loop, and peephole."""
-        n = len(self.insns)
-        text = "\n".join(self.lines)
-        regs_used = sorted({int(m) for m in _RE_REG.findall(text)})
-        lanes_used = sorted(
-            {(int(a), int(b)) for a, b in _RE_LANE.findall(text)})
-        # 1) localize architectural state in the body
-        text = _RE_REG.sub(r"r\1", text)
-        text = _RE_LANE.sub(r"x\1_\2", text)
-        for f in ("ZF", "SF", "CF", "OF"):
-            text = text.replace(f"flags[{f}]", f"{f.lower()}_")
-        # 2) per-iteration totals into the exit formulas
-        for token, total in (("@N@", n), ("@L@", self.n_loads),
-                             ("@S@", self.n_stores), ("@C@", self._cyc),
-                             ("@B@", self._br), ("@T@", self._tk)):
-            text = text.replace(token, str(total))
-        # 2b) inline signed division: a division-heavy loop (PGAS owner
-        # test) otherwise pays a helper call plus three conversion
-        # calls per iteration.  Runs before the hoist pass so the raw
-        # SB/M names get aliased and the zero-divisor fallback keeps
-        # the helper's exact CpuError.
-        text = _RE_IDIV.sub(_inline_idiv, text)
-        # 3) inline ts() on simple operands (the signed view is pure
-        # arithmetic; a per-flag-write Python call is the single most
-        # expensive bytecode in a hot loop), then hoist the remaining
-        # hot globals into locals (LOAD_FAST beats LOAD_GLOBAL on every
-        # per-iteration reference)
-        text = _RE_TS.sub(r"(\1 - ((\1 & SB) << 1))", text)
-        hoists = []
-        for name, alias in _HOT_GLOBALS:
-            pat = re.compile(rf"\b{name}\b")
-            if pat.search(text):
-                text = pat.sub(alias, text)
-                hoists.append(f"    {alias} = {name}")
-        # 4) expand writeback/flush placeholders, drop zero-charge
-        # lines, and indent: lines before the cap marker form the loop
-        # body (one extra level under the for); the cap exit itself
-        # stays at function level, after the loop.
-        wb = "; ".join(
-            [f"rg_[{i}] = r{i}" for i in regs_used]
-            + [f"xm_[{a}][{b}] = x{a}_{b}" for a, b in lanes_used])
-        fwb = "fd_[ZF] = zf_; fd_[SF] = sf_; fd_[CF] = cf_; fd_[OF] = of_"
-        cap_at = self._cap_at
-        body = []
-        # Emitted lines already carry the 4-space function-body base
-        # indent; loop-body lines get one extra level under the for.
-        for idx, line in enumerate(text.split("\n")):
-            lvl = "    " if idx < cap_at else ""
-            stripped = line.strip()
-            ind = line[: len(line) - len(line.lstrip())]
-            if stripped == "@WB@":
-                if wb:
-                    body.append(lvl + ind + wb)
-            elif stripped == "@FWB@":
-                body.append(lvl + ind + fwb)
-            elif stripped == "@MF@":
-                for j in self._load_slots:
-                    body.append(
-                        lvl + ind + f"if mlc{j}_: mloads[sn{j}_] += mlc{j}_")
-                for j in self._store_slots:
-                    body.append(
-                        lvl + ind + f"if msc{j}_: mstores[sn{j}_] += msc{j}_")
-            elif _RE_ZERO_CHARGE.fullmatch(stripped):
-                continue
-            else:
-                body.append(lvl + line)
+    def render(self):
+        """The trace function: preamble (state into locals, poisoned
+        TLB slots), then the iteration loop with every recorded exit
+        rendered against the final per-iteration totals."""
+        regs = sorted(self._regs)
+        lanes = sorted(self._lanes)
+        writeback = "; ".join(
+            [f"regs[{i}] = r{i}" for i in regs]
+            + [f"xmm[{a}][{b}] = x{a}_{b}" for a, b in lanes])
         pre = [
-            "def _trace(cpu, budget):",
-            "    rg_ = cpu.regs",
+            _TRACE_DEF,
+            "    regs = cpu.regs",
             "    perf = cpu.perf",
-            "    fd_ = cpu.flags",
+            "    flags = cpu.flags",
         ]
-        pre.extend(hoists)
-        if lanes_used:
-            pre.append("    xm_ = cpu.xmm")
+        if lanes:
+            pre.append("    xmm = cpu.xmm")
         if "mem" in self.needs:
             pre.append("    segfor = cpu.memory.segment_for")
             # Poisoned bounds: every site's first access misses and
@@ -617,16 +555,21 @@ class _TraceCompiler(_BlockCompiler):
             pre.append("    mstores = cpu.memory.stores")
         if "cw" in self.needs:
             pre.append("    cw_ = False")
-        for i in regs_used:
-            pre.append(f"    r{i} = rg_[{i}]")
-        for a, b in lanes_used:
-            pre.append(f"    x{a}_{b} = xm_[{a}][{b}]")
-        pre.append("    zf_ = fd_[ZF]; sf_ = fd_[SF]; "
-                   "cf_ = fd_[CF]; of_ = fd_[OF]")
+        pre += [f"    r{i} = regs[{i}]" for i in regs]
+        pre += [f"    x{a}_{b} = xmm[{a}][{b}]" for a, b in lanes]
+        pre.append("    zf_ = flags[ZF]; sf_ = flags[SF]; "
+                   "cf_ = flags[CF]; of_ = flags[OF]")
         pre.append("    VC[0] += 1")
-        pre.append(f"    mx_ = budget // {n}")
+        pre.append(f"    mx_ = budget // {len(self.insns)}")
         pre.append("    for it_ in range(mx_):")
-        return _peephole("\n".join(pre + body) + "\n")
+        body = []
+        for line in self.lines:
+            if type(line) is str:
+                body.append(line)
+            else:
+                body.extend(self._exit_lines(writeback, *line))
+        return "\n".join(pre + body) + "\n"
+
 
 class TraceJIT(BlockJIT):
     """Tier-1 engine plus back-edge profiling, trace formation,
@@ -640,20 +583,10 @@ class TraceJIT(BlockJIT):
 
     def __init__(self, cpu: CPU, metrics=None, *,
                  hot_threshold: int = HOT_THRESHOLD,
-                 min_edge: int = MIN_EDGE,
-                 max_versions: int = MAX_VERSIONS,
-                 max_trace_blocks: int = MAX_TRACE_BLOCKS,
-                 max_trace_insns: int = MAX_TRACE_INSNS,
-                 deact_min_exits: int = DEACT_MIN_EXITS,
-                 deact_iters_per_exit: int = DEACT_ITERS_PER_EXIT) -> None:
+                 min_edge: int = MIN_EDGE) -> None:
         super().__init__(cpu, metrics=metrics)
         self.hot_threshold = hot_threshold
         self.min_edge = min_edge
-        self.max_versions = max_versions
-        self.max_trace_blocks = max_trace_blocks
-        self.max_trace_insns = max_trace_insns
-        self.deact_min_exits = deact_min_exits
-        self.deact_iters_per_exit = deact_iters_per_exit
         #: Back-edge counts per target pc (the promotion profile).
         self._hot: dict[int, int] = {}
         #: Heads where formation failed structurally (call/ret on the
@@ -723,8 +656,8 @@ class TraceJIT(BlockJIT):
             seen.add(addr)
             path.append((addr, insns, end, direction))
             n_insns += len(insns)
-            if (n_insns > self.max_trace_insns
-                    or len(path) > self.max_trace_blocks):
+            if (n_insns > MAX_TRACE_INSNS
+                    or len(path) > MAX_TRACE_BLOCKS):
                 return None, "structural"
             if succ == head:
                 return (path, tuple(sig)), None
@@ -761,7 +694,7 @@ class TraceJIT(BlockJIT):
         table = self.versions.setdefault(head, {})
         ver = table.get(sig)
         if ver is None:
-            if len(table) >= self.max_versions:
+            if len(table) >= MAX_VERSIONS:
                 self.trace_aborts += 1
                 self._no_trace.add(head)
                 if self.metrics is not None:
@@ -933,15 +866,14 @@ class TraceJIT(BlockJIT):
                         steps += ran
                         cpu._ran_partial = None
                         if pc != blk.addr:
-                            # Side exit.  A run of deact_min_exits
+                            # Side exit.  A run of DEACT_MIN_EXITS
                             # consecutive entries each yielding fewer
-                            # than deact_iters_per_exit iterations means
+                            # than DEACT_ITERS_PER_EXIT iterations means
                             # the profile has shifted: deactivate and
                             # let re-profiling pick the new version.
-                            if ran < (self.deact_iters_per_exit
-                                      * blk.n_insns):
+                            if ran < DEACT_ITERS_PER_EXIT * blk.n_insns:
                                 blk.lowrun += 1
-                                if blk.lowrun >= self.deact_min_exits:
+                                if blk.lowrun >= DEACT_MIN_EXITS:
                                     self._deactivate(blk)
                             else:
                                 blk.lowrun = 0

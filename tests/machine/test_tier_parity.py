@@ -1,0 +1,377 @@
+"""Three-tier parity over random guest code: the interpreter (tier 0),
+the block JIT (tier 1) and the trace JIT (tier 2) must leave identical
+architectural and perf state.
+
+The property test generates straight-line bodies inside a hot counted
+loop.  Its generators cover every instruction class the block compiler
+translates (``_BlockCompiler.gen_insn``): integer ALU, shift, multiply,
+MOV and LEA; CMP/TEST feeding each of the 12 SETcc/Jcc conditions;
+scalar and packed FP; PUSH/POP; DIV; loads and stores.  Bodies never
+fault: memory operands stay inside one scratch buffer, PUSH/POP come in
+balanced pairs and every divisor is a nonzero immediate.  With
+hair-trigger thresholds the loop promotes to a trace within a few
+iterations, so forward branches inside the body exercise guards and
+side exits.  Random operands rarely sit on a flag boundary, so a
+deterministic sweep also runs every condition after CMP, TEST and
+UCOMISD on operands that cross equality, sign and overflow mid-loop.
+
+NaN payloads are the one thing compared loosely.  When both operands
+of a float add/sub/mul/div are NaNs with different bits, CPython returns
+either operand's NaN depending on whether its adaptive interpreter has
+specialized that ``+`` yet, so the payload varies between calls even on
+one tier.  Lanes and FP buffer slots therefore compare every NaN as
+equal, and the generators keep NaN bits from reaching integer state:
+no ``movq reg, xmm``, ``xorpd`` only clears a register, and FP stores
+write a buffer half that integer instructions never read.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from repro.asm.assembler import assemble
+from repro.errors import CpuError
+from repro.isa.opcodes import OpClass
+from repro.machine.blockjit import _BLOCK_ENDERS
+from repro.machine.vm import Machine
+
+#: Aggressive promotion thresholds, so test-sized loops reach tier 2.
+HOT = dict(hot_threshold=4, min_edge=1)
+
+#: Registers the body may read and write.  Reserved: rsp (stack), r13
+#: (fixed index 2), r14 (scratch buffer base), r15 (loop counter).
+GPRS = ("rax", "rcx", "rdx", "rbx", "rsi", "rdi", "rbp",
+        "r8", "r9", "r10", "r11", "r12")
+XMMS = tuple(f"xmm{i}" for i in range(8))
+CONDS = ("e", "ne", "l", "ge", "le", "g", "b", "ae", "be", "a", "s", "ns")
+#: Scratch buffer: FP stores go to the low half, integer loads and
+#: stores use the high half, FP loads read either.
+BUF_QWORDS = 32
+FP_BYTES = 128
+ITERS = 12
+
+
+def load_asm(machine: Machine, name: str, src: str) -> int:
+    probe, _ = assemble(src, 0, extra_labels=dict(machine.image.symbols))
+    addr = machine.image.add_function(name, b"\x00" * len(probe))
+    code, _ = assemble(src, addr, extra_labels=dict(machine.image.symbols))
+    machine.image.poke(addr, code)
+    return addr
+
+
+def machine_at(tier: int, **tuning) -> Machine:
+    m = Machine()
+    if tier == 1:
+        m.enable_jit()
+    elif tier == 2:
+        m.enable_jit(trace=True, **tuning)
+    return m
+
+
+def _fp_bits(values) -> tuple:
+    """Float values by bit pattern, with every NaN compared as equal."""
+    return tuple("nan" if math.isnan(v) else struct.pack("<d", v)
+                 for v in values)
+
+
+def _delta(after: dict, before: dict) -> tuple:
+    return tuple(sorted((k, v - before.get(k, 0)) for k, v in after.items()
+                        if v != before.get(k, 0)))
+
+
+def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
+    """Call ``fn(buf)``; everything architectural and counted about the
+    run.  Per-segment access counts are cumulative per machine, so the
+    run's own share is taken as a delta."""
+    cpu = machine.cpu
+    loads, stores = dict(cpu.memory.loads), dict(cpu.memory.stores)
+    result = machine.call(fn, buf)
+    fp_half = struct.unpack(f"<{FP_BYTES // 8}d",
+                            machine.image.peek(buf, FP_BYTES))
+    return (
+        result.uint_return,
+        _fp_bits([result.float_return]),
+        result.steps,
+        tuple(sorted(result.perf.as_dict().items())),
+        _delta(result.perf.by_segment_loads, loads),
+        _delta(result.perf.by_segment_stores, stores),
+        tuple(cpu.regs),
+        _fp_bits(v for lanes in cpu.xmm for v in lanes),
+        tuple(sorted((f.name, bool(v)) for f, v in cpu.flags.items())),
+        cpu.pc,
+        _fp_bits(fp_half),
+        machine.image.peek(buf + FP_BYTES, BUF_QWORDS * 8 - FP_BYTES),
+    )
+
+
+# ------------------------------------------------------------ regression
+#: ``test`` then a sign-flag branch closing a hot loop: the trace guard
+#: after a deferred TEST must handle S/NS like every other condition.
+SIGN_LOOPS = {
+    "jns": ("mov rcx, 200\nmov rax, 0\ntop:\nadd rax, 3\nsub rcx, 1\n"
+            "test rcx, rcx\njns top\nret", (603, 807, 1216)),
+    "js": ("mov rcx, -200\nmov rax, 0\ntop:\nadd rax, 3\nadd rcx, 1\n"
+           "test rcx, rcx\njs top\nret", (600, 803, 1210)),
+}
+
+
+@pytest.mark.parametrize("tier", [0, 1, 2])
+@pytest.mark.parametrize("branch", sorted(SIGN_LOOPS))
+def test_test_then_sign_branch_loop(tier, branch):
+    src, (ret, steps, cycles) = SIGN_LOOPS[branch]
+    m = machine_at(tier)  # default thresholds: the loop still promotes
+    load_asm(m, "f", src)
+    r = m.call("f")
+    assert (r.uint_return, r.steps, r.perf.cycles) == (ret, steps, cycles)
+    if tier == 2:
+        assert m.jit.stats()["trace_iterations"] > 0
+
+
+@pytest.mark.parametrize("tier", [0, 1, 2])
+def test_codeless_loop_exhausts_steps_like_the_interpreter(tier):
+    """A cycle of NOPs and jumps compiles to a trace with an empty
+    iteration body; it must run, and stop at max_steps exactly."""
+    m = machine_at(tier, **HOT)
+    load_asm(m, "f", "top:\nnop\njmp top\nret")
+    with pytest.raises(CpuError, match="exceeded max_steps=500 at pc=0x"):
+        m.call("f", max_steps=500)
+    if tier == 2:
+        assert m.jit.stats()["trace_iterations"] > 0
+
+
+# ------------------------------------------------------------ generators
+def _mem(lo: int, hi: int, width: int = 8):
+    """A memory operand covering ``width`` bytes inside buffer bytes
+    ``[lo, hi)``, either plain or through the fixed index register
+    (r13 == 2, so +16 bytes)."""
+    top = hi - width
+    return st.one_of(
+        st.integers(lo // 8, top // 8).map(lambda q: f"[r14 + {q * 8}]"),
+        st.integers(lo // 8, (top - 16) // 8).map(
+            lambda q: f"[r14 + r13*8 + {q * 8}]"),
+    )
+
+
+_int_mem = _mem(FP_BYTES, BUF_QWORDS * 8)
+_fp_load = _mem(0, BUF_QWORDS * 8)
+_fp_store = _mem(0, FP_BYTES)
+_pk_load = _mem(0, BUF_QWORDS * 8, 16)
+_pk_store = _mem(0, FP_BYTES, 16)
+
+#: Integer values at the flag boundaries (zero, sign bit, carry), so
+#: equal operands and zero or sign-flipping results are common.
+_EDGES = (0, 1, 2, 7, 8, 63, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
+          (1 << 64) - 2, (1 << 64) - 1)
+
+_reg = st.sampled_from(GPRS)
+_xmm = st.sampled_from(XMMS)
+_cond = st.sampled_from(CONDS)
+_imm = st.one_of(st.sampled_from(_EDGES), st.integers(-300, 300),
+                 st.integers(-(1 << 63), (1 << 64) - 1)).map(str)
+_int_src = st.one_of(_reg, _imm, _int_mem)
+_int_dst = st.one_of(_reg, _int_mem)
+#: Compare operands may also read the loop counter (r15) and the fixed
+#: index (r13), and small immediates meet the counter, so a branch on
+#: them flips direction mid-loop.
+_cmp_src = st.one_of(_int_src, st.sampled_from(("r13", "r15")),
+                     st.integers(0, ITERS).map(str))
+_flt_src = st.one_of(_xmm, _fp_load)
+_pk_src = st.one_of(_xmm, _pk_load)
+
+
+def _op(name_st, *operand_sts):
+    """One instruction line from an opcode strategy and operand
+    strategies."""
+    return st.builds(
+        lambda name, *ops: [f"{name} {', '.join(ops)}"],
+        name_st, *operand_sts)
+
+
+def _lea(dst, base, index, scale, disp):
+    sign = "-" if disp < 0 else "+"
+    return [f"lea {dst}, [{base} + {index}*{scale} {sign} {abs(disp)}]"]
+
+
+_any_gpr = st.sampled_from(GPRS + ("r13", "r14", "r15", "rsp"))
+
+#: Instruction class -> generator of single-instruction lines.  The keys
+#: must be exactly the classes the block compiler translates in a block
+#: body (checked below).
+SIMPLE = {
+    OpClass.MOV: st.one_of(_op(st.just("mov"), _reg, _int_src),
+                           _op(st.just("mov"), _int_mem, _int_src)),
+    OpClass.LEA: st.builds(_lea, _reg, _any_gpr, _any_gpr,
+                           st.sampled_from((1, 2, 4, 8)),
+                           st.integers(-64, 64)),
+    OpClass.ALU: st.one_of(
+        _op(st.sampled_from(("add", "sub", "and", "or", "xor")),
+            _int_dst, _int_src),
+        _op(st.sampled_from(("neg", "not", "inc", "dec")), _int_dst)),
+    OpClass.MUL: _op(st.just("imul"), _int_dst, _int_src),
+    OpClass.SHIFT: _op(st.sampled_from(("shl", "shr", "sar")), _int_dst,
+                       st.one_of(_reg, _int_mem,
+                                 st.integers(0, 70).map(str))),
+    OpClass.CMP: st.one_of(
+        _op(st.sampled_from(("cmp", "test")), _cmp_src, _cmp_src),
+        st.builds(lambda op, x: [f"{op} {x}, {x}"],
+                  st.sampled_from(("cmp", "test")), _cmp_src)),
+    OpClass.SETCC: st.builds(lambda c, d: [f"set{c} {d}"], _cond, _int_dst),
+    OpClass.FMOV: st.one_of(_op(st.just("movsd"), _xmm, _flt_src),
+                            _op(st.just("movsd"), _fp_store, _xmm),
+                            st.builds(lambda x: [f"xorpd {x}, {x}"], _xmm)),
+    OpClass.FALU: _op(st.sampled_from(("addsd", "subsd", "mulsd")),
+                      _xmm, _flt_src),
+    OpClass.FDIV: _op(st.sampled_from(("divsd", "sqrtsd")), _xmm, _flt_src),
+    OpClass.FCMP: _op(st.just("ucomisd"), _xmm, _flt_src),
+    OpClass.FCVT: st.one_of(_op(st.just("cvtsi2sd"), _xmm,
+                                st.one_of(_reg, _int_mem)),
+                            _op(st.just("cvttsd2si"), _reg, _flt_src)),
+    OpClass.BITMOV: _op(st.just("movq"), _xmm, _reg),
+    OpClass.VMOV: st.one_of(_op(st.just("movupd"), _xmm, _pk_src),
+                            _op(st.just("movupd"), _pk_store, _xmm)),
+    OpClass.VALU: _op(st.sampled_from(("addpd", "subpd", "mulpd", "haddpd")),
+                      _xmm, _pk_src),
+    OpClass.NOP: st.just(["nop"]),
+}
+_simple = st.one_of(*SIMPLE.values())
+
+
+def _pushpop(src, middle, dst):
+    return [f"push {src}", *middle, f"pop {dst}"]
+
+
+def _divide(dividend, divisor, slot):
+    """Signed division of a fresh dividend by a nonzero immediate,
+    through a register or a buffer slot."""
+    if slot is None:
+        slot = "r12"
+    return [f"mov rax, {dividend}", f"mov {slot}, {divisor}", f"idiv {slot}"]
+
+
+#: Items that need more than one instruction to stay non-faulting or to
+#: pair a flag writer with a reader.  ``("jcc", cond, lines)`` is a
+#: forward branch over ``lines``, labelled when the body is rendered.
+_reader = st.one_of(
+    SIMPLE[OpClass.SETCC],
+    st.builds(lambda c, inner: [("jcc", c, inner)], _cond, _simple))
+_ITEM = st.one_of(
+    _simple,
+    st.builds(lambda w, r: w + r,
+              st.one_of(SIMPLE[OpClass.CMP], SIMPLE[OpClass.FCMP],
+                        SIMPLE[OpClass.ALU]), _reader),
+    st.builds(_pushpop, _int_src, st.one_of(st.just([]), _simple),
+              _int_dst),
+    st.builds(_divide, _int_src,
+              st.one_of(st.integers(1, 9), st.integers(-9, -1),
+                        st.integers(1, 1 << 40), st.integers(-(1 << 40), -1)),
+              st.one_of(st.none(), _int_mem)),
+)
+
+
+def render_loop(items) -> str:
+    """The guest function: set up the buffer, index and counter, seed
+    the xmm registers from the FP half and the GPRs from the integer
+    half, then run the body ITERS times."""
+    lines = ["mov r14, rdi", "mov r13, 2", f"mov r15, {ITERS}"]
+    lines += [f"movupd {x}, [r14 + {16 * i}]" for i, x in enumerate(XMMS)]
+    lines += [f"mov {r}, [r14 + {FP_BYTES + 8 * i}]"
+              for i, r in enumerate(GPRS)]
+    lines.append("top:")
+    for n, item in enumerate(items):
+        for line in item:
+            if isinstance(line, tuple):
+                _, cond, inner = line
+                lines += [f"j{cond} skip{n}", *inner, f"skip{n}:"]
+            else:
+                lines.append(line)
+    lines += ["sub r15, 1", "jne top", "ret"]
+    return "\n".join(lines)
+
+
+_qword = st.one_of(
+    st.sampled_from(_EDGES),
+    st.integers(0, (1 << 64) - 1),
+    st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                               math.nan)),
+              st.floats(-1e3, 1e3)).map(
+        lambda f: struct.unpack("<Q", struct.pack("<d", f))[0]))
+
+
+def test_generators_cover_every_body_class():
+    body_classes = set(OpClass) - _BLOCK_ENDERS - {OpClass.JCC}
+    assert set(SIMPLE) | {OpClass.PUSH, OpClass.POP, OpClass.DIV} == (
+        body_classes)
+
+
+@pytest.fixture(scope="module")
+def tier_machines():
+    """One machine per tier, shared by the cases: each case loads its
+    own function and buffer, and every call starts from reset registers
+    and flags."""
+    return [machine_at(tier, **HOT) for tier in (0, 1, 2)]
+
+
+def assert_tiers_agree(machines, items, init) -> None:
+    """Run the loop over ``items`` twice on every tier (the second call
+    starts with the trace installed) and compare the fingerprints."""
+    src = render_loop(items)
+    traced = machines[2].jit
+    entries = traced.stats()["trace_entries"]
+    fps = []
+    for m in machines:
+        fn = load_asm(m, f"body{len(m.image.symbols)}", src)
+        buf = m.image.malloc(BUF_QWORDS * 8)
+        m.image.poke(buf, struct.pack(f"<{BUF_QWORDS}Q", *init))
+        fps.append([run_fingerprint(m, fn, buf) for _ in range(2)])
+    stats = traced.stats()
+    assert stats["trace_entries"] > entries, (src, stats)
+    assert stats["interp_fallbacks"] == 0, (src, stats)
+    assert fps[0] == fps[1], src
+    assert fps[0] == fps[2], src
+
+
+#: Compares whose outcome changes as rax = r15 - 6 (and xmm0 = rax as a
+#: double) runs from 6 down to -5: equal, above and below, signed and
+#: unsigned orders that differ, a signed overflow (against -2**63), zero
+#: and negative TEST results, a TEST result of exactly the sign bit, and
+#: float compares against 2.0 (xmm1) and NaN (xmm2, unordered).
+COMPARES = ("cmp rax, 2", "cmp rax, 9223372036854775808", "test rax, rax",
+            "test rax, 9223372036854775808", "ucomisd xmm0, xmm1",
+            "ucomisd xmm0, xmm2")
+_SWEEP_INIT = [0] * BUF_QWORDS
+_SWEEP_INIT[2] = struct.unpack("<Q", struct.pack("<d", 2.0))[0]
+_SWEEP_INIT[4] = struct.unpack("<Q", struct.pack("<d", math.nan))[0]
+
+#: Reads ZF, CF, SF and SF != OF after the reader, into per-flag bit
+#: histories (LEA writes no flags), so the flags a guard's side exit
+#: writes back are observed as well.
+FLAG_SNAPSHOT = ("sete r8", "setb r9", "sets r10", "setl r11",
+                 "lea rsi, [rsi*2 + r8]", "lea rdi, [rdi*2 + r9]",
+                 "lea rbp, [rbp*2 + r10]", "lea r12, [r12*2 + r11]")
+
+
+@pytest.mark.parametrize("reader", ["jcc", "setcc"])
+@pytest.mark.parametrize("compare", COMPARES)
+@pytest.mark.parametrize("cond", CONDS)
+def test_every_condition_after_compare(tier_machines, cond, compare, reader):
+    if reader == "jcc":
+        read = [("jcc", cond, ["add rbx, 1"])]
+    else:
+        read = [f"set{cond} rdx", "lea rbx, [rbx*2 + rdx]"]
+    body = [["mov rax, r15", "sub rax, 6", "cvtsi2sd xmm0, rax", compare,
+             *read, *FLAG_SNAPSHOT]]
+    assert_tiers_agree(tier_machines, body, _SWEEP_INIT)
+
+
+# No shrink phase: a failure's message carries its whole guest source,
+# and shrinking one through three machines per step takes many minutes.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(items=st.lists(_ITEM, min_size=2, max_size=12),
+       init=st.lists(_qword, min_size=BUF_QWORDS, max_size=BUF_QWORDS))
+def test_random_loop_bodies_match_across_tiers(tier_machines, items, init):
+    assert_tiers_agree(tier_machines, items, init)

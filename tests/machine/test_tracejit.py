@@ -16,6 +16,7 @@ import struct
 import pytest
 
 from repro.errors import CpuError
+from repro.machine import tracejit
 from repro.machine.tracejit import TraceJIT, enable_tracejit
 from repro.machine.vm import Machine
 from repro.obs import Metrics
@@ -163,7 +164,7 @@ def test_max_steps_boundary_exact():
         m.call("main", max_steps=steps - 1)
 
 
-def test_multi_version_traces_on_phase_shift():
+def test_multi_version_traces_on_phase_shift(monkeypatch):
     """A branch profile that flips halfway (local phase, then remote
     phase) must deactivate the first trace and promote a second version
     keyed by the new direction signature — and stay bit-for-bit."""
@@ -181,7 +182,8 @@ def test_multi_version_traces_on_phase_shift():
     interp.load(src)
     traced = Machine()
     traced.load(src)
-    traced.enable_jit(trace=True, deact_min_exits=2, **HOT)
+    monkeypatch.setattr(tracejit, "DEACT_MIN_EXITS", 2)
+    traced.enable_jit(trace=True, **HOT)
     for n in (400, 400, 400):
         assert fingerprint(interp, interp.call("f", n)) == fingerprint(
             traced, traced.call("f", n))
@@ -191,7 +193,7 @@ def test_multi_version_traces_on_phase_shift():
     assert stats["interp_fallbacks"] == 0
 
 
-def test_version_reuse_no_recompile_in_steady_state():
+def test_version_reuse_no_recompile_in_steady_state(monkeypatch):
     """Once both versions of a phase-shifting loop are compiled, further
     calls swap installed versions without new compiles."""
     src = """
@@ -206,7 +208,8 @@ def test_version_reuse_no_recompile_in_steady_state():
     """
     m = Machine()
     m.load(src)
-    m.enable_jit(trace=True, deact_min_exits=2, **HOT)
+    monkeypatch.setattr(tracejit, "DEACT_MIN_EXITS", 2)
+    m.enable_jit(trace=True, **HOT)
     for _ in range(4):
         m.call("f", 300)
     compiles = m.jit.stats()["trace_compiles"]

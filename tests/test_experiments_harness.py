@@ -52,3 +52,36 @@ def test_all_registered_experiments_are_callable():
     assert any(n.startswith("exp1") for n in names)
     assert any(n.startswith("ext2") for n in names)
     assert sum(1 for n in names if n.startswith("abl")) == 5
+
+
+def test_experiment_ids_derive_from_function_names():
+    import inspect
+
+    from repro.experiments import ALL_EXPERIMENTS, ext10_tracejit
+    from repro.experiments.__main__ import experiment_id
+
+    ids = [experiment_id(fn) for fn in ALL_EXPERIMENTS]
+    assert len(ids) == len(set(ids))
+    assert experiment_id(ext10_tracejit) == "EXT-10"
+    for fn, exp_id in zip(ALL_EXPERIMENTS, ids):
+        # every experiment builds its table under that id literal
+        assert f'"{exp_id}"' in inspect.getsource(fn), fn.__name__
+
+
+def test_cli_runs_only_the_requested_experiment(monkeypatch, capsys):
+    import repro.experiments.__main__ as cli
+
+    ran = []
+
+    def ext2_demo():
+        ran.append("EXT-2")
+        return Experiment("EXT-2", "demo", "-")
+
+    def ext20_other():
+        ran.append("EXT-20")
+        return Experiment("EXT-20", "other", "-")
+
+    monkeypatch.setattr(cli, "ALL_EXPERIMENTS", (ext2_demo, ext20_other))
+    assert cli.main(["ext-2"]) == 0
+    assert ran == ["EXT-2"]
+    assert "== EXT-2: demo" in capsys.readouterr().out
