@@ -147,55 +147,6 @@ def profile_arg_count(profile) -> int:
     return max(profile.values.keys(), default=0)
 
 
-def build_multi_guard_stub(
-    machine,
-    fn: int | str,
-    param: int,
-    cases: list[tuple[int, int]],
-    *,
-    epoch_cell: int | None = None,
-    epoch: int | None = None,
-) -> int:
-    """A guard *chain*: ``cases`` maps parameter values to specialized
-    entries; anything else falls through to the original.  The paper's
-    "concept easily can be extended to cover various statistical
-    knowledge of the dynamic program flow" — here: the top-K values.
-    ``epoch_cell``/``epoch`` prepend the same known-memory epoch check
-    as :func:`build_guard_stub`."""
-    image = machine.image
-    original = image.resolve(fn)
-    if not 1 <= param <= len(INT_ARG_REGS):
-        raise RewriteFailure("bad-guard", f"cannot guard parameter {param}")
-    if not cases:
-        raise RewriteFailure("bad-guard", "empty guard chain")
-    if (epoch_cell is None) != (epoch is None):
-        raise RewriteFailure("bad-guard", "epoch_cell and epoch go together")
-    reg = INT_ARG_REGS[param - 1]
-    b = Builder()
-    if epoch_cell is not None:
-        b.cmp(Mem(disp=epoch_cell), epoch)
-        b.jne("orig_target")
-    for index, (value, _) in enumerate(cases):
-        b.cmp(reg, value)
-        b.je(f"case{index}")
-    b.jmp("orig_target")
-    for index in range(len(cases)):
-        b.label(f"case{index}")
-        b.jmp(f"target{index}")
-    externs = {"orig_target": original}
-    for index, (_, entry) in enumerate(cases):
-        externs[f"target{index}"] = entry
-    probe, _ = b.assemble(0, extra_labels=externs)
-    addr = image.alloc_rewrite(len(probe))
-    code, _ = b.assemble(addr, extra_labels=externs)
-    image.poke(addr, code)
-    image.function_sizes[addr] = len(code)
-    base_name = image.symbol_names.get(original, f"fn_{original:x}")
-    image.define_symbol(f"{base_name}__mguard_{addr:x}", addr)
-    machine.cpu.invalidate_icache()
-    return addr
-
-
 class DispatchTable:
     """Published specializations: ``key -> entry`` with atomic updates.
 

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from repro.errors import RewriteFailure
 from repro.core.config import FunctionConfig, Knownness, RewriteConfig
+from repro.core.manager import conf_fingerprint
 # imported by value on purpose: the `snapshot` fault injector patches
 # persist's module attribute, and snapshot bit-rot must not leak into
 # bundle writes (the `bundle` injector patches *this* module instead)
@@ -172,14 +173,6 @@ def conf_from_doc(doc: dict) -> RewriteConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise RewriteFailure("bundle-corrupt", f"conf document mismatch: {exc}")
     return conf
-
-
-def conf_fingerprint(conf: RewriteConfig) -> str:
-    """The manager's configuration fingerprint (the cache-key half),
-    recorded so a bundle can be matched against live cache entries."""
-    from repro.core.manager import _config_fingerprint
-
-    return repr(_config_fingerprint(conf))
 
 
 # ====================================================== machine capture

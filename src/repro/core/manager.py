@@ -105,6 +105,19 @@ def _relevant_args(conf: RewriteConfig, args: tuple) -> tuple:
     return tuple(out)
 
 
+def conf_fingerprint(conf: RewriteConfig) -> str:
+    """The config half of a cache key as text, recorded in crash bundles
+    so a bundle can be matched against live cache entries."""
+    return repr(_config_fingerprint(conf))
+
+
+def portable_key(fn, key: tuple) -> tuple:
+    """``key`` with its per-machine function address replaced by
+    ``str(fn)``: equal on every machine that loads the same program, so
+    the rewrite fabric routes on its digest."""
+    return (str(fn),) + key[1:]
+
+
 @dataclass
 class _Entry:
     """One cached rewrite outcome (success or quarantined failure)."""
@@ -114,9 +127,9 @@ class _Entry:
     #: rewrite these are the *world signature*: ``(addr, addr+8, value)``
     #: triples for exactly the cells the trace consumed (the third
     #: element is the 8-byte integer value read).  For failures — where
-    #: no trace output exists — they fall back to ``(start, end,
-    #: sha1-hex)`` over every declared range.
-    memory_deps: list[tuple[int, int, int | str]] = field(default_factory=list)
+    #: no trace output exists — they are the declared ranges as
+    #: ``(start, end, None)``, used only for overlap.
+    memory_deps: list[tuple[int, int, int | None]] = field(default_factory=list)
     #: Consecutive failures for this key (0 for a successful entry).
     fail_count: int = 0
     #: Clock time at which a quarantined failure becomes retryable.
@@ -178,9 +191,10 @@ class SpecializationManager:
             return self._rewrite_fn(conf, fn, *args)
         return rewrite(self.machine, conf, fn, *args)
 
+    @staticmethod
     def _memory_deps(
-        self, conf: RewriteConfig, result: RewriteResult | None = None
-    ) -> list[tuple[int, int, int | str]]:
+        conf: RewriteConfig, result: RewriteResult
+    ) -> list[tuple[int, int, int | None]]:
         """Dependencies that make a cached entry stale.
 
         A successful rewrite carries its world signature
@@ -188,41 +202,32 @@ class SpecializationManager:
         known cells the trace consumed, so mutating an unread byte of a
         declared range neither invalidates it nor counts as overlap for
         :meth:`invalidate_memory`.  Failures have no trace, so they
-        conservatively depend on every declared range by content hash."""
-        if result is not None and result.ok:
+        overlap every declared range; their freshness is the backoff
+        window, never memory content."""
+        if result.ok:
             return [(addr, addr + 8, value) for addr, value in result.known_reads]
-        deps: list[tuple[int, int, int | str]] = []
-        for start, end in conf.known_memory:
-            raw = self.machine.image.peek(start, end - start)
-            deps.append((start, end, hashlib.sha1(raw).hexdigest()))
-        return deps
+        return [(start, end, None) for start, end in conf.known_memory]
 
-    def _deps_fresh(self, deps: list[tuple[int, int, int | str]]) -> bool:
-        for s, e, h in deps:
-            if isinstance(h, int):
-                raw = int.from_bytes(self.machine.image.peek(s, 8), "little")
-                if raw != h:
-                    return False
-            elif hashlib.sha1(self.machine.image.peek(s, e - s)).hexdigest() != h:
-                return False
-        return True
+    def _deps_fresh(self, deps: list[tuple[int, int, int | None]]) -> bool:
+        """Whether every recorded cell still holds the value the trace
+        read.  A dep without an int value never matches, so an ``ok``
+        entry restored with one reads as stale (it fails closed)."""
+        peek = self.machine.image.peek
+        return all(int.from_bytes(peek(s, 8), "little") == v for s, _, v in deps)
 
-    def _key(self, fn, conf: RewriteConfig, args: tuple) -> tuple:
-        addr = self.machine.image.resolve(fn)
+    def key_for(self, fn, conf: RewriteConfig, args: tuple) -> tuple:
+        """The cache key ``get`` files ``(fn, conf, args)`` under.
+
+        Rewriting never mutates ``conf``, so the key is the same before
+        and after a rewrite: layers that mirror published entries (the
+        rewrite service's dispatch table, the fabric's router) derive it
+        once per request, publish under it, and drop their mirror when
+        an invalidation listener reports it."""
         return (
-            addr,
+            self.machine.image.resolve(fn),
             _config_fingerprint(conf),
             _args_fingerprint(_relevant_args(conf, args)),
         )
-
-    def key_for(self, fn, conf: RewriteConfig, args: tuple) -> tuple:
-        """The cache key ``get`` files ``(fn, conf, args)`` under *now*.
-
-        Callers that mirror published entries (the rewrite service's
-        dispatch table) compute this after a rewrite returns — the key
-        incorporates PTR_TO_KNOWN ranges registered during the rewrite —
-        and drop their mirror when an invalidation listener reports it."""
-        return self._key(fn, conf, args)
 
     def add_invalidation_listener(
         self, callback: Callable[[list[tuple]], None]
@@ -280,9 +285,9 @@ class SpecializationManager:
     def get(self, conf: RewriteConfig, fn, *args) -> RewriteResult:
         """A (possibly cached) rewrite of ``fn`` under ``conf``.
 
-        Note: call this *after* declaring parameters/memory on ``conf``;
-        PTR_TO_KNOWN ranges are registered during the first rewrite and
-        participate in the fingerprint from then on.
+        The lookup and the new entry share one key, ``key_for(fn, conf,
+        args)``: a rewrite registers PTR_TO_KNOWN ranges into a private
+        copy of ``conf``, so a fresh but equal config hits.
 
         Successes are served from cache while their known-memory
         dependencies are byte-identical.  Failures are served from cache
@@ -290,7 +295,7 @@ class SpecializationManager:
         rewrite is retried, and repeated failures double the window
         (capped at ``max_backoff_seconds``).
         """
-        key = self._key(fn, conf, args)
+        key = self.key_for(fn, conf, args)
         entry = self._cache.get(key)
         retry_of: _Entry | None = None
         if entry is not None:
@@ -318,9 +323,6 @@ class SpecializationManager:
         self.misses += 1
         self.metrics.inc("manager.misses")
         result = self._do_rewrite(conf, fn, *args)
-        # conf.known_memory may have grown (PTR_TO_KNOWN registration);
-        # re-key on the post-rewrite fingerprint for future lookups
-        key = self._key(fn, conf, args)
         if result.ok:
             result = self._dedup_code(result)
             self._cache[key] = _Entry(result, self._memory_deps(conf, result))
@@ -330,7 +332,7 @@ class SpecializationManager:
             fail_count = (retry_of.fail_count if retry_of else 0) + 1
             self._cache[key] = _Entry(
                 result,
-                self._memory_deps(conf),
+                self._memory_deps(conf, result),
                 fail_count=fail_count,
                 retry_at=self.clock() + self._backoff(fail_count),
             )
@@ -381,8 +383,8 @@ class SpecializationManager:
 
         The continuous-assurance path: a published variant that diverged
         under shadow sampling is withdrawn by evicting its cache entry
-        (which fires the invalidation listeners, so every published
-        alias disappears atomically) and replaced with a quarantined
+        (which fires the invalidation listeners, so the published entry
+        disappears atomically) and replaced with a quarantined
         failure.  Later ``get`` calls serve the original while the
         backoff window is open, then retry — exactly the PR-1 ladder a
         rewrite-time failure takes.  Returns the quarantine result."""

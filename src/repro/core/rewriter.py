@@ -124,6 +124,10 @@ def rewrite(
     ``config.deadline_seconds`` budget; the default is the real
     monotonic clock, and supervisors inject a fake one in tests so
     deadline expiry is deterministic.
+
+    ``config`` is not mutated: PTR_TO_KNOWN ranges are registered into a
+    private copy, so the cache key a caller derives from ``config`` is
+    the same before and after the rewrite.
     """
     # accept a Machine facade or a bare Image
     image: Image = getattr(machine_or_image, "image", machine_or_image)
@@ -135,6 +139,7 @@ def rewrite(
     original = image.resolve(fn)
     started = time.perf_counter()
     try:
+        config = config.copy()
         entry_world = _build_entry_world(image, config, tuple(args))
         tracer = Tracer(image, config, original)
         tracer._host_addrs = host_addrs

@@ -61,10 +61,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.manager import (
-    SpecializationManager, _args_fingerprint, _config_fingerprint,
-    _relevant_args,
-)
+from repro.core.manager import SpecializationManager, portable_key
 from repro.errors import RewriteFailure
 from repro.machine.link import FaultProfile, TransferManager
 from repro.machine.vm import Machine
@@ -87,6 +84,11 @@ REQUEST_BYTES = 128
 #: to this (the payload bytes themselves stay in the shard image — the
 #: link models latency and fault exposure, not content placement).
 STAGE_BYTES = 4096
+
+
+def _digest(fn, key: tuple) -> str:
+    """The routing digest of a manager key (see ``route_digest``)."""
+    return hashlib.sha1(repr(portable_key(fn, key)).encode()).hexdigest()
 
 
 class FabricClock:
@@ -288,15 +290,15 @@ class RewriteFabric:
         self._closed = False
 
     # ------------------------------------------------------------ routing
+    def _key_for(self, conf, fn, args: tuple) -> tuple:
+        """The manager key every shard files ``(fn, conf, args)`` under
+        (shards load the same image, so any shard's manager derives it)."""
+        return self.shards[0].manager.key_for(fn, conf, args)
+
     def route_digest(self, conf, fn, args: tuple) -> str:
-        """The machine-independent routing key: the same fingerprints
-        the manager caches under, minus the per-machine address."""
-        material = repr((
-            str(fn),
-            _config_fingerprint(conf),
-            _args_fingerprint(_relevant_args(conf, args)),
-        ))
-        return hashlib.sha1(material.encode()).hexdigest()
+        """The machine-independent routing key: a digest of the manager
+        key with its per-machine address replaced by ``str(fn)``."""
+        return _digest(fn, self._key_for(conf, fn, args))
 
     def _owner_for(self, digest: str) -> RewriteShard | None:
         """Rendezvous hashing over the non-dead shards: every key
@@ -353,7 +355,8 @@ class RewriteFabric:
             )
         self.metrics.inc("fabric.requests")
         self.metrics.inc(f"fabric.tenant.{tenant}.requests")
-        digest = self.route_digest(conf, fn, args)
+        key = self._key_for(conf, fn, args)
+        digest = _digest(fn, key)
         owner = self._owner_for(digest)
         if owner is None:
             # every shard is dead: total fabric outage, serve originals
@@ -397,7 +400,6 @@ class RewriteFabric:
                 tenant, owner.index, "degraded", original, original,
                 cycles, reason=report.reason, shard_ref=owner,
             )
-        key = owner.manager.key_for(fn, conf, args)
         entry = owner.service.table.lookup(key)
         if entry is not None:
             self.metrics.inc("fabric.warm_hits")
@@ -422,7 +424,7 @@ class RewriteFabric:
                 reason=failure.reason, shard_ref=owner,
             )
         owner.pending.setdefault(tenant, deque()).append(
-            (digest, conf.copy(), fn, tuple(args))
+            (digest, key, conf.copy(), fn, tuple(args))
         )
         owner.queued_digests.add(digest)
         return RouteResult(
@@ -544,10 +546,9 @@ class RewriteFabric:
     def _run_work(self, shard: RewriteShard, work: tuple) -> bool:
         """Execute one dequeued item on ``shard``; False when the shard
         crashed (it has been declared dead and drained)."""
-        digest, conf, fn, args = work
+        digest, key, conf, fn, args = work
         shard.queued_digests.discard(digest)
-        key_before = shard.manager.key_for(fn, conf, args)
-        published_before = shard.service.table.lookup(key_before)
+        published_before = shard.service.table.lookup(key)
         try:
             shard.perform((conf, fn, args))
         except Exception as exc:  # the bulkhead: a crash is contained
@@ -555,7 +556,6 @@ class RewriteFabric:
             self._declare_dead(shard, f"crash: {exc}")
             return False
         self.metrics.inc("fabric.performed")
-        key = shard.manager.key_for(fn, conf, args)
         entry = shard.service.table.lookup(key)
         if entry is not None and published_before is None:
             self._publish_transfer(shard, key, entry)

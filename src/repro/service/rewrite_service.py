@@ -2,14 +2,12 @@
 
 Keying
 ------
-A request is keyed by :meth:`SpecializationManager.key_for` computed on
-the caller's config *before* the rewrite runs.  The manager itself may
-file the finished entry under a different key — a PTR_TO_KNOWN rewrite
-registers pointed-to ranges into the working config, changing its
-fingerprint — so the service publishes the entry under both the request
-key and the post-rewrite manager key and remembers the association.  An
-invalidation listener on the manager withdraws every published alias
-when the underlying cache entry is dropped, whatever the cause.
+A request is keyed by :meth:`SpecializationManager.key_for`, derived
+once from the caller's config.  Rewriting never mutates a config, so the
+manager files the finished entry under that same key and the service
+publishes it there.  An invalidation listener on the manager withdraws
+the published entry when the underlying cache entry is dropped,
+whatever the cause.
 
 Determinism
 -----------
@@ -29,7 +27,7 @@ EXT-5 soak experiment exercises all three end to end):
   ``shadow_interval`` and dispatch through :meth:`call`: a deterministic
   seeded fraction of warm calls is shadow-executed against the original
   (:class:`~repro.core.shadowexec.ShadowSampler`); a divergence
-  atomically withdraws every published alias, quarantines the key
+  atomically withdraws the published entry, quarantines the key
   through the manager's backoff ladder under the ``shadow-divergence``
   reason, and records a minimized :class:`DivergenceRepro` (arguments +
   world signature) on :attr:`divergences`.
@@ -170,10 +168,6 @@ class RewriteService:
             else None
         )
         self._closed = False
-        #: manager cache key -> set of published table keys (aliases)
-        self._aliases: dict = {}
-        #: published table key -> owning manager cache key
-        self._alias_owner: dict = {}
         #: keys whose next publication must start on probation (they
         #: were withdrawn for a shadow divergence and must re-validate)
         self._requalify: set = set()
@@ -191,8 +185,11 @@ class RewriteService:
         original — shedding is invisible except in the counters).  The
         caller never waits on a rewrite.
         """
+        return self._dispatch(self.manager.key_for(fn, conf, args), conf, fn, args)
+
+    def _dispatch(self, key, conf: RewriteConfig, fn, args: tuple) -> int:
+        """:meth:`request` for an already derived ``key``."""
         self.metrics.inc("service.requests")
-        key = self.manager.key_for(fn, conf, args)
         entry = self.table.lookup(key)
         if entry is not None:
             self.metrics.inc("service.warm_hits")
@@ -232,7 +229,7 @@ class RewriteService:
     def call(self, conf: RewriteConfig, fn, *args, max_steps: int | None = None):
         """Dispatch *and execute*: the continuously assured entry point.
 
-        Resolves the current best entry via :meth:`request` and runs it.
+        Resolves the current best entry as :meth:`request` does and runs it.
         When a shadow sampler is attached and this call is sampled (or
         the entry is on post-restore probation), the call is
         shadow-executed against the original: a matching variant keeps
@@ -241,12 +238,12 @@ class RewriteService:
         the original's result — a sampled call never returns a wrong
         answer.  Returns the :class:`~repro.machine.cpu.RunResult`.
         """
-        entry = self.request(conf, fn, *args)
+        key = self.manager.key_for(fn, conf, args)
+        entry = self._dispatch(key, conf, fn, args)
         original = self.machine.image.resolve(fn)
         run_kwargs = {} if max_steps is None else {"max_steps": max_steps}
         if entry == original or self.shadow is None:
             return self.machine.call(entry, *args, **run_kwargs)
-        key = self.manager.key_for(fn, conf, args)
         probation = self.table.on_probation(key)
         if not probation and not self.shadow.decide(key):
             return self.machine.call(entry, *args, **run_kwargs)
@@ -312,8 +309,6 @@ class RewriteService:
                 if result is None or not result.ok or result.entry is None:
                     continue
                 self.table.publish(key, result.entry, probation=True)
-                self._aliases.setdefault(key, set()).add(key)
-                self._alias_owner[key] = key
                 self.metrics.inc("service.restored_publishes")
         return report
 
@@ -390,13 +385,9 @@ class RewriteService:
         return None
 
     def _admit_from_probation(self, key) -> None:
-        """A probation entry's shadow call matched: trust it (and every
-        alias of the same cache entry) for steady-state sampling."""
-        owner = self._alias_owner.get(key, key)
-        cleared = False
-        for alias in self._aliases.get(owner, {key}):
-            cleared |= self.table.clear_probation(alias)
-        if cleared:
+        """A probation entry's shadow call matched: trust it for
+        steady-state sampling."""
+        if self.table.clear_probation(key):
             self.metrics.inc("shadow.probation_admits")
 
     def _handle_divergence(
@@ -404,15 +395,14 @@ class RewriteService:
         *, conf: RewriteConfig | None = None, fn=None,
     ) -> None:
         """Withdraw + quarantine + record: the shadow caught a published
-        variant lying.  Quarantining the manager key evicts the cache
-        entry, which fires the invalidation listener and withdraws every
-        published alias — one atomic step under the service lock."""
-        owner = self._alias_owner.get(key, key)
-        cached = self.manager.cached_result(owner)
+        variant lying.  Quarantining the key evicts the cache entry,
+        which fires the invalidation listener and withdraws the
+        published entry — one atomic step under the service lock."""
+        cached = self.manager.cached_result(key)
         known_reads = cached.known_reads if cached is not None else ()
         failure = RewriteFailure("shadow-divergence", description)
         self.divergences.append(DivergenceRepro(
-            key=owner, args=args, entry=entry, original=original,
+            key=key, args=args, entry=entry, original=original,
             description=description, known_reads=tuple(known_reads),
             failure=failure,
         ))
@@ -422,11 +412,11 @@ class RewriteService:
                 self.machine, conf, fn, args, entry, original, description,
                 known_reads=tuple(known_reads), metrics=self.metrics,
             )
-        self.manager.quarantine_key(owner, failure.reason, description)
-        # the eviction listener withdrew the aliases; cover the direct
-        # key too in case it was published before alias tracking saw it
+        self.manager.quarantine_key(key, failure.reason, description)
+        # the eviction listener withdrew the entry if the manager held
+        # the key; a diverging variant must not stay published either way
         self.table.withdraw([key])
-        self._requalify.update({key, owner})
+        self._requalify.add(key)
         self.metrics.inc("service.shadow_withdrawn")
 
     def _locked_perform(self, work) -> None:
@@ -444,26 +434,21 @@ class RewriteService:
             )
         try:
             result = self.manager.get(conf, fn, *args)
-            manager_key = self.manager.key_for(fn, conf, args)
         finally:
             # unconditionally: a crashing manager/rewrite_fn must not
             # pin the key in _inflight forever (every later request
             # would coalesce against a rewrite that will never land)
             self._inflight.discard(key)
         if result.ok and result.entry is not None:
-            if manager_key not in self.manager:
+            if key not in self.manager:
                 # an invalidation raced the rewrite and already evicted
                 # the cache entry: publishing now would expose a stale
                 # variant with nobody left to withdraw it
                 self.metrics.inc("service.publish_races")
             else:
-                probation = bool(self._requalify & {key, manager_key})
-                self._requalify -= {key, manager_key}
-                aliases = self._aliases.setdefault(manager_key, set())
-                for alias in {key, manager_key}:
-                    self.table.publish(alias, result.entry, probation=probation)
-                    aliases.add(alias)
-                    self._alias_owner[alias] = manager_key
+                probation = key in self._requalify
+                self._requalify.discard(key)
+                self.table.publish(key, result.entry, probation=probation)
                 self.metrics.inc("service.publishes")
                 self.metrics.record(
                     "service.rewrite_cycles", modeled_rewrite_cycles(result)
@@ -482,12 +467,6 @@ class RewriteService:
 
     def _on_invalidation(self, dropped_keys: list) -> None:
         with self.lock:
-            withdrawn = 0
-            for manager_key in dropped_keys:
-                aliases = self._aliases.pop(manager_key, None)
-                if aliases:
-                    withdrawn += self.table.withdraw(aliases)
-                    for alias in aliases:
-                        self._alias_owner.pop(alias, None)
+            withdrawn = self.table.withdraw(dropped_keys)
             if withdrawn:
                 self.metrics.inc("service.withdrawn", withdrawn)

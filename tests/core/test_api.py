@@ -10,6 +10,7 @@ from repro.core import (
     brew_init_conf, brew_rewrite, brew_setfunc, brew_setmem, brew_setpar,
 )
 from repro.core.config import RewriteConfig
+from repro.core.rewriter import _register_pointed_to
 from repro.machine.vm import Machine
 
 
@@ -100,9 +101,23 @@ def test_ptr_to_known_range_is_bounded_by_segment():
     result = brew_rewrite(m, conf, "f", buf)
     assert result.ok
     assert m.call(result.entry, buf).int_return == 77
+    # the rewrite registered the range into a private copy of conf;
+    # register it on conf the same way to observe its bounds
+    _register_pointed_to(m.image, conf, buf)
     start, end = conf.known_memory[-1]
     assert start == buf
     assert end <= m.image.seg_heap.end
+
+
+def test_rewrite_leaves_the_callers_config_unchanged():
+    m = Machine()
+    m.load("noinline long f(long *p) { return p[0]; }")
+    buf = m.image.malloc(16)
+    conf = brew_init_conf()
+    brew_setpar(conf, 1, BREW_PTR_TO_KNOWN)
+    for _ in range(2):
+        assert brew_rewrite(m, conf, "f", buf).ok
+    assert conf.known_memory == []
 
 
 def test_rewrite_accepts_bare_image():

@@ -1,11 +1,10 @@
-"""SpecializationManager and multi-guard dispatch tests."""
+"""SpecializationManager tests."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
-from repro.core.dispatch import build_multi_guard_stub
 from repro.core.manager import SpecializationManager
 from repro.core.rewriter import RewriteResult, rewrite
 from repro.machine.vm import Machine
@@ -62,6 +61,21 @@ def test_known_memory_mutation_invalidates(setup):
     r2 = mgr.get(conf, "apply_cfg", 0, cfg)
     assert r2.entry != r1.entry
     assert m.call(r2.entry, 5, cfg).int_return == 45
+
+
+def test_fresh_ptr_to_known_config_per_call_hits(setup):
+    """The idiom every model uses: a fresh config per call.  Rewriting
+    must not change the key an equal config derives, so an unsupervised
+    manager misses once and then hits."""
+    m, mgr = setup
+    cfg = m.image.malloc(16)
+    m.memory.write_u64(cfg, 2)
+    m.memory.write_u64(cfg + 8, 10)
+    for _ in range(4):
+        conf = brew_init_conf()
+        brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+        assert mgr.get(conf, "apply_cfg", 0, cfg).ok
+    assert mgr.misses == 1 and mgr.hits == 3 and len(mgr) == 1
 
 
 def test_invalidate_memory_by_range(setup):
@@ -185,21 +199,6 @@ def test_quarantine_readmission_after_recovery():
     # and subsequent calls are plain cache hits, no more quarantine
     assert mgr.get(conf, "poly", 0, 3) is r
     assert mgr.stats()["quarantined"] == 0
-
-
-def test_multi_guard_chain(setup):
-    m, mgr = setup
-    cases = []
-    for k in (3, 4, 7):
-        conf = brew_init_conf()
-        brew_setpar(conf, 2, BREW_KNOWN)
-        result = mgr.get(conf, "poly", 0, k)
-        assert result.ok
-        cases.append((k, result.entry))
-    stub = build_multi_guard_stub(m, "poly", 2, cases)
-    for x in (0, 5, -2):
-        for k in (3, 4, 7, 11):  # 11 falls through to the original
-            assert m.call(stub, x, k).int_return == x * k + k, (x, k)
 
 
 def test_invalidate_memory_return_value_direct(setup):

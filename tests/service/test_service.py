@@ -135,6 +135,21 @@ def test_invalidation_withdraws_published_entries(machine):
     assert svc.stats()["withdrawn"] >= 1
 
 
+def test_ptr_to_known_publish_leaves_one_table_entry(machine):
+    """An unsupervised rewrite does not mutate the config it was queued
+    with, so the entry is published under the request key alone."""
+    svc = RewriteService(machine)
+    cfg = machine.image.malloc(16)
+    machine.memory.write_u64(cfg, 2)
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+    svc.request(conf, "apply_cfg", 0, cfg)
+    svc.drain()
+    assert svc.stats()["publishes"] == 1
+    assert len(svc.table) == 1
+    assert svc.manager.key_for("apply_cfg", conf, (0, cfg)) in svc.table
+
+
 def test_service_routes_through_supervisor(machine):
     """A manager whose rewrites go through a supervisor charges the
     shared metrics registry end to end."""
@@ -304,10 +319,7 @@ def test_threaded_publish_withdraw_stress_never_leaves_stale_entries(machine):
             svc.manager.invalidate_memory(cfg, cfg + 8)
             svc.drain()
             with svc.lock:
-                stale = [
-                    key for key in svc.table._table
-                    if svc._alias_owner.get(key, key) not in svc.manager
-                ]
+                stale = [key for key in svc.table._table if key not in svc.manager]
             assert not stale, f"stale published keys after round {round_no}"
     finally:
         svc.close()
