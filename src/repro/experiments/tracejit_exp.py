@@ -8,11 +8,11 @@ profiled at runtime, hot cycles are stitched into *superblocks* — one
 ``compile()``'d Python function per trace, guest registers living in
 Python locals across block seams — and guarded side exits fall back to
 tier 1 with exact step/cycle accounting.  Traces are multi-versioned
-per head (keyed by branch-direction signature) so a workload whose
-branch profile shifts mid-run re-profiles and promotes a new version
+per head (keyed by branch directions and call targets) so a workload
+whose profile shifts mid-run re-profiles and promotes a new version
 instead of thrashing one.
 
-Three claims are checked, on two workloads:
+Three claims are checked, on two kernels:
 
 * **transparency** — all three tiers produce *bit-for-bit identical*
   architectural results (returns, steps, deterministic perf counters,
@@ -37,6 +37,14 @@ formed on the local phase goes cold at the region boundary.  The
 checks assert the multi-version machinery actually engaged
 (``trace_versions >= 2`` with at least one deactivation).
 
+Both kernels are call-free, hand-inlined loops.  A third workload runs
+the paper's own Section V shape: :class:`~repro.models.stencil.StencilLab`'s
+``sweep`` calling the rewrite service's specialized ``apply`` through a
+function pointer once per cell, so the trace must follow the call and
+its return.  It carries no speed floor; its checks are parity across
+the tiers, iterations actually run inside traces, and zero interpreter
+fallbacks.
+
 The ``jit.trace.*`` metrics snapshot is embedded in the table and
 persisted by ``benchmarks/`` as ``BENCH_ext10.json``.
 """
@@ -50,6 +58,7 @@ from repro.experiments.harness import (
 )
 from repro.machine.vm import Machine
 from repro.models.pgas import PgasLab
+from repro.models.stencil import StencilLab
 from repro.obs import Metrics
 from repro.testing.torture import run_torture
 
@@ -65,6 +74,9 @@ STENCIL_ITERS_REDUCED = 2
 #: access surcharges.
 PGAS_NELEMS = 16384
 PGAS_NELEMS_REDUCED = 4096
+#: Grid edge of the Section V pointer-call sweep (full / reduced-CI).
+SWEEP_EDGE = 48
+SWEEP_EDGE_REDUCED = 24
 #: Adversarial images for the trace-tier torture sweep (full / CI).
 TORTURE_IMAGES = 40
 TORTURE_IMAGES_REDUCED = 12
@@ -139,15 +151,17 @@ double ga_sum_inline(long block, long localbase, long remotebase,
 """
 
 
+def _enable_tier(machine: Machine, tier: int, metrics=None) -> None:
+    if tier:
+        machine.enable_jit(trace=tier == 2, metrics=metrics)
+
+
 def _stencil_machine(tier: int, metrics=None):
     """A machine with the stencil kernel loaded and ``tier`` enabled,
     plus initialized src/dst matrices."""
     m = Machine()
     m.load(STENCIL_SRC, unit="ext10")
-    if tier == 1:
-        m.enable_jit(metrics=metrics)
-    elif tier == 2:
-        m.enable_jit(trace=True, metrics=metrics)
+    _enable_tier(m, tier, metrics)
     src = m.image.malloc(STENCIL_EDGE * STENCIL_EDGE * 8)
     dst = m.image.malloc(STENCIL_EDGE * STENCIL_EDGE * 8)
     for i in range(STENCIL_EDGE * STENCIL_EDGE):
@@ -159,20 +173,31 @@ def _pgas_lab(tier: int, nelems: int, metrics=None) -> PgasLab:
     """A PGAS lab with the inlined reduction loaded and ``tier`` on."""
     lab = PgasLab(nelems=nelems, nnodes=4)
     lab.machine.load(PGAS_SRC, unit="ext10")
-    if tier == 1:
-        lab.machine.enable_jit(metrics=metrics)
-    elif tier == 2:
-        lab.machine.enable_jit(trace=True, metrics=metrics)
+    _enable_tier(lab.machine, tier, metrics)
     return lab
+
+
+def _sweep_lab(tier: int, edge: int, metrics=None):
+    """A Section V lab with ``tier`` enabled whose rewrite service has
+    published the specialized ``apply``; returns the lab and that
+    entry."""
+    lab = StencilLab(edge, edge)
+    _enable_tier(lab.machine, tier, metrics)
+    lab.attach_service()
+    lab.apply_via_service()  # cold miss: queues the rewrite
+    lab.service.drain()
+    return lab, lab.apply_via_service()
 
 
 def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     """EXT-10: warm wall clock across all three execution tiers on the
-    stencil sweep and a phase-shifting PGAS reduction, with bit-for-bit
-    parity, multi-version trace evidence and a trace-tier torture
-    sweep.  ``reduced=True`` is the CI shape: smaller workloads and
-    relaxed speedup floors, identical parity/robustness checks."""
+    stencil sweep, a phase-shifting PGAS reduction and the Section V
+    pointer-call sweep, with bit-for-bit parity, multi-version trace
+    evidence and a trace-tier torture sweep.  ``reduced=True`` is the CI
+    shape: smaller workloads and relaxed speedup floors, identical
+    parity/robustness checks."""
     iters = STENCIL_ITERS_REDUCED if reduced else STENCIL_ITERS
+    edge = SWEEP_EDGE_REDUCED if reduced else SWEEP_EDGE
     nelems = PGAS_NELEMS_REDUCED if reduced else PGAS_NELEMS
     images = TORTURE_IMAGES_REDUCED if reduced else TORTURE_IMAGES
     t1_floor = T1_SPEEDUP_FLOOR_REDUCED if reduced else T1_SPEEDUP_FLOOR
@@ -221,6 +246,22 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     pg_speedup_t0 = pg_times[0] / pg_times[2]
     pg_stats = pg[2].machine.jit.stats()
 
+    # ---- Sec. V sweep: specialized apply through a function pointer
+    sw = {t: _sweep_lab(t, edge, metrics=metrics if t == 2 else None)
+          for t in (0, 1, 2)}
+    sw_times, sw_fps = {}, {}
+    for tier, (lab, entry) in sw.items():
+        run = lambda lab=lab, entry=entry: lab.machine.call(
+            "sweep", lab.m1, lab.m2, lab.xs, lab.ys, lab.s_addr, entry)
+        run()  # warm
+        # same-call-index parity capture, plus the matrix it wrote
+        sw_fps[tier] = (entry, result_fingerprint(run()),
+                        lab.machine.image.peek(lab.m2, edge * edge * 8))
+        rounds = TIMING_ROUNDS if tier == 0 else TIMING_ROUNDS_JITTED
+        sw_times[tier], _ = best_of(run, rounds)
+    sw_speedup_t1 = sw_times[1] / sw_times[2]
+    sw_stats = sw[2][0].machine.jit.stats()
+
     # ---- trace-tier torture: hair-trigger thresholds, full contract
     report = run_torture(EXT10_SEED, images, metrics=metrics,
                          trace_tier=True)
@@ -245,6 +286,17 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         "pgas reduction, trace JIT (ms)", round(pg_times[2] * 1e3, 1),
         pg_times[2] / pg_times[0],
         note=f"tier 2, warm traces; {pg_speedup_t1:.1f}x over tier 1"))
+    exp.rows.append(Row(
+        "pointer-call sweep, interpreter (ms)", round(sw_times[0] * 1e3, 1),
+        1.0, note="tier 0 baseline"))
+    exp.rows.append(Row(
+        "pointer-call sweep, block engine (ms)", round(sw_times[1] * 1e3, 1),
+        sw_times[1] / sw_times[0], note="tier 1, warm code cache"))
+    exp.rows.append(Row(
+        "pointer-call sweep, trace JIT (ms)", round(sw_times[2] * 1e3, 1),
+        sw_times[2] / sw_times[0],
+        note=f"tier 2, traces through the call; {sw_speedup_t1:.1f}x over "
+             f"tier 1, {sw_stats['trace_iterations']:,} trace iterations"))
     exp.rows.append(Row(
         "traces installed (stencil + pgas)",
         st_stats["trace_installs"] + pg_stats["trace_installs"], None,
@@ -288,6 +340,17 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         st_stats["interp_fallbacks"] == 0
         and pg_stats["interp_fallbacks"] == 0)
     exp.check(
+        "pointer-call sweep: bit-for-bit identical across all three tiers "
+        "(specialized apply reached through a function pointer)",
+        sw_fps[0] == sw_fps[1] == sw_fps[2])
+    exp.check(
+        "pointer-call sweep: iterations run inside traces "
+        "(the trace follows the call and its return)",
+        sw_stats["trace_iterations"] > 0)
+    exp.check(
+        "pointer-call sweep: zero interpreter fallbacks",
+        sw_stats["interp_fallbacks"] == 0)
+    exp.check(
         "pgas phase shift engaged multi-version traces "
         "(>= 2 versions, >= 1 deactivation)",
         pg_stats["trace_versions"] >= 2
@@ -305,6 +368,8 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     health = {f"stencil.{k}": v for k, v in st_stats.items()
               if "trace" in k or k == "interp_fallbacks"}
     health.update({f"pgas.{k}": v for k, v in pg_stats.items()
+                   if "trace" in k or k == "interp_fallbacks"})
+    health.update({f"sweep.{k}": v for k, v in sw_stats.items()
                    if "trace" in k or k == "interp_fallbacks"})
     exp.health = health
     exp.listing = "metrics " + metrics.snapshot_json()

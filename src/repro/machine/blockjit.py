@@ -402,12 +402,14 @@ class _BlockCompiler:
         return self.insns[-1].info.opclass in _BLOCK_ENDERS
 
     @staticmethod
-    def _can_store(insn: Instruction) -> bool:
-        """Can this instruction write memory (and therefore take the
-        self-modification exit)?  Only a memory *destination* counts —
-        loads never exit, so a ``mov reg, [mem]`` must not pin flags."""
+    def _can_exit(insn: Instruction) -> bool:
+        """Can compiled code leave at this instruction, making the flag
+        state there observable?  A store can take the self-modification
+        exit, and a trace guards every CALL and RET (tier 1 ends a block
+        on them anyway).  Only a memory *destination* stores — loads
+        never exit, so a ``mov reg, [mem]`` must not pin flags."""
         cls = insn.info.opclass
-        if cls is OpClass.PUSH:
+        if cls is OpClass.PUSH or cls is OpClass.CALL or cls is OpClass.RET:
             return True
         if cls is OpClass.CMP or cls is OpClass.FCMP:
             return False  # memory operands are read-only comparisons
@@ -423,11 +425,11 @@ class _BlockCompiler:
         for i in range(len(insns) - 1, -1, -1):
             info = insns[i].info
             cls = info.opclass
-            # A store-capable instruction can hit executable bytes, which
-            # exits the block right after it (see _selfmod_exit) — the
-            # flags state at that point becomes observable, so the
-            # preceding flag-writer may not be elided.
-            if self._can_store(insns[i]):
+            # At an exit point (a store hitting executable bytes, see
+            # _selfmod_exit; a trace's call or return guard) the flags
+            # state becomes observable, so the preceding flag-writer may
+            # not be elided.
+            if self._can_exit(insns[i]):
                 live = True
             # DIV advertises writes_flags but the machine leaves flags
             # untouched, so it must not count as an overwrite here

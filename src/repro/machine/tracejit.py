@@ -12,8 +12,12 @@ This module adds tier 2.  The dispatch loop counts **back-edges**
 profile; when a target crosses ``hot_threshold`` the trace former walks
 the tier-1 chain graph from that head, following the *hottest* observed
 successor edge of each block, until the path closes back on the head.
-The closed path — a superblock covering one iteration of the hot cycle —
-is compiled into ONE Python function with
+The walk follows guest calls: a CALL/CALLI continues into the callee the
+graph observed, a RET at the return address of the matching call on the
+path, and the path must be call-balanced where it closes (a helper
+called from two sites is inlined twice).  The closed path — a
+superblock covering one iteration of the hot cycle — is compiled into
+ONE Python function with
 
 * guest registers, xmm lanes, and condition flags allocated to Python
   **locals** for the whole trace body (loaded once on entry, written
@@ -32,7 +36,16 @@ is compiled into ONE Python function with
   instructions, cycles, loads, stores, branches, taken branches), sets
   ``cpu._ran_partial``, and returns to tier 1 at the off-trace pc,
 * self-modification exits after every store that hits executable bytes,
-  with the same exact accounting (the ``cw_`` contract of tier 1).
+  with the same exact accounting (the ``cw_`` contract of tier 1),
+* **call and return guards**: a call exits *before* itself, at its own
+  pc, when an indirect target differs from the recorded callee, a call
+  hook is installed, or the target has become a host function (tier 1
+  then performs the call exactly as the interpreter does); otherwise it
+  pushes the return address through a store site.  A return pops
+  through a load site and exits to the popped address when it is not
+  the recorded return site.  Every exit taken inside a callee appends
+  one ``CallFrameInfo`` per open frame, so ``cpu.call_stack`` matches
+  the interpreter's.
 
 One emitter serves both tiers.  :class:`_TraceCompiler` runs tier 1's
 per-instruction translators unchanged and re-implements only the
@@ -45,12 +58,15 @@ and rendered last, once the per-iteration counter totals, the touched
 registers and the TLB sites of the whole trace are known.
 
 Multi-version traces: each head keeps up to :data:`MAX_VERSIONS`
-compiled traces keyed by the **branch-direction signature** (the tuple
-of taken/not-taken decisions along the path).  When the profile shifts,
-the installed trace starts exiting early; the dispatch loop notices
-(:data:`DEACT_MIN_EXITS` consecutive low-yield exits), deactivates it,
-re-profiles, and installs — or reuses — the version matching the new
-signature.
+compiled traces keyed by the **signature** of the path: the
+taken/not-taken decision of every branch and the recorded target of
+every call along it.  When the profile shifts, the installed trace
+starts exiting early; the dispatch loop notices (:data:`DEACT_MIN_EXITS`
+consecutive low-yield exits), deactivates it, re-profiles, and installs
+— or reuses — the version matching the new signature, so a callee
+respecialized at a new address gets a version of its own.  An entry
+that exits before its first instruction (a call at the head whose
+guard fails) is deactivated at once and its pc runs in tier 1.
 
 Invalidation: trace entries live in the tier-1 code cache, so every
 existing invalidation path (``Image.notify_code_write`` →
@@ -63,11 +79,12 @@ re-enters tier 1 — and then tier 0 semantics — at the next instruction
 boundary.
 
 Divergence note (same as tier 1): a *fault* raised mid-trace surfaces as
-the same exception type, but register/flag/counter state at the fault
-point may differ because locals have not been written back; all success
-paths, side exits included, are bit-for-bit exact.  ``max_steps``
-exhaustion is exact: the iteration cap guarantees a trace call never
-oversteps its budget, and the loop hands the tail to the interpreter.
+the same exception type, but register/flag/counter state and
+``cpu.call_stack`` at the fault point may differ because locals have not
+been written back and open frames not appended; all success paths, side
+exits included, are bit-for-bit exact.  ``max_steps`` exhaustion is
+exact: the iteration cap guarantees a trace call never oversteps its
+budget, and the loop hands the tail to the interpreter.
 """
 
 from __future__ import annotations
@@ -80,6 +97,7 @@ from repro.machine.blockjit import (
     _COND_EXPR,
     _RAX,
     _RDX,
+    _RSP,
     _BlockCompiler,
     _Unsupported,
     BlockJIT,
@@ -155,7 +173,7 @@ _BODY_IND = " " * 8
 _EXIT_IND = " " * 12
 #: The perf counters an exit charges, in the order of its prefix tuple.
 _EXIT_COUNTERS = ("instructions", "loads", "stores", "cycles", "branches",
-                  "taken_branches")
+                  "taken_branches", "calls", "rets")
 _FLAGS = ("ZF", "SF", "CF", "OF")
 
 
@@ -225,7 +243,9 @@ class _TraceCompiler(_BlockCompiler):
     """
 
     def __init__(self, path, costs):
-        # path: [(addr, insns, end, direction_or_None), ...]
+        # path: [(addr, insns, end, recorded), ...] where ``recorded`` is
+        # the branch direction of a JCC block, the callee of a CALL
+        # block, the return site of a RET block, else None
         all_insns = [i for _, insns, _, _ in path for i in insns]
         super().__init__(all_insns, path[0][0], costs)
         self.path = path
@@ -236,6 +256,11 @@ class _TraceCompiler(_BlockCompiler):
         self._br = 0   # branches so far this iteration (prefix)
         self._tk = 0   # taken branches so far this iteration
         self._cyc = 0  # cycles so far this iteration
+        self._calls = 0  # calls so far this iteration
+        self._rets = 0   # returns so far this iteration
+        #: ``(target, return_addr)`` of the calls open at this point of
+        #: the walk, outermost first: an exit appends them as frames.
+        self._frames: list[tuple[int, int]] = []
         #: Per-site TLB slots: every static access site caches its own
         #: segment in its own locals (site ``j``: ``sb{j}_`` base,
         #: ``sm{j}_`` last valid address, ``sd{j}_`` data, ``sx{j}_``
@@ -399,32 +424,41 @@ class _TraceCompiler(_BlockCompiler):
         """True when nothing can observe the flag state carried across
         the loop seam: scanning from the head, a flag *writer* comes
         before any reader (JCC/SETCC) or exit site (a store's ``cw_``
-        exit).  Then the end-of-iteration materialization can be
-        skipped — exits before the first writer do not exist, and
-        everything after it sees freshly-defined state."""
+        exit, a call or return guard).  Then the end-of-iteration
+        materialization can be skipped — exits before the first writer
+        do not exist, and everything after it sees freshly-defined
+        state."""
         for insn in self.insns:
             cls = insn.info.opclass
             if cls is OpClass.SETCC or cls is OpClass.JCC:
                 return False
-            if self._can_store(insn):
+            if self._can_exit(insn):
                 return False
             if insn.info.writes_flags and cls is not OpClass.DIV:
                 return True
         return False
 
     # ------------------------------------------------------------- exits
+    def _prefix(self, k, cyc=0, br=0, tk=0):
+        """The counts of the current iteration's first ``k``
+        instructions (one per :data:`_EXIT_COUNTERS` entry), with
+        ``cyc``/``br``/``tk`` added for a branch taken off the trace."""
+        return (k, self.n_loads, self.n_stores, self._cyc + cyc,
+                self._br + br, self._tk + tk, self._calls, self._rets)
+
     def _exit(self, ind, prefix, target, count_exit=True, itvar="it_"):
         """Record an exit at indent ``ind``: write back live state,
         charge exact counters for ``itvar`` full iterations plus the
-        ``prefix`` (one count per :data:`_EXIT_COUNTERS` entry) of the
-        current one, and return to tier 1 at ``target``."""
-        self.lines.append(
-            (ind, prefix, target, self._defer, count_exit, itvar))
+        ``prefix`` (see :meth:`_prefix`) of the current one, push the
+        open call frames, and return to tier 1 at ``target`` (a
+        constant, or the local holding a popped return address)."""
+        self.lines.append((ind, prefix, target, self._defer, count_exit,
+                           itvar, tuple(self._frames)))
 
     def _exit_lines(self, writeback, ind, prefix, target, defer,
-                    count_exit, itvar):
+                    count_exit, itvar, frames):
         per_iter = (len(self.insns), self.n_loads, self.n_stores,
-                    self._cyc, self._br, self._tk)
+                    self._cyc, self._br, self._tk, self._calls, self._rets)
         out = [f"perf.{name} += {itvar}*{n} + {p}"
                for name, n, p in zip(_EXIT_COUNTERS, per_iter, prefix)
                if n or p]
@@ -441,6 +475,10 @@ class _TraceCompiler(_BlockCompiler):
             out.append(setup)
         out.append("; ".join(
             f"flags[{f}] = {v}" for f, v in zip(_FLAGS, values)))
+        if frames:
+            out.append("cpu.call_stack.extend(["
+                       + ", ".join(f"CFI({t}, {r})" for t, r in frames)
+                       + "])")
         if count_exit:
             out.append("VC[1] += 1")
         out.append(f"VC[2] += {itvar}")
@@ -454,8 +492,44 @@ class _TraceCompiler(_BlockCompiler):
         bytes, at the next instruction boundary (tier-1 ``cw_``
         contract)."""
         self.emit("if cw_:")
-        self._exit(_EXIT_IND, (k, self.n_loads, self.n_stores, self._cyc,
-                               self._br, self._tk), next_pc)
+        self._exit(_EXIT_IND, self._prefix(k), next_pc)
+
+    def _emit_call(self, insn, k, target, ret):
+        """Inline a call into the recorded callee after ``k``
+        instructions.  The guard exits *before* the call, at its own pc,
+        so tier 1 performs it exactly as the interpreter does: when an
+        indirect target is not the recorded one, a call hook is
+        installed, or the target has become a host function.  Then the
+        return address is pushed through a store site, and the callee's
+        frame stays open until its RET."""
+        guard = f"hooks or {target} in hostfns"
+        if insn.op is Op.CALLI:
+            guard = f"{self.reg(int(insn.operands[0].reg))} != {target} or {guard}"
+        self.needs.add("call")
+        self.emit(f"if {guard}:")
+        self._exit(_EXIT_IND, self._prefix(k), insn.addr)
+        sp = self.reg(_RSP)
+        self.emit(f"{sp} = ({sp} - 8) & M")
+        self.store(sp, repr(ret))
+        self._calls += 1
+        self._cyc += self._costs.base_cost(insn, False)
+        self._frames.append((target, ret))
+        self._emit_cw_exit(k + 1, target)
+
+    def _emit_ret(self, insn, k, ret):
+        """Inline the return to the recorded return site ``ret`` after
+        ``k`` instructions: pop through a load site, and exit to the
+        popped address when it differs (the callee rewrote its return
+        slot)."""
+        t = self.tmp()
+        sp = self.reg(_RSP)
+        self.load(sp, t)
+        self.emit(f"{sp} = ({sp} + 8) & M")
+        self._rets += 1
+        self._cyc += self._costs.base_cost(insn, False)
+        self._frames.pop()
+        self.emit(f"if {t} != {ret}:")
+        self._exit(_EXIT_IND, self._prefix(k + 1), t)
 
     def _emit_guard(self, insn, direction, k, fall_pc):
         """Guard an on-trace conditional branch; exit on disagreement."""
@@ -474,10 +548,8 @@ class _TraceCompiler(_BlockCompiler):
             self.emit(f"if {expr}:")
             exit_pc = insn.operands[0].value
         exit_taken = not direction
-        self._exit(_EXIT_IND, (k, self.n_loads, self.n_stores,
-                               self._cyc + cost(insn, exit_taken),
-                               self._br + 1, self._tk + int(exit_taken)),
-                   exit_pc)
+        self._exit(_EXIT_IND, self._prefix(k, cost(insn, exit_taken), 1,
+                                           int(exit_taken)), exit_pc)
         self._br += 1
         self._tk += int(direction)
         self._cyc += cost(insn, direction)
@@ -486,11 +558,12 @@ class _TraceCompiler(_BlockCompiler):
     def gen_trace(self):
         """Emit the whole closed path — body instructions, ``cw_``
         exits after store sites, direction guards at every on-trace
-        conditional branch — and return the rendered source."""
+        conditional branch, inlined calls and returns — and return the
+        rendered source."""
         need = self._flag_liveness(self.insns)
         costs = self._costs
         k = 0
-        for addr, insns, end, direction in self.path:
+        for addr, insns, end, recorded in self.path:
             last = insns[-1]
             has_ender = last.info.opclass in _BLOCK_ENDERS
             body = insns[:-1] if has_ender else insns
@@ -503,15 +576,19 @@ class _TraceCompiler(_BlockCompiler):
                     self._emit_cw_exit(k, (insn.addr or 0) + (insn.size or 0))
             if has_ender:
                 cls = last.info.opclass
-                k += 1
                 if cls is OpClass.JCC:
-                    self._emit_guard(last, direction, k, end)
+                    self._emit_guard(last, recorded, k + 1, end)
                 elif cls is OpClass.JMP:
                     self._br += 1
                     self._tk += 1
                     self._cyc += costs.base_cost(last, False)
+                elif cls is OpClass.CALL:
+                    self._emit_call(last, k, recorded, end)
+                elif cls is OpClass.RET:
+                    self._emit_ret(last, k, recorded)
                 else:  # pragma: no cover - formation rejects other enders
                     raise _Unsupported(f"trace ender {cls}")
+                k += 1
         if not self._flags_dead_at_head() and self._defer is not None:
             self._materialize_locals()
         if not self.lines:
@@ -555,6 +632,8 @@ class _TraceCompiler(_BlockCompiler):
             pre.append("    mstores = cpu.memory.stores")
         if "cw" in self.needs:
             pre.append("    cw_ = False")
+        if "call" in self.needs:
+            pre.append("    hooks = cpu.call_hooks; hostfns = cpu.host_functions")
         pre += [f"    r{i} = regs[{i}]" for i in regs]
         pre += [f"    x{a}_{b} = xmm[{a}][{b}]" for a, b in lanes]
         pre.append("    zf_ = flags[ZF]; sf_ = flags[SF]; "
@@ -589,9 +668,10 @@ class TraceJIT(BlockJIT):
         self.min_edge = min_edge
         #: Back-edge counts per target pc (the promotion profile).
         self._hot: dict[int, int] = {}
-        #: Heads where formation failed structurally (call/ret on the
-        #: path, unsupported shapes): no point retrying until the code
-        #: changes.  Cleared on invalidation.
+        #: Heads where formation failed structurally (an unbalanced
+        #: return, a host-function callee, an indirect jump or other
+        #: unsupported shape on the path): no point retrying until the
+        #: code changes.  Cleared on invalidation.
         self._no_trace: set[int] = set()
         #: Compiled versions: head -> {signature: TraceVersion}.
         self.versions: dict[int, dict[tuple, TraceVersion]] = {}
@@ -609,12 +689,20 @@ class TraceJIT(BlockJIT):
     # ----------------------------------------------------------- formation
     def _form_trace(self, head: int):
         """Walk the chain graph from ``head`` along hottest edges until
-        the path closes on ``head``.  Returns ``((path, signature),
-        None)`` or ``(None, reason)`` with reason ``"structural"``
-        (never retry until invalidation) or ``"transient"`` (profile
-        not warm enough yet)."""
+        the path closes on ``head`` with no call left open.  A call
+        continues into its hottest observed callee, a return at the
+        return address of the matching call on the path.  Returns
+        ``((path, signature), None)`` or ``(None, reason)`` with reason
+        ``"structural"`` (never retry until invalidation) or
+        ``"transient"`` (profile not warm enough yet, or call hooks
+        installed)."""
         cache = self.cache
-        path, sig, seen = [], [], set()
+        path, sig = [], []
+        # Return addresses of the calls open on the path, innermost
+        # last; ``seen`` keys blocks by them, so one helper called from
+        # two sites is walked (and inlined) twice.
+        rets = []
+        seen = {(head, ())}
         addr = head
         n_insns = 0
         while True:
@@ -628,41 +716,59 @@ class TraceJIT(BlockJIT):
                 return None, "structural"
             last = insns[-1]
             cls = last.info.opclass
-            if cls in (OpClass.CALL, OpClass.RET, OpClass.HLT):
+            if cls is OpClass.HLT or last.op is Op.JMPI:
                 return None, "structural"
-            if cls is OpClass.JMP and last.op is Op.JMPI:
-                return None, "structural"
-            if not blk.links:
+            if cls is OpClass.RET:
+                if not rets:
+                    return None, "structural"  # returns out of the head's frame
+                succ = rets.pop()  # the matching call's return site
+            elif blk.links:
+                succ = max(blk.links, key=lambda pc: (blk.links[pc][1], -pc))
+            else:
                 return None, "transient"
-            succ = max(blk.links, key=lambda pc: (blk.links[pc][1], -pc))
-            if blk.links[succ][1] < self.min_edge:
+            link = blk.links.get(succ)
+            if link is None or link[1] < self.min_edge:
                 return None, "transient"
-            direction = None
+            recorded = None
             if cls is OpClass.JCC:
                 taken_pc = last.operands[0].value
                 if succ == taken_pc:
-                    direction = True
+                    recorded = True
                 elif succ == end:
-                    direction = False
+                    recorded = False
                 else:
                     return None, "structural"
-                sig.append(direction)
+                sig.append(recorded)
             elif cls is OpClass.JMP:
                 if succ != last.operands[0].value:
                     return None, "structural"
+            elif cls is OpClass.CALL:
+                if self.cpu.call_hooks:
+                    return None, "transient"
+                # a host call continues at the fall-through pc
+                if (succ == end or succ in self.cpu.host_functions
+                        or (last.op is Op.CALL
+                            and succ != last.operands[0].value)):
+                    return None, "structural"
+                rets.append(end)
+                recorded = succ
+                sig.append(succ)
+            elif cls is OpClass.RET:
+                recorded = succ
             else:  # fall-through block (MAX_BLOCK_INSNS split)
                 if succ != end:
                     return None, "structural"
-            seen.add(addr)
-            path.append((addr, insns, end, direction))
+            path.append((addr, insns, end, recorded))
             n_insns += len(insns)
             if (n_insns > MAX_TRACE_INSNS
                     or len(path) > MAX_TRACE_BLOCKS):
                 return None, "structural"
-            if succ == head:
+            if succ == head and not rets:
                 return (path, tuple(sig)), None
-            if succ in seen:
+            key = (succ, tuple(rets))
+            if key in seen:
                 return None, "structural"  # inner cycle not through head
+            seen.add(key)
             addr = succ
 
     def _compile_trace(self, head, path, sig):
@@ -785,12 +891,18 @@ class TraceJIT(BlockJIT):
                     hit += 1
             if not table:
                 del self.versions[head]
-        # Installed entries drop with the same conservative [addr, end)
-        # overlap the base cache sweep uses, keeping both views in sync.
+        # Installed entries drop with the conservative [head, end)
+        # overlap the base cache sweep uses (once a trace follows a call
+        # into the rewrite segment that range spans two segments), and
+        # with any span overlap: a callee below the head lies outside
+        # that range, so such an entry leaves the cache here.
         for head in list(self._installed):
             entry = self._installed[head]
-            if head < end and entry.end > start:
+            if (head < end and entry.end > start
+                    or any(s < end and e > start for s, e in entry.spans)):
                 del self._installed[head]
+                if self.cache.get(head) is entry:
+                    del self.cache[head]
         if hit:
             self.trace_invalidations += hit
             if self.metrics is not None:
@@ -865,7 +977,13 @@ class TraceJIT(BlockJIT):
                         ran = cpu._ran_partial
                         steps += ran
                         cpu._ran_partial = None
-                        if pc != blk.addr:
+                        if not ran:
+                            # Zero progress: a call guard at the head
+                            # failed before the first instruction, and
+                            # re-entering would fail the same way
+                            # forever.  Tier 1 runs the head instead.
+                            self._deactivate(blk)
+                        elif pc != blk.addr:
                             # Side exit.  A run of DEACT_MIN_EXITS
                             # consecutive entries each yielding fewer
                             # than DEACT_ITERS_PER_EXIT iterations means

@@ -6,7 +6,8 @@ The property test generates straight-line bodies inside a hot counted
 loop.  Its generators cover every instruction class the block compiler
 translates (``_BlockCompiler.gen_insn``): integer ALU, shift, multiply,
 MOV and LEA; CMP/TEST feeding each of the 12 SETcc/Jcc conditions;
-scalar and packed FP; PUSH/POP; DIV; loads and stores.  Bodies never
+scalar and packed FP; PUSH/POP; DIV; loads and stores; and parts of the
+body run inside helpers reached by ``call`` or ``calli``.  Bodies never
 fault: memory operands stay inside one scratch buffer, PUSH/POP come in
 balanced pairs and every divisor is a nonzero immediate.  With
 hair-trigger thresholds the loop promotes to a trace within a few
@@ -14,6 +15,9 @@ iterations, so forward branches inside the body exercise guards and
 side exits.  Random operands rarely sit on a flag boundary, so a
 deterministic sweep also runs every condition after CMP, TEST and
 UCOMISD on operands that cross equality, sign and overflow mid-loop.
+Hand-written hot loops cover the ways a trace leaves through a call or
+a return: guards inside callees, switching indirect targets, shared and
+nested helpers, rewritten return slots and self-modifying callees.
 
 NaN payloads are the one thing compared loosely.  When both operands
 of a float add/sub/mul/div are NaNs with different bits, CPython returns
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -37,6 +42,7 @@ from repro.asm.assembler import assemble
 from repro.errors import CpuError
 from repro.isa.opcodes import OpClass
 from repro.machine.blockjit import _BLOCK_ENDERS
+from repro.machine.cpu import CallFrameInfo
 from repro.machine.vm import Machine
 
 #: Aggressive promotion thresholds, so test-sized loops reach tier 2.
@@ -83,12 +89,20 @@ def _delta(after: dict, before: dict) -> tuple:
                         if v != before.get(k, 0)))
 
 
+#: The call-stack frames every run starts under.  ``cpu.run`` pushes no
+#: frame for the function it enters, so that function's final ``ret``
+#: pops one of them; the other keeps a frame that a trace exit failed to
+#: push (or pushed twice) visible in the final stack.
+CALLER_FRAMES = (CallFrameInfo(0, 1), CallFrameInfo(0, 2))
+
+
 def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
     """Call ``fn(buf)``; everything architectural and counted about the
     run.  Per-segment access counts are cumulative per machine, so the
     run's own share is taken as a delta."""
     cpu = machine.cpu
     loads, stores = dict(cpu.memory.loads), dict(cpu.memory.stores)
+    cpu.call_stack[:] = CALLER_FRAMES
     result = machine.call(fn, buf)
     fp_half = struct.unpack(f"<{FP_BYTES // 8}d",
                             machine.image.peek(buf, FP_BYTES))
@@ -103,6 +117,7 @@ def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
         _fp_bits(v for lanes in cpu.xmm for v in lanes),
         tuple(sorted((f.name, bool(v)) for f, v in cpu.flags.items())),
         cpu.pc,
+        [(f.target, f.return_addr) for f in cpu.call_stack],
         _fp_bits(fp_half),
         machine.image.peek(buf + FP_BYTES, BUF_QWORDS * 8 - FP_BYTES),
     )
@@ -141,6 +156,214 @@ def test_codeless_loop_exhausts_steps_like_the_interpreter(tier):
         m.call("f", max_steps=500)
     if tier == 2:
         assert m.jit.stats()["trace_iterations"] > 0
+
+
+# ------------------------------------------------------ calls in hot loops
+#: Hot loops whose iterations call guest helpers, by what a trace that
+#: inlines the calls must get right.  Each counts r15 down from 40, and
+#: the changing ones change once r15 reaches 20; the helpers sit after
+#: the loop, so a return into it is a back-edge too.
+CALL_LOOPS = {
+    # a guard inside the callee fails: the exit pushes the open frame
+    "branch flips inside callee": """
+        mov r15, 40
+        mov rax, 0
+    top:
+        call step
+        sub r15, 1
+        jne top
+        ret
+    step:
+        cmp r15, 20
+        jl late
+        add rax, 3
+        ret
+    late:
+        add rax, r15
+        ret
+    """,
+    # the call guard fails, then a second version for the new target
+    "indirect target switches": """
+        mov r15, 40
+        mov rax, 0
+        mov r8, one
+    top:
+        cmp r15, 20
+        jne keep
+        mov r8, five
+    keep:
+        calli r8
+        sub r15, 1
+        jne top
+        ret
+    one:
+        add rax, 1
+        ret
+    five:
+        add rax, 5
+        ret
+    """,
+    # one helper inlined twice, returning to two different sites
+    "helper called from two sites": """
+        mov r15, 40
+        mov rax, 0
+    top:
+        mov rsi, r15
+        call twice
+        mov rsi, 7
+        call twice
+        sub r15, 1
+        jne top
+        ret
+    twice:
+        add rax, rsi
+        imul rax, 3
+        ret
+    """,
+    # a guard two calls deep: the exit pushes both frames
+    "nested calls": """
+        mov r15, 40
+        mov rax, 0
+    top:
+        call outer
+        sub r15, 1
+        jne top
+        ret
+    outer:
+        add rax, 1
+        call inner
+        add rax, 2
+        ret
+    inner:
+        imul rax, 3
+        cmp r15, 20
+        jne inner_done
+        add rax, 100
+    inner_done:
+        ret
+    """,
+    # the callee overwrites its return slot once (branch-free, so the
+    # store is on the trace): the return guard exits to the new address
+    "callee rewrites its return slot": """
+        mov r15, 40
+        mov rax, 0
+    top:
+        call bump
+    back:
+        sub r15, 1
+        jne top
+        ret
+    bump:
+        add rax, 1
+        mov rcx, detour
+        mov rdx, back
+        sub rcx, rdx
+        cmp r15, 20
+        sete rsi
+        imul rcx, rsi
+        add rcx, rdx
+        mov [rsp], rcx
+        ret
+    detour:
+        add rax, 1000
+        jmp back
+    """,
+    # the callee's store hits its own code once (branch-free again): the
+    # code-write exit leaves inside the callee
+    "callee stores into its own code": """
+        mov r15, 40
+        mov rax, 0
+        mov r9, rdi
+    top:
+        call patcher
+        sub r15, 1
+        jne top
+        ret
+    patcher:
+        add rax, 1
+        mov rcx, patched
+        sub rcx, r9
+        cmp r15, 20
+        sete rsi
+        imul rcx, rsi
+        add rcx, r9
+        mov rdx, [rcx]
+        mov [rcx], rdx
+    patched:
+        ret
+    """,
+}
+
+#: ``top: calli r8 ... jne top`` with r8 switching mid-loop.  The
+#: helpers sit before the loop, so the only back-edge is ``jne top`` and
+#: the trace's head is the call itself: once r8 changes, the installed
+#: trace exits before its first instruction.
+HEAD_CALL_LOOP = """
+        jmp start
+    one:
+        add rax, 1
+        ret
+    five:
+        add rax, 5
+        ret
+    start:
+        mov r15, 40
+        mov rax, 0
+        mov r8, one
+    top:
+        calli r8
+        cmp r15, 20
+        jne next
+        mov r8, five
+    next:
+        sub r15, 1
+        jne top
+        ret
+"""
+
+
+def call_loop_stats(src: str) -> dict:
+    """Run ``src`` twice on a fresh machine per tier and assert equal
+    fingerprints; returns the trace tier's stats, which must show
+    iterations run inside traces."""
+    fps = []
+    for tier in (0, 1, 2):
+        m = machine_at(tier, **HOT)
+        fn = load_asm(m, "f", src)
+        buf = m.image.malloc(BUF_QWORDS * 8)
+        fps.append([run_fingerprint(m, fn, buf) for _ in range(2)])
+    stats = m.jit.stats()
+    assert stats["trace_iterations"] > 0, stats
+    assert stats["interp_fallbacks"] == 0, stats
+    assert fps[0] == fps[1] == fps[2]
+    return stats
+
+
+@pytest.mark.parametrize("case", sorted(CALL_LOOPS))
+def test_calls_in_hot_loops_match_across_tiers(case):
+    stats = call_loop_stats(CALL_LOOPS[case])
+    if case == "indirect target switches":
+        assert stats["trace_compiles"] >= 2, stats
+
+
+def test_call_at_the_head_with_a_switching_target_terminates():
+    """Re-entering a trace that makes no progress would spin forever,
+    so the loop runs in a daemon thread: a hang fails the test."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call_loop_stats(HEAD_CALL_LOOP))
+        except BaseException as exc:  # re-raised in the test's thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive(), "the dispatch loop did not terminate"
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    assert outcome[0]["trace_deactivations"] > 0, outcome[0]
 
 
 # ------------------------------------------------------------ generators
@@ -258,7 +481,7 @@ def _divide(dividend, divisor, slot):
 _reader = st.one_of(
     SIMPLE[OpClass.SETCC],
     st.builds(lambda c, inner: [("jcc", c, inner)], _cond, _simple))
-_ITEM = st.one_of(
+_PLAIN_ITEM = st.one_of(
     _simple,
     st.builds(lambda w, r: w + r,
               st.one_of(SIMPLE[OpClass.CMP], SIMPLE[OpClass.FCMP],
@@ -270,6 +493,36 @@ _ITEM = st.one_of(
                         st.integers(1, 1 << 40), st.integers(-(1 << 40), -1)),
               st.one_of(st.none(), _int_mem)),
 )
+#: ``("call", via, items)`` runs ``items`` inside a helper reached by
+#: ``call`` or by ``calli`` through r12, rendered after the function.
+_ITEM = st.one_of(
+    _PLAIN_ITEM,
+    st.builds(lambda via, inner: [("call", via, inner)],
+              st.sampled_from(("call", "calli")),
+              st.lists(_PLAIN_ITEM, min_size=1, max_size=3)),
+)
+
+
+def _render_items(items, tag, helpers) -> list:
+    """Body lines for ``items``; helper bodies go to ``helpers``.
+    ``tag`` keeps the labels of a helper's items apart from the
+    caller's."""
+    lines = []
+    for n, item in enumerate(items):
+        for line in item:
+            if isinstance(line, str):
+                lines.append(line)
+            elif line[0] == "jcc":
+                _, cond, inner = line
+                lines += [f"j{cond} skip{tag}{n}", *inner, f"skip{tag}{n}:"]
+            else:
+                _, via, inner = line
+                name = f"helper{tag}{n}"
+                lines += ([f"call {name}"] if via == "call"
+                          else [f"mov r12, {name}", "calli r12"])
+                body = _render_items(inner, f"{tag}{n}_", helpers)
+                helpers += [f"{name}:", *body, "ret"]
+    return lines
 
 
 def render_loop(items) -> str:
@@ -281,14 +534,9 @@ def render_loop(items) -> str:
     lines += [f"mov {r}, [r14 + {FP_BYTES + 8 * i}]"
               for i, r in enumerate(GPRS)]
     lines.append("top:")
-    for n, item in enumerate(items):
-        for line in item:
-            if isinstance(line, tuple):
-                _, cond, inner = line
-                lines += [f"j{cond} skip{n}", *inner, f"skip{n}:"]
-            else:
-                lines.append(line)
-    lines += ["sub r15, 1", "jne top", "ret"]
+    helpers = []
+    lines += _render_items(items, "", helpers)
+    lines += ["sub r15, 1", "jne top", "ret", *helpers]
     return "\n".join(lines)
 
 

@@ -1,7 +1,9 @@
 """Tier-2 trace JIT tests: differential equality against the
 interpreter with traces actually formed, exact side-exit accounting,
 multi-version promotion under a shifting branch profile, step-limit
-parity, and invalidation severing installed traces.
+parity, invalidation severing installed traces, and the guards of a
+trace that inlines a call (call hooks, host functions, code writes into
+the callee).
 
 Every machine here uses hair-trigger thresholds (``hot_threshold=4,
 min_edge=1``) so small test loops promote; the assertions on
@@ -15,7 +17,9 @@ import struct
 
 import pytest
 
+from repro.asm.assembler import assemble
 from repro.errors import CpuError
+from repro.isa.registers import GPR
 from repro.machine import tracejit
 from repro.machine.tracejit import TraceJIT, enable_tracejit
 from repro.machine.vm import Machine
@@ -23,6 +27,19 @@ from repro.obs import Metrics
 
 #: Aggressive promotion thresholds for test-sized loops.
 HOT = dict(hot_threshold=4, min_edge=1)
+
+
+def machine_at(tier: int) -> Machine:
+    m = Machine()
+    if tier:
+        m.enable_jit(trace=tier == 2, **(HOT if tier == 2 else {}))
+    return m
+
+
+def inlined(jit, addr: int) -> bool:
+    """Does a live trace version compile the code at ``addr``?"""
+    return any(s <= addr < e for table in jit.versions.values()
+               for ver in table.values() for s, e in ver.spans)
 
 
 def fingerprint(machine, result):
@@ -321,3 +338,108 @@ def test_enable_is_idempotent_and_guards_tier_conflict():
     m2.load("long main() { return 1; }")
     with pytest.raises(RuntimeError):
         enable_tracejit(m2)
+
+
+#: A hot loop calling a helper once per iteration; ``bump`` is compiled
+#: before ``main``, so the callee sits below the loop.
+CALL_SRC = """
+    noinline long bump(long x) { return x * 3 + 1; }
+    long main(long n) {
+        long t = 0;
+        for (long i = 0; i < n; i++) { t = t + bump(i); }
+        return t;
+    }
+"""
+
+
+def test_call_hook_installed_after_formation_sees_every_call():
+    """The call guard exits before the call while a hook is installed,
+    so the hook sees the interpreter's calls, argument registers and
+    instruction counts; formation refuses call paths meanwhile, so the
+    trace is not reinstalled just to be deactivated again."""
+    seqs = []
+    for tier in (0, 1, 2):
+        m = machine_at(tier)
+        m.load(CALL_SRC)
+        m.call("main", 60)
+        seq = []
+        m.cpu.call_hooks.append(lambda cpu, target, seq=seq: seq.append(
+            (target, cpu.regs[GPR.RDI], cpu.perf.instructions)))
+        if tier == 2:
+            assert inlined(m.jit, m.symbol("bump"))
+            installs = m.jit.stats()["trace_installs"]
+        r = m.call("main", 60)
+        seqs.append((seq, fingerprint(m, r)))
+    assert seqs[0] == seqs[1] == seqs[2]
+    assert len(seqs[0][0]) == 60
+    assert m.jit.stats()["trace_installs"] == installs
+
+
+def test_host_function_registered_at_callee_is_called_not_inlined():
+    """The call guard hands a callee that became a host function to
+    tier 1, and formation refuses it from then on."""
+    results = []
+    for tier in (0, 1, 2):
+        m = machine_at(tier)
+        m.load(CALL_SRC)
+        m.call("main", 60)
+        bump = m.symbol("bump")
+        if tier == 2:
+            assert inlined(m.jit, bump)
+            installs = m.jit.stats()["trace_installs"]
+        args = []
+
+        def host(cpu, args=args):
+            args.append(cpu.regs[GPR.RDI])
+            cpu.regs[GPR.RAX] = cpu.regs[GPR.RDI] * 7
+
+        m.cpu.host_functions[bump] = host
+        r = m.call("main", 60)
+        results.append((args, fingerprint(m, r)))
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == list(range(60))
+    assert m.jit.stats()["trace_installs"] == installs
+
+
+def _asm_at(m: Machine, addr: int, src: str, labels=None) -> bytes:
+    code, _ = assemble(src, addr, extra_labels=labels)
+    m.image.poke(addr, code)
+    return code
+
+
+@pytest.mark.parametrize("where", ["rewrite segment", "below the head"])
+def test_poking_the_callee_severs_the_trace(where):
+    """New bytes poked into an inlined callee sever the trace even
+    though they lie outside the head's function: in the rewrite segment
+    (above the head), or below the head, outside the installed entry's
+    ``[head, end)`` range."""
+    old, new = "add rax, 1\nret", "add rax, 7\nret"
+    loop = ("mov r15, 50\nmov rax, 0\ntop:\ncall callee\n"
+            "sub r15, 1\njne top\nret")
+    size = len(assemble(old, 0)[0])
+    assert len(assemble(new, 0)[0]) == size
+    fps = []
+    for tier in (0, 2):
+        m = machine_at(tier)
+        if where == "rewrite segment":
+            callee = m.image.alloc_rewrite(size)
+        else:
+            callee = m.image.add_function("callee", b"\x00" * size)
+        _asm_at(m, callee, old)
+        labels = {"callee": callee}
+        fn = m.image.add_function(
+            "f", b"\x00" * len(assemble(loop, 0, extra_labels=labels)[0]))
+        _asm_at(m, fn, loop, labels)
+        assert m.call(fn).uint_return == 50
+        if tier == 2:
+            assert inlined(m.jit, callee)
+            assert m.jit.stats()["installed_traces"] == 1
+        _asm_at(m, callee, new)
+        if tier == 2:
+            stats = m.jit.stats()
+            assert stats["installed_traces"] == 0, stats
+            assert not inlined(m.jit, callee)
+        r = m.call(fn)
+        assert r.uint_return == 350
+        fps.append(fingerprint(m, r))
+    assert fps[0] == fps[1]
