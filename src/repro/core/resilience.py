@@ -19,11 +19,11 @@ from research toys:
 * :func:`validate_variant` is a **differential validation gate**: before
   a variant is handed out, the specialized entry and the original are
   both executed on the tracing arguments plus N seeded-perturbed argument
-  vectors inside a scratch memory snapshot; return values and all memory
-  writes are compared, and a diverging variant is discarded with a
-  ``validation-failed`` reason.  This turns the paper's correctness
-  assumption ("the variant is a drop-in replacement") into a checked
-  invariant.
+  vectors under a write journal that rolls each run back; return values
+  and all memory writes are compared, and a diverging variant is
+  discarded with a ``validation-failed`` reason.  This turns the
+  paper's correctness assumption ("the variant is a drop-in
+  replacement") into a checked invariant.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable
 from repro.errors import ReproError, RewriteFailure
 from repro.core.config import Knownness, RewriteConfig
 from repro.core.rewriter import RewriteResult, rewrite
-from repro.machine.memory import Perm
 from repro.obs import Metrics
 
 #: Failure reasons for which a more conservative ladder rung cannot help:
@@ -104,49 +103,58 @@ DEFAULT_LADDER: tuple[LadderRung, ...] = (
 # ====================================================================== gate
 @dataclass
 class _Snapshot:
-    """Saved contents of every writable segment plus access counters."""
+    """Access counters at the moment a write journal opened; the
+    journal itself (:attr:`Memory.journal`) holds the pre-image of
+    every segment written since."""
 
-    segments: list[tuple[str, bytes]]
     loads: dict[str, int]
     stores: dict[str, int]
 
 
 def _take_snapshot(machine) -> _Snapshot:
+    """Open a write journal on the machine's memory.  The caller closes
+    it (``memory.close_journal()``) in a ``finally``."""
     memory = machine.image.memory
-    return _Snapshot(
-        segments=[
-            (seg.name, bytes(seg.data))
-            for seg in memory.segments
-            if Perm.W in seg.perms
-        ],
-        loads=dict(memory.loads),
-        stores=dict(memory.stores),
-    )
+    memory.open_journal()
+    return _Snapshot(loads=dict(memory.loads), stores=dict(memory.stores))
 
 
 def _restore_snapshot(machine, snap: _Snapshot) -> None:
+    """Write back the journaled pre-images and the saved counters; the
+    journal stays open for the next run."""
     memory = machine.image.memory
-    by_name = {seg.name: seg for seg in memory.segments}
-    for name, data in snap.segments:
-        by_name[name].data[:] = data
+    memory.rollback()
     memory.loads.clear()
     memory.loads.update(snap.loads)
     memory.stores.clear()
     memory.stores.update(snap.stores)
 
 
-def _writable_state(machine) -> list[tuple[str, bytes]]:
-    """Current contents of all writable segments (the "memory writes"
-    half of the differential comparison — identical inputs must leave
-    identical memory behind).  The stack is excluded: dead scratch left
-    below the return-time rsp differs legitimately between the original
-    and a variant with a different spill pattern and is not a
-    program-visible output."""
-    return [
-        (seg.name, bytes(seg.data))
-        for seg in machine.image.memory.segments
-        if Perm.W in seg.perms and seg.name != "stack"
-    ]
+def _writable_state(machine) -> dict[str, bytes]:
+    """Contents of every journaled segment (the "memory writes" half of
+    the differential comparison — identical inputs must leave identical
+    memory behind).  A segment no run has written since the journal
+    opened still equals its pre-image, so it is left out.  The stack is
+    excluded: dead scratch left below the return-time rsp differs
+    legitimately between the original and a variant with a different
+    spill pattern and is not a program-visible output."""
+    memory = machine.image.memory
+    return {
+        seg.name: bytes(seg.data)
+        for seg in memory.segments
+        if seg.name in memory.journal and seg.name != "stack"
+    }
+
+
+def _diverged_segments(machine, got: dict[str, bytes],
+                       want: dict[str, bytes]) -> list[str]:
+    """Segments whose contents differ between two :func:`_writable_state`
+    captures of one journal.  ``got`` is the later capture, so it covers
+    every segment either run wrote; one that ``want`` lacks was still
+    at its pre-image when ``want`` was taken."""
+    pre = machine.image.memory.journal
+    return [name for name, data in got.items()
+            if data != want.get(name, pre[name])]
 
 
 def _perturbed_vectors(
@@ -187,13 +195,14 @@ class _Observation:
     error: str | None = None
     uint_return: int = 0
     float_return: float = 0.0
-    memory: list[tuple[str, bytes]] = field(default_factory=list)
+    memory: dict[str, bytes] = field(default_factory=dict)
 
 
 def _observe(machine, entry: int, args: tuple, max_steps: int) -> _Observation:
     """Run ``entry`` on ``args`` and capture its observable behaviour.
 
-    The caller is responsible for snapshot/restore around this."""
+    The caller opens the journal (:func:`_take_snapshot`) and restores
+    around this."""
     try:
         run = machine.cpu.run(entry, *args, max_steps=max_steps)
     except ReproError as exc:  # CpuError, MemoryError_, DecodeError, ...
@@ -218,10 +227,13 @@ def validate_variant(
     """Differentially validate ``result.entry`` against the original.
 
     Executes both entry points on the tracing args and ``vectors``
-    seeded perturbations of the UNKNOWN parameters, each inside a scratch
-    snapshot of all writable memory, and compares return registers and
-    every memory write.  Returns ``None`` when no divergence was observed
-    or a human-readable mismatch description otherwise.
+    seeded perturbations of the UNKNOWN parameters under one write
+    journal: each run is rolled back by writing back the pre-images of
+    the segments written so far, so a vector copies only what the runs
+    write, not every writable segment.  Compares return registers and
+    the contents of every segment either run wrote.  Returns ``None``
+    when no divergence was observed or a human-readable mismatch
+    description otherwise.
 
     A vector on which the *original* itself faults or exceeds the step
     budget is skipped (nothing to compare against); a variant that faults
@@ -252,15 +264,12 @@ def validate_variant(
                     f"float return diverged on {vec!r}: "
                     f"{got.float_return!r} != {want.float_return!r}"
                 )
-            if got.memory != want.memory:
-                names = [
-                    name
-                    for (name, a), (_, b) in zip(got.memory, want.memory)
-                    if a != b
-                ]
+            names = _diverged_segments(machine, got.memory, want.memory)
+            if names:
                 return f"memory writes diverged on {vec!r} in {names}"
     finally:
         _restore_snapshot(machine, snap)
+        machine.image.memory.close_journal()
     return None
 
 

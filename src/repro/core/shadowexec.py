@@ -13,10 +13,14 @@ published variants *supervised*:
   phase derived from the seed, so two runs of the same workload sample
   the same calls — bit-for-bit reproducible soaks depend on this);
 
-* a sampled call runs the **original first** inside a scratch snapshot
-  of all writable memory, restores, then runs the published variant for
-  real; return registers and every non-stack memory write are compared
-  exactly as in :func:`repro.core.resilience.validate_variant`;
+* a sampled call runs the **original first** under a write journal
+  (:meth:`repro.machine.memory.Memory.open_journal`: the first write to
+  each writable segment copies that segment's pre-image), rolls back
+  the segments it wrote, then runs the published variant for real;
+  return registers and every non-stack segment either run wrote are
+  compared exactly as in :func:`repro.core.resilience.validate_variant`.
+  A sample thus copies what its runs write (in practice the stack), not
+  every writable segment;
 
 * on a match the variant's effects stay in place and the caller gets
   the variant's result — the sample cost is one extra execution;
@@ -43,6 +47,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError, RewriteFailure
 from repro.core.resilience import (
     _Observation,
+    _diverged_segments,
     _observe,
     _restore_snapshot,
     _take_snapshot,
@@ -158,17 +163,36 @@ class ShadowSampler:
     ) -> ShadowOutcome:
         """Execute ``entry`` under shadow supervision of ``original``.
 
-        Protocol: snapshot writable memory → run the original on the
-        snapshot → restore → run the variant *for real* → compare.  On
+        Protocol: open a write journal → run the original → roll back
+        → run the variant *for real* → compare → close the journal.  On
         agreement the variant's effects are kept; on divergence they are
-        rolled back and the original is re-run so the caller observes
-        exactly what an unspecialized program would have."""
+        rolled back and the original is re-run (journal closed) so the
+        caller observes exactly what an unspecialized program would
+        have.  The journal is closed even when an exception escapes."""
         max_steps = max_steps if max_steps is not None else self.max_steps
         machine = self.machine
         self.metrics.inc("shadow.samples")
         snap = _take_snapshot(machine)
-        want = _observe(machine, original, args, max_steps)
-        _restore_snapshot(machine, snap)
+        try:
+            want = _observe(machine, original, args, max_steps)
+            _restore_snapshot(machine, snap)
+            if want.error is None:
+                try:
+                    run = machine.cpu.run(entry, *args, max_steps=max_steps)
+                except ReproError as exc:
+                    divergence = (
+                        f"variant faulted on {args!r}: "
+                        f"{type(exc).__name__}: {exc}"
+                    )
+                else:
+                    divergence = self._compare(want, run, args)
+                    if divergence is None:
+                        self.metrics.inc("shadow.matches")
+                        return ShadowOutcome(run=run)
+                # roll the variant's effects back
+                _restore_snapshot(machine, snap)
+        finally:
+            machine.image.memory.close_journal()
         if want.error is not None:
             # the original faults on these live args: nothing to judge
             # the variant against — deliver it unsupervised this time
@@ -178,27 +202,7 @@ class ShadowSampler:
                 run=machine.cpu.run(entry, *args, max_steps=max_steps),
                 unjudged=True,
             )
-        try:
-            run = machine.cpu.run(entry, *args, max_steps=max_steps)
-        except ReproError as exc:
-            _restore_snapshot(machine, snap)
-            self.metrics.inc("shadow.divergences")
-            divergence = (
-                f"variant faulted on {args!r}: {type(exc).__name__}: {exc}"
-            )
-            self._journal("shadow-divergence", {
-                "entry": entry, "original": original, "mismatch": divergence,
-            })
-            return ShadowOutcome(
-                run=machine.cpu.run(original, *args, max_steps=max_steps),
-                divergence=divergence,
-            )
-        divergence = self._compare(want, run, args)
-        if divergence is None:
-            self.metrics.inc("shadow.matches")
-            return ShadowOutcome(run=run)
-        # roll the variant's effects back and serve the caller the truth
-        _restore_snapshot(machine, snap)
+        # serve the caller the truth
         self.metrics.inc("shadow.divergences")
         self._journal("shadow-divergence", {
             "entry": entry, "original": original, "mismatch": divergence,
@@ -229,13 +233,9 @@ class ShadowSampler:
                 f"float return diverged on {args!r}: "
                 f"{run.float_return!r} != {want.float_return!r}"
             )
-        got_memory = _writable_state(self.machine)
-        if got_memory != want.memory:
-            names = [
-                name
-                for (name, a), (_, b) in zip(got_memory, want.memory)
-                if a != b
-            ]
+        names = _diverged_segments(
+            self.machine, _writable_state(self.machine), want.memory)
+        if names:
             return f"memory writes diverged on {args!r} in {names}"
         return None
 

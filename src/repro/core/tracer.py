@@ -62,6 +62,7 @@ from repro.isa.operands import FReg, Imm, Mem, Reg
 from repro.isa.registers import GPR, XMM
 from repro.isa import semantics as S
 from repro.machine.image import Image
+from repro.machine.memory import Perm
 
 MASK64 = (1 << 64) - 1
 _INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
@@ -203,8 +204,6 @@ class Tracer:
             self.stats.folded_instructions += 1
 
     def _decode(self, addr: int) -> Instruction:
-        from repro.machine.memory import Perm
-
         try:
             seg = self.image.memory.segment_for(addr, 2)
         except MemoryError_:
@@ -437,7 +436,7 @@ class Tracer:
         runtime tiers invalidate their caches on code writes, but a
         rewrite baked around the *old* bytes cannot be fixed up)."""
         return any(
-            seg.executable and addr < seg.end and addr + size > seg.base
+            addr < seg.end and addr + size > seg.base and Perm.X in seg.perms
             for seg in self.image.memory.segments
         )
 
@@ -1485,8 +1484,6 @@ class Tracer:
         return cfg
 
     def _is_executable(self, addr: int) -> bool:
-        from repro.machine.memory import Perm
-
         try:
             seg = self.image.memory.segment_for(addr, 2)
         except Exception:

@@ -109,7 +109,7 @@ class _NoSeg:
     """TLB sentinel whose bounds check always misses.
 
     The tier-2 trace preamble caches segment *fields* (base/end/data/
-    extra_cost/name/executable) into locals, so the sentinel carries
+    extra_cost/name/watched) into locals, so the sentinel carries
     inert values for all of them; the failing bounds check guarantees
     they are replaced before any access goes through."""
 
@@ -118,7 +118,7 @@ class _NoSeg:
     data = b""
     extra_cost = 0
     name = "?"
-    executable = False
+    watched = False
 
 
 _NOSEG = _NoSeg()
@@ -290,14 +290,29 @@ class _BlockCompiler:
           "perf.remote_accesses += 1")
         e("mstores[seg_.name] += 1")
         fn = "PQI" if fmt == "Q" else "PDI"
-        e(f"{fn}(seg_.data, {t} - seg_.base, {value_expr})")
-        # A store into executable bytes must invalidate decoded-code
-        # caches (including this JIT's own) and stop the block at the
-        # next instruction boundary — the bytes it compiled may be the
-        # ones just overwritten (see the ``cw_`` exit in :meth:`gen`).
-        e("if seg_.executable:")
+        self._barriered_store(
+            "seg_.watched and cpu.memory.before_write(seg_)",
+            f"{fn}(seg_.data, {t} - seg_.base, {value_expr})", t,
+            count_inline)
+
+    def _barriered_store(self, slow: str, write: str, t: str,
+                         count_inline: bool) -> None:
+        """Emit ``write`` behind the write barrier.  ``slow`` tests the
+        site's ``watched`` flag (the only test on the fast path), then
+        runs :meth:`Memory.before_write`, which journals the segment's
+        pre-image before the bytes change and is true for executable
+        segments.  A store into executable bytes must invalidate
+        decoded-code caches (including this JIT's own) and stop the
+        block at the next instruction boundary — the bytes it compiled
+        may be the ones just overwritten (see the ``cw_`` exit in
+        :meth:`gen`)."""
+        e = self.emit
+        e(f"if {slow}:")
+        e(f"    {write}")
         e(f"    cpu.image.notify_code_write({t}, 8)")
         e("    cw_ = True")
+        e("else:")
+        e(f"    {write}")
         self._store_sites += 1
         self.needs.add("cw")
         if count_inline:

@@ -139,9 +139,11 @@ class CPU:
         self._charge_segment(seg)
         self.memory.stores[seg.name] += 1
         self.perf.stores += 1
-        struct.pack_into("<Q", seg.data, addr - seg.base, value & MASK64)
-        if seg.executable:
+        if seg.watched and self.memory.before_write(seg):
+            struct.pack_into("<Q", seg.data, addr - seg.base, value & MASK64)
             self.image.notify_code_write(addr, 8)
+        else:
+            struct.pack_into("<Q", seg.data, addr - seg.base, value & MASK64)
 
     def load_f64(self, addr: int) -> float:
         """Double load with counters and segment surcharge."""
@@ -157,9 +159,11 @@ class CPU:
         self._charge_segment(seg)
         self.memory.stores[seg.name] += 1
         self.perf.stores += 1
-        struct.pack_into("<d", seg.data, addr - seg.base, value)
-        if seg.executable:
+        if seg.watched and self.memory.before_write(seg):
+            struct.pack_into("<d", seg.data, addr - seg.base, value)
             self.image.notify_code_write(addr, 8)
+        else:
+            struct.pack_into("<d", seg.data, addr - seg.base, value)
 
     # --------------------------------------------------------------- fetch
     def fetch(self, addr: int) -> Instruction:

@@ -109,9 +109,11 @@ class Image:
         """Loader-level raw write (bypasses permissions and counters)."""
         seg = self.memory.segment_for(addr, len(data))
         off = addr - seg.base
-        seg.data[off : off + len(data)] = data
-        if seg.executable:
+        if seg.watched and self.memory.before_write(seg):
+            seg.data[off : off + len(data)] = data
             self.notify_code_write(addr, len(data))
+        else:
+            seg.data[off : off + len(data)] = data
 
     def notify_code_write(self, addr: int, length: int) -> None:
         """Fire the executable-write listeners for ``[addr, addr+length)``.

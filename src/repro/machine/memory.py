@@ -4,6 +4,14 @@ Segments carry permissions and an ``extra_cost`` per access — that is
 how simulated remote-node memory (PGAS experiments) charges its latency
 without special-casing anything in the CPU.  All multi-byte accesses are
 little-endian; doubles are IEEE-754 binary64.
+
+Every store path tests one per-segment flag, :attr:`Segment.watched`,
+and takes the slow path :meth:`Memory.before_write` only when it is
+set: on executable segments (code listeners), and on writable ones not
+yet written under an open **write journal**, whose pre-images
+:meth:`Memory.rollback` writes back.  The snapshots of shadow sampling
+and the validation gate are such journals, so they copy only the
+segments a run writes.
 """
 
 from __future__ import annotations
@@ -43,8 +51,10 @@ class Segment:
             self.data = bytearray(self.size)
         elif len(self.data) != self.size:
             raise ValueError("backing buffer size mismatch")
-        # precomputed so hot paths skip the enum-flag membership test
-        self.executable = Perm.X in self.perms
+        #: The one flag every store path tests; its slow path is
+        #: :meth:`Memory.before_write`.  Set for executable segments, and
+        #: for writable ones not yet journaled while a journal is open.
+        self.watched = Perm.X in self.perms
 
     @property
     def end(self) -> int:
@@ -62,6 +72,9 @@ class Memory:
         # Access counters per segment name, maintained for the perf report.
         self.loads: dict[str, int] = {}
         self.stores: dict[str, int] = {}
+        #: The open write journal: segment name -> contents before the
+        #: segment's first write since :meth:`open_journal`, or None.
+        self.journal: dict[str, bytes] | None = None
 
     # -- mapping ----------------------------------------------------------
     def map_segment(self, segment: Segment) -> Segment:
@@ -91,6 +104,45 @@ class Memory:
                 return segment
         raise MemoryError_(f"no segment named {name!r}")
 
+    # -- write journal -----------------------------------------------------
+    def open_journal(self) -> None:
+        """Watch every writable segment until its first write (one
+        journal at a time)."""
+        if self.journal is not None:
+            raise MemoryError_("a write journal is already open")
+        self.journal = {}
+        for seg in self.segments:
+            if Perm.W in seg.perms:
+                seg.watched = True
+
+    def before_write(self, seg: Segment) -> bool:
+        """Slow path of the write barrier, run before the bytes of a
+        watched segment change.  A writable segment's first write under
+        the open journal saves its pre-image and unwatches it unless it
+        is executable.  Returns the flag afterwards, which is then set
+        exactly on executable segments: the caller stores, then
+        notifies the code listeners if it is true."""
+        journal = self.journal
+        if journal is not None and seg.name not in journal and Perm.W in seg.perms:
+            journal[seg.name] = bytes(seg.data)
+            seg.watched = Perm.X in seg.perms
+        return seg.watched
+
+    def rollback(self) -> None:
+        """Write every journaled pre-image back; the journal stays open
+        (its pre-images still hold) and the segments stay unwatched."""
+        for seg in self.segments:
+            pre = self.journal.get(seg.name)
+            if pre is not None:
+                seg.data[:] = pre
+
+    def close_journal(self) -> None:
+        """Drop the journal (if any) and unwatch all but executable
+        segments; the current contents stay as they are."""
+        self.journal = None
+        for seg in self.segments:
+            seg.watched = Perm.X in seg.perms
+
     # -- raw access --------------------------------------------------------
     def read_bytes(self, addr: int, length: int, *, count: bool = True) -> bytes:
         """Permission-checked read; ``count=False`` skips the counters."""
@@ -109,6 +161,8 @@ class Memory:
             raise MemoryError_(f"write to non-writable segment {seg.name!r}", addr)
         if count:
             self.stores[seg.name] += 1
+        if seg.watched:
+            self.before_write(seg)
         off = addr - seg.base
         seg.data[off : off + len(data)] = data
 

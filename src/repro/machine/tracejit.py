@@ -264,7 +264,7 @@ class _TraceCompiler(_BlockCompiler):
         #: Per-site TLB slots: every static access site caches its own
         #: segment in its own locals (site ``j``: ``sb{j}_`` base,
         #: ``sm{j}_`` last valid address, ``sd{j}_`` data, ``sx{j}_``
-        #: surcharge, ``sn{j}_`` name, ``sw{j}_`` executable, plus a
+        #: surcharge, ``sn{j}_`` name, ``sw{j}_`` watched, plus a
         #: batched access counter ``mlc{j}_``/``msc{j}_``).  A site has
         #: locality to one segment even when consecutive sites alternate
         #: segments (matrix / stack / matrix), which thrashes a shared
@@ -322,7 +322,7 @@ class _TraceCompiler(_BlockCompiler):
         e(f"    seg_ = segfor({t}, 8); cpu._seg_cache = seg_")
         e(f"    sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8; "
           f"sd{j}_ = seg_.data; sx{j}_ = seg_.extra_cost; "
-          f"sn{j}_ = seg_.name; sw{j}_ = seg_.executable")
+          f"sn{j}_ = seg_.name; sw{j}_ = seg_.watched")
 
     def load(self, ea_expr, var, fmt="Q", count_inline=False):
         """Inline a guest load through this site's private TLB slot."""
@@ -348,8 +348,9 @@ class _TraceCompiler(_BlockCompiler):
 
     def store(self, ea_expr, value_expr, fmt="Q", count_inline=False):
         """Inline a guest store through this site's private TLB slot,
-        with the tier-1 ``cw_`` self-modification flag on executable
-        hits."""
+        behind tier 1's write barrier.  The slow path re-reads the
+        site's cached ``sw{j}_`` flag, so after the store that journals
+        a segment the site is back on the fast path."""
         j = len(self._load_slots) + len(self._store_slots)
         self._store_slots.append(j)
         t = self.tmp()
@@ -362,17 +363,10 @@ class _TraceCompiler(_BlockCompiler):
           "perf.remote_accesses += 1")
         e(f"msc{j}_ += 1")
         fn = "PQI" if fmt == "Q" else "PDI"
-        e(f"{fn}(sd{j}_, {t} - sb{j}_, {value_expr})")
-        e(f"if sw{j}_:")
-        e(f"    cpu.image.notify_code_write({t}, 8)")
-        e("    cw_ = True")
-        self._store_sites += 1
-        self.needs.add("cw")
-        if count_inline:
-            e("perf.stores += 1")
-        else:
-            self.n_stores += 1
-        self.needs.update(("mem", "mstores"))
+        self._barriered_store(
+            f"sw{j}_ and (sw{j}_ := "
+            f"cpu.memory.before_write(segfor({t}, 8)))",
+            f"{fn}(sd{j}_, {t} - sb{j}_, {value_expr})", t, count_inline)
 
     # ------------------------------------------------------ translation
     def gen_insn(self, insn, flags_needed):

@@ -6,7 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import brew_init_conf, brew_rewrite, brew_setpar, BREW_KNOWN
+from repro.asm.assembler import assemble
 from repro.core.shadowexec import ShadowSampler
+from repro.machine.memory import Perm
 from repro.machine.vm import Machine
 from repro.testing import FaultInjector
 
@@ -15,6 +17,8 @@ noinline long poly(long x, long k) { return x * k + k; }
 noinline long poly_evil(long x, long k) { return x * k + k + 1; }
 noinline long store(long p, long v) { *(long*)p = v; return v; }
 noinline long store_evil(long p, long v) { *(long*)p = v + 1; return v; }
+noinline long store_twin(long p, long v) { *(long*)p = v; return v; }
+noinline long keep(long p, long v) { return v; }
 noinline long deref(long p) { return *(long*)p; }
 noinline long seven(long p) { return 7; }
 """
@@ -124,6 +128,60 @@ def test_faulting_variant_is_a_divergence(machine):
     assert outcome.divergence is not None
     assert "variant faulted" in outcome.divergence
     assert outcome.run.int_return == 7
+
+
+# ------------------------------------------------------- write journal
+@pytest.mark.parametrize("variant, original, cell_after", [
+    ("store", "keep", 0),   # the variant writes a segment the original does not
+    ("keep", "store", 5),   # the original writes a segment the variant does not
+])
+def test_one_sided_writes_diverge(machine, variant, original, cell_after):
+    """Each run journals only the segments it writes; the comparison
+    covers the union, so a segment only one side wrote still diverges."""
+    sampler = ShadowSampler(machine)
+    cell = machine.image.malloc(8)
+    outcome = sampler.run_shadowed(
+        machine.image.resolve(variant), machine.image.resolve(original),
+        (cell, 5),
+    )
+    assert outcome.divergence == (
+        f"memory writes diverged on {(cell, 5)!r} in ['heap']")
+    # the caller is served the original's effects either way
+    assert machine.memory.read_u64(cell) == cell_after
+
+
+def test_identical_writes_match(machine):
+    sampler = ShadowSampler(machine)
+    cell = machine.image.malloc(8)
+    outcome = sampler.run_shadowed(
+        machine.image.resolve("store_twin"), machine.image.resolve("store"),
+        (cell, 5),
+    )
+    assert outcome.divergence is None and not outcome.unjudged
+    assert machine.memory.read_u64(cell) == 5
+
+
+@pytest.mark.parametrize("raising", ["original", "variant"])
+def test_escaping_exception_leaves_no_journal_open(machine, raising):
+    def boom(cpu):
+        raise RuntimeError("host failure")
+
+    machine.register_host_function("boom", boom)
+    src = "call boom\nret"
+    probe, _ = assemble(src, 0, extra_labels=dict(machine.image.symbols))
+    fn = machine.image.add_function("calls_boom", b"\x00" * len(probe))
+    code, _ = assemble(src, fn, extra_labels=dict(machine.image.symbols))
+    machine.image.poke(fn, code)
+    seven = machine.image.resolve("seven")
+    entry, original = (seven, fn) if raising == "original" else (fn, seven)
+    with pytest.raises(RuntimeError, match="host failure"):
+        ShadowSampler(machine).run_shadowed(entry, original, (0,))
+    memory = machine.memory
+    assert memory.journal is None
+    assert not [s.name for s in memory.segments
+                if s.watched and Perm.X not in s.perms]
+    memory.open_journal()  # and the next sample can open one
+    memory.close_journal()
 
 
 # ----------------------------------------------------------- fault kind

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import MemoryError_, SegmentationFault
 from repro.machine.memory import Memory, Perm, Segment
+from repro.machine.vm import Machine
 
 
 @pytest.fixture
@@ -92,3 +93,62 @@ def test_f64_roundtrip_property(value):
     m.map_segment(Segment("ram", 0x1000, 0x100, Perm.RW))
     m.write_f64(0x1000, value)
     assert m.read_f64(0x1000) == value
+
+
+# -- write journal ------------------------------------------------------
+def test_journal_keeps_the_pre_image_of_the_first_write(mem):
+    mem.write_u64(0x1000, 1)
+    before = bytes(mem.segment_by_name("ram").data)
+    mem.open_journal()
+    ram = mem.segment_by_name("ram")
+    assert ram.watched and mem.segment_by_name("remote").watched
+    assert not mem.segment_by_name("rom").watched, "read-only is never journaled"
+    mem.write_u64(0x1000, 2)
+    assert mem.journal == {"ram": before}
+    assert not ram.watched, "a journaled segment leaves the slow path"
+    mem.write_u64(0x1008, 3)
+    assert mem.journal == {"ram": before}, "only the first write copies"
+    mem.rollback()
+    assert bytes(ram.data) == before and mem.journal == {"ram": before}
+    mem.close_journal()
+    assert mem.journal is None
+    assert not any(seg.watched for seg in mem.segments)
+
+
+def test_second_journal_is_refused(mem):
+    mem.open_journal()
+    with pytest.raises(MemoryError_, match="already open"):
+        mem.open_journal()
+    mem.close_journal()
+    mem.open_journal()  # one at a time, not one ever
+    mem.close_journal()
+
+
+def test_every_store_path_journals_before_writing():
+    """``Image.poke``, ``Memory.write_bytes`` and both CPU store helpers
+    each take the pre-image of the segment they write first, and a
+    rollback undoes all of them."""
+    m = Machine()
+    image, memory, cpu = m.image, m.memory, m.cpu
+    image.map_remote_node(0, 0x1000, 50)
+    heap, data = image.malloc(16), image.add_data(None, b"\x07" * 8)
+    stack, remote = image.initial_rsp - 8, 0x1_0000_0000
+    seg = {s.name: s for s in memory.segments}
+    before = {name: bytes(s.data) for name, s in seg.items()}
+    memory.open_journal()
+    image.poke(heap, b"\x01" * 8)
+    memory.write_bytes(data, b"\x02" * 8)
+    cpu.store_u64(stack, 3)
+    cpu.store_f64(remote, 4.0)
+    assert set(memory.journal) == {"heap", "data", "stack", "remote0"}
+    for name, pre in memory.journal.items():
+        assert pre == before[name], name
+    assert not any(seg[n].watched for n in memory.journal)
+    # code is watched for the code listeners, never journaled
+    image.poke(image.seg_code.base, b"\x90")
+    assert "code" not in memory.journal and seg["code"].watched
+    memory.rollback()
+    memory.close_journal()
+    assert {name: bytes(s.data) for name, s in seg.items()} == {
+        **before, "code": b"\x90" + before["code"][1:]}
+    assert [s.name for s in memory.segments if s.watched] == ["code", "rewrite"]

@@ -18,6 +18,10 @@ UCOMISD on operands that cross equality, sign and overflow mid-loop.
 Hand-written hot loops cover the ways a trace leaves through a call or
 a return: guards inside callees, switching indirect targets, shared and
 nested helpers, rewritten return slots and self-modifying callees.
+The same random bodies, extended with stores into the data, stack and a
+remote segment, also run under an open write journal on every tier: a
+rollback must leave every segment byte-identical to a full copy, even
+after a host function writes mid-run or the guest faults mid-trace.
 
 NaN payloads are the one thing compared loosely.  When both operands
 of a float add/sub/mul/div are NaNs with different bits, CPython returns
@@ -39,6 +43,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.asm.assembler import assemble
+from repro.core.resilience import _restore_snapshot, _take_snapshot
 from repro.errors import CpuError
 from repro.isa.opcodes import OpClass
 from repro.machine.blockjit import _BLOCK_ENDERS
@@ -623,3 +628,170 @@ def test_every_condition_after_compare(tier_machines, cond, compare, reader):
        init=st.lists(_qword, min_size=BUF_QWORDS, max_size=BUF_QWORDS))
 def test_random_loop_bodies_match_across_tiers(tier_machines, items, init):
     assert_tiers_agree(tier_machines, items, init)
+
+
+# ----------------------------------------------------------- write journal
+#: Every journaled run stores into these segments (the buffer is on the
+#: heap); a remote segment is mapped at ``REMOTE``.
+JOURNALED = {"heap", "data", "stack", "remote0"}
+REMOTE = 0x1_0000_0000
+
+
+def journal_machine(tier: int) -> Machine:
+    m = machine_at(tier, **HOT)
+    m.image.map_remote_node(0, 0x1000, 40)
+    return m
+
+
+def full_copy(machine: Machine) -> list:
+    return [(seg.name, bytes(seg.data)) for seg in machine.memory.segments]
+
+
+def contents(machine: Machine) -> list:
+    """Every segment's live bytes, comparable with a :func:`full_copy`."""
+    return [(seg.name, seg.data) for seg in machine.memory.segments]
+
+
+def run_journaled(machine: Machine, run) -> tuple:
+    """``run()`` under an open write journal, then rolled back.  The
+    rollback must restore every segment byte for byte and both access
+    counter tables.  Returns ``(run's result or exception, journaled
+    segment names)``."""
+    memory = machine.memory
+    before = full_copy(machine)
+    loads, stores = dict(memory.loads), dict(memory.stores)
+    snap = _take_snapshot(machine)
+    try:
+        try:
+            outcome = run()
+        except CpuError as exc:
+            outcome = exc
+        written = set(memory.journal)
+        _restore_snapshot(machine, snap)
+    finally:
+        memory.close_journal()
+    assert contents(machine) == before
+    assert memory.loads == loads and memory.stores == stores
+    return outcome, written
+
+
+@pytest.fixture(scope="module")
+def journal_machines():
+    return [journal_machine(tier) for tier in (0, 1, 2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(items=st.lists(_ITEM, min_size=2, max_size=8),
+       init=st.lists(_qword, min_size=BUF_QWORDS, max_size=BUF_QWORDS))
+def test_journaled_rollback_is_exact_across_tiers(journal_machines, items,
+                                                  init):
+    """A warm-up run installs the trace; the journaled run must match a
+    plain re-run from the same state on every tier, and its rollback
+    must be exact."""
+    data = journal_machines[0].image.add_data(None, bytes(8))
+    stores = [f"mov [r14 + {BUF_QWORDS * 8 - 8}], r15", f"mov [{data}], r15",
+              f"mov r12, {REMOTE}", "mov [r12], rax", "push r15", "pop r12"]
+    src = render_loop(items + [stores])
+    traced = journal_machines[2].jit
+    fps = []
+    for m in journal_machines:
+        if m is not journal_machines[0]:
+            assert m.image.add_data(None, bytes(8)) == data
+        fn = load_asm(m, f"body{len(m.image.symbols)}", src)
+        buf = m.image.malloc(BUF_QWORDS * 8)
+        m.image.poke(buf, struct.pack(f"<{BUF_QWORDS}Q", *init))
+        warm = run_fingerprint(m, fn, buf)
+        entries = traced.stats()["trace_entries"]
+        journaled, written = run_journaled(
+            m, lambda: run_fingerprint(m, fn, buf))
+        assert written == JOURNALED, src
+        if m is journal_machines[2]:
+            assert traced.stats()["trace_entries"] > entries, src
+        assert run_fingerprint(m, fn, buf) == journaled, src
+        fps.append([warm, journaled])
+    assert fps[0] == fps[1] == fps[2], src
+
+
+#: Writes heap and stack in a hot loop, calls ``host`` (which writes the
+#: data and remote segments first, then the heap), then reads back what
+#: the host wrote in a second hot loop that also stores to the remote
+#: segment.
+HOST_WRITES = f"""
+        mov r14, rdi
+        mov r15, 12
+    first:
+        mov [r14 + 8], r15
+        push r15
+        pop rbx
+        sub r15, 1
+        jne first
+        call host
+        mov r15, 12
+        mov r12, {REMOTE}
+    second:
+        mov rax, [r12]
+        add rax, [r14 + 24]
+        add rax, r15
+        mov [r12 + 8], rax
+        mov [r14 + 16], rax
+        sub r15, 1
+        jne second
+        ret
+"""
+
+#: Stores into every journaled segment each iteration, then divides by
+#: ``r15 - rsi``: the warm-up (rsi = 100) never faults, the journaled
+#: run (rsi = 5) faults in its eighth iteration.
+DIVIDES = f"""
+        mov r14, rdi
+        mov r13, rdx
+        mov r15, 12
+    top:
+        mov [r14 + 8], r15
+        mov [r14 + 16], rax
+        mov r12, {REMOTE}
+        mov [r12], r15
+        push r15
+        pop rbx
+        mov [r13], rbx
+        mov rcx, r15
+        sub rcx, rsi
+        mov rax, 1000
+        idiv rcx
+        sub r15, 1
+        jne top
+        ret
+"""
+
+
+@pytest.mark.parametrize("case", ["host writes mid-run", "fault mid-run"])
+def test_journaled_rollback_survives_host_writes_and_faults(case):
+    outcomes = []
+    for tier in (0, 1, 2):
+        m = journal_machine(tier)
+        buf = m.image.malloc(BUF_QWORDS * 8)
+        data = m.image.add_data(None, bytes(8))
+        if case == "host writes mid-run":
+            def host(cpu, m=m, data=data, buf=buf):
+                m.image.poke(data, struct.pack("<Q", 5))
+                m.memory.write_bytes(REMOTE, struct.pack("<Q", 7))
+                m.image.poke(buf + 24, struct.pack("<Q", 9))
+
+            m.register_host_function("host", host)
+            fn = load_asm(m, "f", HOST_WRITES)
+            m.call(fn, buf)
+            outcome, written = run_journaled(m, lambda: m.call(fn, buf))
+            outcomes.append((outcome.uint_return, outcome.steps,
+                             outcome.perf.as_dict()))
+        else:
+            fn = load_asm(m, "f", DIVIDES)
+            m.call(fn, buf, 100, data)
+            outcome, written = run_journaled(
+                m, lambda: m.call(fn, buf, 5, data))
+            assert isinstance(outcome, CpuError), outcome
+            outcomes.append(str(outcome))
+        assert written == JOURNALED, written
+        if tier == 2:
+            assert m.jit.stats()["trace_entries"] > 0
+    assert outcomes[0] == outcomes[1] == outcomes[2]
