@@ -82,7 +82,6 @@ def build_guard_stub(
     base_name = image.symbol_names.get(original, f"fn_{original:x}")
     image.function_sizes[addr] = len(code)
     image.define_symbol(f"{base_name}__guard_{param}_{value & 0xFFFF:x}_{addr:x}", addr)
-    machine.cpu.invalidate_icache()
     return addr
 
 

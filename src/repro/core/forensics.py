@@ -220,6 +220,7 @@ def restore_machine(doc: dict):
 
     machine = Machine()
     image = machine.image
+    # a new Machine has nothing decoded or compiled: raw writes need no notify
     by_name = {seg.name: seg for seg in image.memory.segments}
     try:
         for rec in doc["segments"]:
@@ -247,7 +248,6 @@ def restore_machine(doc: dict):
         image._rewrite_next = int(alloc["rewrite"])
     except (KeyError, TypeError, ValueError) as exc:
         raise RewriteFailure("bundle-corrupt", f"image document mismatch: {exc}")
-    machine.cpu.invalidate_icache()
     return machine
 
 

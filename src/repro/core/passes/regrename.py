@@ -51,7 +51,7 @@ def rename_registers(insns: list[Instruction], image: Image) -> list[Instruction
     # alias map: register key -> operand it currently copies
     alias: dict[tuple, Reg | FReg] = {}
 
-    def invalidate(key) -> None:
+    def forget(key) -> None:
         if key is None:
             return
         alias.pop(key, None)
@@ -105,7 +105,7 @@ def rename_registers(insns: list[Instruction], image: Image) -> list[Instruction
             and _reg_key(new_insn.operands[0]) is not None
             and _reg_key(new_insn.operands[1]) is not None
         )
-        invalidate(written)
+        forget(written)
         if is_copy and new_insn.operands[0] != new_insn.operands[1]:
             alias[_reg_key(new_insn.operands[0])] = new_insn.operands[1]  # type: ignore[index]
         if is_copy and new_insn.operands[0] == new_insn.operands[1]:

@@ -202,7 +202,6 @@ def _restore_one(manager, record: dict) -> tuple[tuple, bool]:
         name = record.get("name")
         if name and name not in image.symbols:
             image.define_symbol(name, entry)
-        manager.machine.cpu.invalidate_icache()
         result = RewriteResult(
             ok=True,
             original=original,

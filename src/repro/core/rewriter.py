@@ -156,8 +156,6 @@ def rewrite(
         base_name = image.symbol_names.get(original, f"fn_{original:x}")
         name = f"{base_name}__brew{next(_name_counter)}"
         entry, size, debug = emit_into_image(image, registry, output.entry_label, name)
-        if cpu is not None:
-            cpu.invalidate_icache()
         return RewriteResult(
             ok=True,
             original=original,

@@ -36,22 +36,21 @@ run that completes without a fault; the EXT-6 harness asserts this.
 Invalidation contract
 ---------------------
 
-Stale translations must never execute.  The cache is invalidated by
-
-* :meth:`CPU.invalidate_icache` (the rewriter calls it after every
-  emission, tests call it after patching code in place),
-* any :meth:`Image.poke`/:meth:`Image.reserve_rewrite` that touches an
-  executable segment (covers guard stubs, persistence restores that
-  re-place bodies, and in-place patches even when the caller forgets
-  the icache), via :attr:`Image.code_listeners`,
-* :meth:`SpecializationManager` invalidation listeners when attached
-  with :meth:`BlockJIT.watch_manager` (shadow-validation rollbacks and
-  quarantine withdrawals).
+Stale translations must never execute.  One path invalidates the cache:
+every write of executable bytes — :meth:`Image.poke` (rewriter
+emissions, guard stubs, persistence restores, in-place patches),
+:meth:`Image.reserve_rewrite`, and guest stores into code — calls
+:meth:`Image.notify_code_write`, whose listener
+:meth:`BlockJIT.invalidate_range` drops exactly the blocks overlapping
+the written range.  Code elsewhere stays compiled: the rewriter emits
+each variant at fresh addresses, and withdrawing a variant changes
+which entry callers use, not the bytes of any block.
 
 Every invalidation bumps a generation counter and clears all chain
-links; the dispatch loop re-checks the generation after any block that
-can run host code, so a host-triggered rewrite takes effect before the
-next guest instruction.
+links, which also resets the edge profile the trace former walks; the
+dispatch loop re-checks the generation after any block that can run
+host code, so a host-triggered rewrite takes effect before the next
+guest instruction.
 
 Divergence note: a fault (division by zero, segmentation fault) raised
 *mid-block* surfaces as the same exception the interpreter raises, but
@@ -862,14 +861,6 @@ class BlockJIT:
         cpu.image.code_listeners.append(self._on_code_write)
 
     # -------------------------------------------------------- invalidation
-    def invalidate(self) -> None:
-        """Drop every compiled block (full icache-style flush)."""
-        self.cache.clear()
-        self.gen += 1
-        self.invalidations += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.invalidations")
-
     def invalidate_range(self, start: int, end: int) -> None:
         """Drop blocks overlapping ``[start, end)`` and sever all chain
         links (a surviving block may link to a dropped one)."""
@@ -887,11 +878,6 @@ class BlockJIT:
 
     def _on_code_write(self, addr: int, length: int) -> None:
         self.invalidate_range(addr, addr + max(length, 1))
-
-    def watch_manager(self, manager) -> None:
-        """Invalidate on every manager withdrawal/invalidation event
-        (shadow-validation rollback, quarantine, epoch bumps)."""
-        manager.add_invalidation_listener(lambda dropped: self.invalidate())
 
     def stats(self) -> dict:
         return {
@@ -1060,14 +1046,11 @@ class BlockJIT:
                     self.metrics.inc("jit.reuses", hits + follows)
 
 
-def enable_blockjit(machine, manager=None, metrics=None) -> BlockJIT:
-    """Attach a :class:`BlockJIT` to ``machine`` (idempotent) and wire it
-    to ``manager`` invalidations when given."""
+def enable_blockjit(machine, metrics=None) -> BlockJIT:
+    """Attach a :class:`BlockJIT` to ``machine`` (idempotent)."""
     jit = machine.cpu.jit
     if jit is None:
         jit = BlockJIT(machine.cpu, metrics=metrics)
     elif metrics is not None and jit.metrics is None:
         jit.metrics = metrics
-    if manager is not None:
-        jit.watch_manager(manager)
     return jit

@@ -185,16 +185,6 @@ class CPU:
         self._icache[addr] = entry
         return entry
 
-    def invalidate_icache(self) -> None:
-        """Must be called after new code is emitted over executed addresses.
-
-        (The rewriter always emits into fresh addresses, so in practice
-        this is only needed by tests that patch code in place.)
-        """
-        self._icache.clear()
-        if self.jit is not None:
-            self.jit.invalidate()
-
     # ------------------------------------------------------------ operands
     def ea(self, mem: Mem) -> int:
         """Concrete effective address of a memory operand."""

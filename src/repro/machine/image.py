@@ -80,11 +80,12 @@ class Image:
         self.symbol_names: dict[int, str] = {}
         #: Sizes of named functions (addr -> code length), for disassembly.
         self.function_sizes: dict[int, int] = {}
-        #: Callbacks ``(addr, length)`` fired whenever bytes land in an
-        #: executable segment (``poke``) or a rewrite range is pinned
-        #: (``reserve_rewrite``) — the block JIT's code cache hangs off
-        #: this so in-place patches and persistence restores can never
-        #: execute stale translations.
+        #: Callbacks ``(addr, length)`` fired by :meth:`notify_code_write`
+        #: whenever bytes land in an executable segment (``poke``, guest
+        #: stores) or a rewrite range is pinned (``reserve_rewrite``).
+        #: This is the only invalidation path: the interpreter icache
+        #: and both JIT tiers drop exactly the decoded or compiled code
+        #: overlapping the range, and nothing else flushes them.
         self.code_listeners: list = []
 
     # -- symbols -----------------------------------------------------------
@@ -121,7 +122,7 @@ class Image:
         Every path that mutates executable bytes must route through here
         (``poke`` does; the CPU's store helpers do for guest stores that
         land in code) so decoded-instruction caches — the interpreter
-        icache and the block JIT — can never serve stale bytes."""
+        icache and both JIT tiers — can never serve stale bytes."""
         for listener in self.code_listeners:
             listener(addr, max(length, 1))
 
@@ -189,8 +190,7 @@ class Image:
         if not self.seg_rewrite.base <= addr <= addr + size <= self.seg_rewrite.end:
             raise MemoryError_(f"address 0x{addr:x} outside the rewrite segment")
         self._rewrite_next = max(self._rewrite_next, addr + size)
-        for listener in self.code_listeners:
-            listener(addr, size)
+        self.notify_code_write(addr, size)
 
     def emit_rewritten(self, name: str | None, code: bytes) -> int:
         """Place rewriter output into the rewrite segment."""

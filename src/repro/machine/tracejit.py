@@ -64,19 +64,20 @@ every call along it.  When the profile shifts, the installed trace
 starts exiting early; the dispatch loop notices (:data:`DEACT_MIN_EXITS`
 consecutive low-yield exits), deactivates it, re-profiles, and installs
 — or reuses — the version matching the new signature, so a callee
-respecialized at a new address gets a version of its own.  An entry
-that exits before its first instruction (a call at the head whose
-guard fails) is deactivated at once and its pc runs in tier 1.
+respecialized at a new address gets a version of its own.  A head whose
+table is full evicts its oldest version to make room.  An entry that
+exits before its first instruction (a call at the head whose guard
+fails) is deactivated at once and its pc runs in tier 1.
 
-Invalidation: trace entries live in the tier-1 code cache, so every
-existing invalidation path (``Image.notify_code_write`` →
-``invalidate_range``, icache flushes, manager withdrawals) severs them
-exactly like blocks; stored versions are dropped precisely by the spans
-of code they compiled.  A store from *inside* a running trace into its
-own bytes takes the next ``cw_`` exit (the already-running Python frame
-is unaffected by the cache drop), so mid-trace self-modification
-re-enters tier 1 — and then tier 0 semantics — at the next instruction
-boundary.
+Invalidation: trace entries live in the tier-1 code cache, so the one
+invalidation path (``Image.notify_code_write`` → ``invalidate_range``)
+severs them exactly like blocks; stored versions are dropped precisely
+by the spans of code they compiled, so versions of code nobody wrote
+survive a rewrite elsewhere.  A store from *inside* a running trace
+into its own bytes takes the next ``cw_`` exit (the already-running
+Python frame is unaffected by the cache drop), so mid-trace
+self-modification re-enters tier 1 — and then tier 0 semantics — at the
+next instruction boundary.
 
 Divergence note (same as tier 1): a *fault* raised mid-trace surfaces as
 the same exception type, but register/flag/counter state and
@@ -665,7 +666,7 @@ class TraceJIT(BlockJIT):
         #: Heads where formation failed structurally (an unbalanced
         #: return, a host-function callee, an indirect jump or other
         #: unsupported shape on the path): no point retrying until the
-        #: code changes.  Cleared on invalidation.
+        #: code changes.  Cleared by every code write.
         self._no_trace: set[int] = set()
         #: Compiled versions: head -> {signature: TraceVersion}.
         self.versions: dict[int, dict[tuple, TraceVersion]] = {}
@@ -794,12 +795,6 @@ class TraceJIT(BlockJIT):
         table = self.versions.setdefault(head, {})
         ver = table.get(sig)
         if ver is None:
-            if len(table) >= MAX_VERSIONS:
-                self.trace_aborts += 1
-                self._no_trace.add(head)
-                if self.metrics is not None:
-                    self.metrics.inc("jit.trace.aborts")
-                return None
             ver = self._compile_trace(head, path, sig)
             if ver is None:
                 self.trace_aborts += 1
@@ -807,6 +802,10 @@ class TraceJIT(BlockJIT):
                 if self.metrics is not None:
                     self.metrics.inc("jit.trace.aborts")
                 return None
+            if len(table) >= MAX_VERSIONS:
+                # evict the oldest version (tables keep insertion
+                # order); none is installed while the head is promoting
+                self._retire(table.pop(next(iter(table))))
             table[sig] = ver
             self.trace_compiles += 1
             if self.metrics is not None:
@@ -852,22 +851,6 @@ class TraceJIT(BlockJIT):
         r[0] += ver.counts[0]
         r[1] += ver.counts[1]
         r[2] += ver.counts[2]
-
-    def invalidate(self) -> None:
-        """Full flush: drop every trace version and profile state, then
-        the tier-1 cache."""
-        for table in self.versions.values():
-            for ver in table.values():
-                self._retire(ver)
-        if self.versions:
-            self.trace_invalidations += 1
-            if self.metrics is not None:
-                self.metrics.inc("jit.trace.invalidations")
-        self.versions.clear()
-        self._installed.clear()
-        self._hot.clear()
-        self._no_trace.clear()
-        super().invalidate()
 
     def invalidate_range(self, start: int, end: int) -> None:
         """Sever every trace whose compiled bytes overlap
@@ -1048,11 +1031,10 @@ class TraceJIT(BlockJIT):
                 self._flushed = (entries, exits, iters)
 
 
-def enable_tracejit(machine, manager=None, metrics=None, **tuning) -> TraceJIT:
-    """Attach a :class:`TraceJIT` to ``machine`` (idempotent) and wire
-    it to ``manager`` invalidations when given.  ``tuning`` forwards
-    threshold overrides (``hot_threshold=4`` makes tests and torture
-    sweeps promote aggressively)."""
+def enable_tracejit(machine, metrics=None, **tuning) -> TraceJIT:
+    """Attach a :class:`TraceJIT` to ``machine`` (idempotent).
+    ``tuning`` forwards threshold overrides (``hot_threshold=4`` makes
+    tests and torture sweeps promote aggressively)."""
     jit = machine.cpu.jit
     if jit is None:
         jit = TraceJIT(machine.cpu, metrics=metrics, **tuning)
@@ -1062,6 +1044,4 @@ def enable_tracejit(machine, manager=None, metrics=None, **tuning) -> TraceJIT:
             "tier first (enable_jit(trace=True)) or use a fresh machine")
     elif metrics is not None and jit.metrics is None:
         jit.metrics = metrics
-    if manager is not None:
-        jit.watch_manager(manager)
     return jit

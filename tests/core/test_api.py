@@ -127,7 +127,6 @@ def test_rewrite_accepts_bare_image():
     m.load("noinline long f(long a) { return a + 1; }")
     result = rewrite(m.image, brew_init_conf(), "f", 0)
     assert result.ok
-    m.cpu.invalidate_icache()
     assert m.call(result.entry, 1).int_return == 2
 
 

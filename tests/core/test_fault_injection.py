@@ -227,7 +227,6 @@ def test_validation_gate_rejects_corrupted_variant(machine):
 
     bad, _ = assemble("mov rax, 999\nret", result.entry)
     machine.image.poke(result.entry, bad)
-    machine.cpu.invalidate_icache()
     mismatch = validate_variant(machine, conf, result, (5, 7))
     assert mismatch is not None and "diverged" in mismatch
 
@@ -245,7 +244,6 @@ def test_supervisor_discards_corrupted_variants(machine, monkeypatch):
         if result.ok:
             bad, _ = assemble("mov rax, 999\nret", result.entry)
             m.image.poke(result.entry, bad)
-            m.cpu.invalidate_icache()
         return result
 
     monkeypatch.setattr(resilience_mod, "rewrite", corrupting_rewrite)
@@ -359,7 +357,6 @@ def test_epoch_guard_falls_back_after_invalidation(machine):
     manager.invalidate_memory(0, 2**48)
     bad, _ = assemble("mov rax, 999\nret", result.entry)
     machine.image.poke(result.entry, bad)
-    machine.cpu.invalidate_icache()
     assert machine.cpu.run(stub, 6, 7).uint_return == 42   # via original
 
 

@@ -210,6 +210,44 @@ def test_multi_version_traces_on_phase_shift(monkeypatch):
     assert stats["interp_fallbacks"] == 0
 
 
+#: One loop calling through a function pointer, and five callees: one
+#: more than a head keeps versions.
+POINTER_SRC = """
+    typedef long (*fn_t)(long);
+    noinline long c0(long x) { return x + 1; }
+    noinline long c1(long x) { return x * 3; }
+    noinline long c2(long x) { return x - 7; }
+    noinline long c3(long x) { return x ^ 5; }
+    noinline long c4(long x) { return x + x + 2; }
+    long run(fn_t fp, long n) {
+        long t = 0;
+        for (long i = 0; i < n; i++) { t = t + fp(i); }
+        return t;
+    }
+"""
+POINTER_CALLEES = {
+    "c0": lambda x: x + 1, "c1": lambda x: x * 3, "c2": lambda x: x - 7,
+    "c3": lambda x: x ^ 5, "c4": lambda x: x + x + 2,
+}
+
+
+def test_full_version_table_evicts_the_oldest_version():
+    """A fifth call target evicts the head's oldest version instead of
+    pinning the head to tier 1: every run of a second round over the
+    five callees is traced again (production thresholds)."""
+    m = Machine()
+    m.load(POINTER_SRC)
+    jit = m.enable_jit(trace=True)
+    for round_ in range(2):
+        for name, fn in POINTER_CALLEES.items():
+            before = jit.stats()["trace_iterations"]
+            r = m.call("run", m.symbol(name), 400)
+            assert r.int_return == sum(fn(i) for i in range(400)), name
+            if round_:
+                assert jit.stats()["trace_iterations"] > before, name
+    assert all(len(t) <= tracejit.MAX_VERSIONS for t in jit.versions.values())
+
+
 def test_version_reuse_no_recompile_in_steady_state(monkeypatch):
     """Once both versions of a phase-shifting loop are compiled, further
     calls swap installed versions without new compiles."""

@@ -1,5 +1,6 @@
 """Stencil library tests: correctness of every variant against a pure
-Python oracle, and the Section V relationships between their costs."""
+Python oracle, the Section V relationships between their costs, and
+respecialization under the trace JIT (Sec. VI) matching tier 0."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 
 import pytest
 
+from repro.core import BREW_KNOWN, brew_init_conf, brew_rewrite, brew_setpar
 from repro.models.stencil import StencilLab, StencilSpec
 
 XS = YS = 16
@@ -145,3 +147,96 @@ def test_nine_point_stencil_also_works():
     expected = expected_after(lab, 1)
     for e, g in zip(expected, got):
         assert math.isclose(e, g, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# ------------------------------------------- respecialization under the JIT
+#: Nine coefficient sets over the 3x3 neighbourhood; set ``j`` has
+#: ``j + 1`` points.  Each respecialization emits a variant at a new
+#: address, so the sweep's loop heads see a new call target per set:
+#: nine outnumber the versions two heads keep (2 x MAX_VERSIONS).
+OFFSETS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+RETUNE_SETS = [
+    StencilSpec([((k + 1) / (8.0 * (j + 1)), dx, dy)
+                 for k, (dx, dy) in enumerate(OFFSETS[: j + 1])])
+    for j in range(9)
+]
+
+
+def service_lab(trace: bool) -> StencilLab:
+    lab = StencilLab(XS, YS)
+    if trace:
+        lab.machine.enable_jit(trace=True)
+    lab.attach_service()
+    return lab
+
+
+def retune(lab: StencilLab, spec: StencilSpec) -> None:
+    """Write a new coefficient set into the stencil's known memory and
+    withdraw the variants that read it."""
+    lab.spec = spec
+    packed = spec.pack()
+    lab.machine.image.poke(lab.s_addr, packed)
+    lab.service.manager.invalidate_memory(lab.s_addr, lab.s_addr + len(packed))
+
+
+def respecialize(lab: StencilLab, spec: StencilSpec) -> int:
+    """Retune, then publish and return the variant for ``spec``."""
+    retune(lab, spec)
+    lab.apply_via_service()  # cold miss: the rewrite is queued
+    lab.service.drain()
+    entry = lab.apply_via_service()
+    assert entry != lab.machine.symbol("apply")
+    return entry
+
+
+def sweep(lab: StencilLab, entry: int):
+    """One sweep through ``entry``: the matrix, cycles and steps it left."""
+    run = lab.run_with_apply(entry, 1)
+    return lab.read_matrix(lab.final_matrix), run.perf.cycles, run.steps
+
+
+def test_respecialization_under_trace_tier_matches_tier0():
+    """Each retune publishes a new variant beside the old ones; sweeps
+    through it under the trace tier equal tier 0 and stay traced, even
+    after the loop heads' version tables fill up."""
+    traced, plain = service_lab(True), service_lab(False)
+    jit = traced.machine.jit
+    for spec in RETUNE_SETS * 2:
+        before = jit.stats()["trace_iterations"]
+        got = sweep(traced, respecialize(traced, spec))
+        assert jit.stats()["trace_iterations"] > before, spec
+        assert got == sweep(plain, respecialize(plain, spec)), spec
+
+
+def test_withdrawn_variant_is_not_called_again():
+    """Right after ``invalidate_memory`` the service hands out the
+    original ``apply``; a sweep through it equals tier 0 although no
+    code was written since the traces that inlined the variant formed."""
+    traced, plain = service_lab(True), service_lab(False)
+    for lab in (traced, plain):
+        sweep(lab, respecialize(lab, RETUNE_SETS[4]))  # the variant is traced
+    invalidations = traced.machine.jit.stats()["invalidations"]
+    outs = []
+    for lab in (traced, plain):
+        retune(lab, RETUNE_SETS[7])
+        entry = lab.apply_via_service()
+        assert entry == lab.machine.symbol("apply")
+        outs.append(sweep(lab, entry))
+    assert traced.machine.jit.stats()["invalidations"] == invalidations
+    assert outs[0] == outs[1]
+
+
+def test_unrelated_emission_recompiles_nothing():
+    """A rewrite emits at fresh addresses, so the blocks and traces of
+    a warm loop elsewhere survive it."""
+    lab = StencilLab(XS, YS)
+    jit = lab.machine.enable_jit(trace=True)
+    lab.run_generic(1)
+    expected = sweep(lab, lab.machine.symbol("apply"))
+    compiles = jit.stats()["compiles"]
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    assert brew_rewrite(lab.machine, conf, "apply_manual",
+                        lab.m1 + 8 * (XS + 1), XS, lab.s_addr).ok
+    assert sweep(lab, lab.machine.symbol("apply")) == expected
+    assert jit.stats()["compiles"] == compiles
