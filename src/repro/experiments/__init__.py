@@ -5,8 +5,9 @@ Each ``expN_*`` / ``ablN_*`` function returns an
 :class:`~repro.experiments.harness.Experiment` whose rows mirror the
 paper's reported numbers (ratios against the generic baseline, the way
 Section V reports 2.00 s / 0.88 s / 0.74 s).  ``python -m
-repro.experiments`` prints every table; the benchmarks under
-``benchmarks/`` run them under pytest-benchmark and persist the tables.
+repro.experiments`` prints every table; ``--write`` also saves each run
+as ``BENCH_<slug>.json`` in the current directory (the repo root keeps
+the committed records).
 """
 
 from repro.experiments.harness import Experiment, Row, format_table
@@ -19,7 +20,6 @@ from repro.experiments.dstencil_exp import ext2_distributed_stencil
 from repro.experiments.chaos_exp import ext3_chaos
 from repro.experiments.amortization_exp import ext4_amortization
 from repro.experiments.soak_exp import ext5_soak
-from repro.experiments.jit_exp import ext6_blockjit
 from repro.experiments.fabric_exp import ext7_fabric
 from repro.experiments.torture_exp import ext8_static_vs_runtime
 from repro.experiments.forensics_exp import ext9_forensics
@@ -33,8 +33,8 @@ ALL_EXPERIMENTS = (
     exp1_specialize, exp2_listing, exp3_grouped, exp4_call_overhead,
     exp5_makedynamic, exp6_pgas, exp7_domainmap, exp8_value_profile,
     ext1_rdma_prefetch, ext2_distributed_stencil, ext3_chaos,
-    ext4_amortization, ext5_soak, ext6_blockjit, ext7_fabric,
-    ext8_static_vs_runtime, ext9_forensics, ext10_tracejit,
+    ext4_amortization, ext5_soak, ext7_fabric, ext8_static_vs_runtime,
+    ext9_forensics, ext10_tracejit,
     abl1_variant_threshold, abl2_inlining, abl3_passes, abl4_vectorize,
     abl5_rewrite_cost,
 )

@@ -1,10 +1,18 @@
-"""``python -m repro.experiments`` — print every experiment table."""
+"""``python -m repro.experiments [--write] [ID ...]`` — run experiments.
+
+Prints every table (only the named ones when ids are given, e.g.
+``ext-10``).  ``--write`` also saves each run as ``BENCH_<slug>.json``
+in the current directory.  Exit status: 0 when every shape check holds,
+1 when one fails (after every table is printed and written), 2 for an
+unknown id (nothing runs).
+"""
 
 from __future__ import annotations
 
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, format_table
+from repro.experiments.harness import write_record
 
 
 def experiment_id(fn) -> str:
@@ -17,14 +25,25 @@ def experiment_id(fn) -> str:
 
 
 def main(argv: list[str]) -> int:
-    """Print the requested experiment tables (all when no ids given)."""
-    wanted = set(a.upper() for a in argv)
+    """Run the requested experiments (all when no ids are given), print
+    their tables and, with ``--write``, save their records."""
+    write = "--write" in argv
+    ids = [a for a in argv if a != "--write"]
+    known = [experiment_id(fn) for fn in ALL_EXPERIMENTS]
+    unknown = [a for a in ids if a.upper() not in known]
+    if unknown:
+        print(f"unknown experiment id(s): {' '.join(unknown)} "
+              f"(known: {' '.join(known)})", file=sys.stderr)
+        return 2
+    wanted = {a.upper() for a in ids}
     failures = 0
     for fn in ALL_EXPERIMENTS:
         if wanted and experiment_id(fn) not in wanted:
             continue
         exp = fn()
         print(format_table(exp))
+        if write:
+            write_record(exp)
         if not exp.all_checks_hold:
             failures += 1
     if failures:

@@ -19,8 +19,9 @@ BAAR-style (PAPERS.md) through :class:`~repro.service.RewriteService`:
   per-call cycle saving of the specialized kernel.
 
 The metrics snapshot the service/manager/supervisor charge is embedded
-in the table (and persisted by ``benchmarks/`` as ``BENCH_ext4.json``)
-so the repo's perf trajectory is machine-readable across PRs.
+in the table (and saved by ``python -m repro.experiments --write`` as
+``BENCH_ext4.json``) so the repo's perf trajectory is machine-readable
+across PRs.
 """
 
 from __future__ import annotations

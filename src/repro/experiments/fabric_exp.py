@@ -31,8 +31,9 @@ The campaign asserts:
   documented outcome vocabulary with a taxonomy-listed reason;
 
 and reports p50/p99 dispatch-latency percentiles (modelled cycles,
-routing + interconnect), which the benchmark run persists to
-``BENCH_ext7.json``.
+routing + interconnect).  ``python -m repro.experiments --write ext-7``
+saves the full-scale run (:data:`EXT7_REQUESTS` requests over
+:data:`EXT7_SHARDS` shards) as ``BENCH_ext7.json``.
 """
 
 from __future__ import annotations

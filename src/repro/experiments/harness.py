@@ -1,10 +1,13 @@
-"""Experiment result structures, paper-style table formatting, and the
-measurement helpers the execution-tier experiments share."""
+"""Experiment result structures, paper-style table formatting, the
+``BENCH_<slug>.json`` record writer, and the measurement helpers the
+execution-tier experiments share."""
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from time import perf_counter
 
 
@@ -92,6 +95,48 @@ def format_table(exp: Experiment) -> str:
         lines.append(f"   fallback rate: {rate}")
     lines.append("")
     return "\n".join(lines)
+
+
+def _record(exp: Experiment) -> dict:
+    """A machine-readable snapshot of one experiment run."""
+    doc = {
+        "id": exp.id,
+        "title": exp.title,
+        "paper_locus": exp.paper_locus,
+        "rows": [
+            {
+                "label": r.label,
+                "cycles": r.cycles,
+                "ratio": r.ratio,
+                "paper": r.paper,
+                "note": r.note,
+            }
+            for r in exp.rows
+        ],
+        "checks": [
+            {"description": c.description, "holds": c.holds} for c in exp.checks
+        ],
+        "health": dict(exp.health),
+    }
+    # experiments that embed a one-line metrics snapshot in their listing
+    # get it parsed back out as structured data; any other listing (the
+    # Figure 6 disassembly) is kept as text
+    if exp.listing.startswith("metrics "):
+        doc["metrics"] = json.loads(exp.listing[len("metrics "):])
+    elif exp.listing:
+        doc["listing"] = exp.listing
+    return doc
+
+
+def write_record(exp: Experiment) -> None:
+    """Save ``exp`` as ``BENCH_<slug>.json`` in the current directory
+    (``EXT-10`` -> ``BENCH_ext10.json``).  The text is canonical (indent
+    2, sorted keys, trailing newline), so a re-run that moved nothing
+    leaves the committed file byte-identical and ``git diff`` shows
+    exactly the rows that moved."""
+    slug = exp.id.lower().replace("-", "")
+    Path(f"BENCH_{slug}.json").write_text(
+        json.dumps(_record(exp), indent=2, sort_keys=True) + "\n")
 
 
 def result_fingerprint(result) -> tuple:

@@ -1,10 +1,14 @@
 """EXT-10: tier-2 trace JIT — hot-cycle superblocks over the block
 engine (beyond-paper extension).
 
-EXT-6 measured tier 1 (per-block closures, chained dispatch) against
-the tier-0 interpreter.  This extension measures tier 2
-(:mod:`repro.machine.tracejit`): the block engine's chain graph is
-profiled at runtime, hot cycles are stitched into *superblocks* — one
+The paper's runtime rewriter lives inside an execution engine; this
+extension measures the engine's three tiers on the same workloads.
+Tier 0 is the BX64 interpreter.  Tier 1 is the block engine
+(:mod:`repro.machine.blockjit`): one Python closure per guest basic
+block, operands and cycle costs resolved at compile time, blocks
+chained.  Tier 2 (:mod:`repro.machine.tracejit`) profiles the block
+engine's chain graph at runtime and stitches hot cycles into
+*superblocks* — one
 ``compile()``'d Python function per trace, guest registers living in
 Python locals across block seams — and guarded side exits fall back to
 tier 1 with exact step/cycle accounting.  Traces are multi-versioned
@@ -21,7 +25,9 @@ Three claims are checked, on two kernels:
 * **speed** — warm wall clock drops by at least
   :data:`T1_SPEEDUP_FLOOR` x over tier 1 on both the Section V
   stencil sweep and a Section VI-shaped PGAS reduction, with *zero*
-  interpreter fallbacks on the hot path.  Against the interpreter the
+  interpreter fallbacks on the hot path of tiers 1 and 2.  On the
+  stencil, tier 1 alone must clear :data:`BLOCK_SPEEDUP_FLOOR` x over
+  the interpreter.  Against the interpreter the
   FP-heavy stencil must clear :data:`T0_SPEEDUP_FLOOR` x; the PGAS
   loop — dominated by one signed division per element, inlined
   arithmetically by the trace renderer but branchier than the
@@ -46,7 +52,8 @@ the tiers, iterations actually run inside traces, and zero interpreter
 fallbacks.
 
 The ``jit.trace.*`` metrics snapshot is embedded in the table and
-persisted by ``benchmarks/`` as ``BENCH_ext10.json``.
+saved by ``python -m repro.experiments --write`` as
+``BENCH_ext10.json``.
 """
 
 from __future__ import annotations
@@ -106,6 +113,11 @@ PGAS_T0_FLOOR = 15.0
 T1_SPEEDUP_FLOOR_REDUCED = 1.5
 T0_SPEEDUP_FLOOR_REDUCED = 8.0
 PGAS_T0_FLOOR_REDUCED = 6.0
+#: Block engine over interpreter on the stencil (tier 1 against tier 0).
+#: Not relaxed in the reduced run: both shapes read 5.6-10.7x on a
+#: shared 2-vCPU host, so 3x holds through host noise and still catches
+#: a block engine that stopped compiling the hot loop.
+BLOCK_SPEEDUP_FLOOR = 3.0
 
 #: The stencil kernel, compiled into the guest image from source: a
 #: 5-point sweep whose inner loop is one hot cycle with three distinct
@@ -227,6 +239,7 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         st_times[tier], _ = best_of(run, rounds)
     st_speedup_t1 = st_times[1] / st_times[2]
     st_speedup_t0 = st_times[0] / st_times[2]
+    st_block_speedup = st_times[0] / st_times[1]
     st_stats = st[2][0].jit.stats()
 
     # ---- PGAS reduction: local phase then three remote phases
@@ -328,6 +341,10 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         f"(measured {st_speedup_t0:.1f}x)",
         st_speedup_t0 >= t0_floor)
     exp.check(
+        f"stencil: block engine >= {BLOCK_SPEEDUP_FLOOR:.1f}x over "
+        f"interpreter (measured {st_block_speedup:.1f}x)",
+        st_block_speedup >= BLOCK_SPEEDUP_FLOOR)
+    exp.check(
         f"pgas: trace tier >= {t1_floor:.1f}x over block engine "
         f"(measured {pg_speedup_t1:.1f}x)",
         pg_speedup_t1 >= t1_floor)
@@ -337,8 +354,8 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         pg_speedup_t0 >= pg_t0_floor)
     exp.check(
         "zero interpreter fallbacks on the hot path (both workloads)",
-        st_stats["interp_fallbacks"] == 0
-        and pg_stats["interp_fallbacks"] == 0)
+        all(m.jit.stats()["interp_fallbacks"] == 0
+            for m in (st[1][0], st[2][0], pg[1].machine, pg[2].machine)))
     exp.check(
         "pointer-call sweep: bit-for-bit identical across all three tiers "
         "(specialized apply reached through a function pointer)",

@@ -31,7 +31,8 @@ chained: once block A has fallen through or jumped to block B, A
 remembers B and the dispatch loop follows the link without a cache
 lookup.  Architectural results (registers, memory, ``perf`` counters,
 return values) are bit-for-bit identical to the interpreter on every
-run that completes without a fault; the EXT-6 harness asserts this.
+run that completes without a fault; EXT-10 and
+``tests/machine/test_tier_parity.py`` assert this.
 
 Invalidation contract
 ---------------------
@@ -886,9 +887,10 @@ class BlockJIT:
             "invalidations": self.invalidations,
             "chain_follows": self.chain_follows,
             # chained executions bypass the cache-lookup hit counter, so
-            # `hits` alone wildly understates reuse (EXT-6 showed 10
-            # hits against 62k follows); `reuses` is the honest number:
-            # every block execution that did not need a fresh compile
+            # `hits` alone wildly understates reuse (a warm stencil
+            # sweep showed 10 hits against 62k follows); `reuses` is the
+            # honest number: every block execution that did not need a
+            # fresh compile
             "reuses": self.hits + self.chain_follows,
             "interp_fallbacks": self.interp_fallbacks,
             "cached_blocks": len(self.cache),

@@ -17,7 +17,10 @@ deterministic sweep also runs every condition after CMP, TEST and
 UCOMISD on operands that cross equality, sign and overflow mid-loop.
 Hand-written hot loops cover the ways a trace leaves through a call or
 a return: guards inside callees, switching indirect targets, shared and
-nested helpers, rewritten return slots and self-modifying callees.
+nested helpers, rewritten return slots and self-modifying callees.  The
+models' call-heavy generic kernels (the Sec. V sweep calling ``apply``
+through a pointer, the PGAS reduction calling ``ga_get`` per element)
+run on all three tiers too.
 The same random bodies, extended with stores into the data, stack and a
 remote segment, also run under an open write journal on every tier: a
 rollback must leave every segment byte-identical to a full copy, even
@@ -45,10 +48,13 @@ from hypothesis import Phase, given, settings, strategies as st
 from repro.asm.assembler import assemble
 from repro.core.resilience import _restore_snapshot, _take_snapshot
 from repro.errors import CpuError
+from repro.experiments.harness import result_fingerprint
 from repro.isa.opcodes import OpClass
 from repro.machine.blockjit import _BLOCK_ENDERS
 from repro.machine.cpu import CallFrameInfo
 from repro.machine.vm import Machine
+from repro.models.pgas import PgasLab
+from repro.models.stencil import StencilLab
 
 #: Aggressive promotion thresholds, so test-sized loops reach tier 2.
 HOT = dict(hot_threshold=4, min_edge=1)
@@ -369,6 +375,30 @@ def test_call_at_the_head_with_a_switching_target_terminates():
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     assert outcome[0]["trace_deactivations"] > 0, outcome[0]
+
+
+# ------------------------------------------------------------ models
+def model_runs(tier: int) -> tuple:
+    """The generic Sec. V sweep (``apply`` called through a pointer)
+    and the generic PGAS reduction (``ga_get`` per element, remote
+    surcharges) on fresh labs at ``tier``: their fingerprints, the
+    matrix the sweep wrote, and the labs' JIT stats."""
+    stencil, pgas = StencilLab(24, 24), PgasLab(256, 4)
+    for lab in (stencil, pgas):
+        if tier:
+            lab.machine.enable_jit(trace=tier == 2)
+    sweep = result_fingerprint(stencil.run_generic(iters=2))
+    matrix = stencil.machine.image.peek(stencil.final_matrix, 24 * 24 * 8)
+    total = result_fingerprint(pgas.sum_generic(0, 256))
+    stats = [lab.machine.jit.stats() for lab in (stencil, pgas) if tier]
+    return (sweep, matrix, total), stats
+
+
+def test_call_heavy_model_kernels_match_across_tiers():
+    (t0, _), (t1, t1_stats), (t2, t2_stats) = map(model_runs, (0, 1, 2))
+    assert t0 == t1 == t2
+    assert all(s["interp_fallbacks"] == 0 for s in t1_stats + t2_stats)
+    assert all(s["trace_iterations"] > 0 for s in t2_stats), t2_stats
 
 
 # ------------------------------------------------------------ generators

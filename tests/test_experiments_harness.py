@@ -1,6 +1,11 @@
-"""Experiment harness unit tests (formatting and check bookkeeping)."""
+"""Experiment harness unit tests (formatting, check bookkeeping, and the
+CLI with its ``--write`` record writer)."""
 
 from __future__ import annotations
+
+import json
+
+import pytest
 
 from repro.experiments.harness import Experiment, Row, format_table
 
@@ -85,3 +90,73 @@ def test_cli_runs_only_the_requested_experiment(monkeypatch, capsys):
     assert cli.main(["ext-2"]) == 0
     assert ran == ["EXT-2"]
     assert "== EXT-2: demo" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def fake_cli(monkeypatch, tmp_path):
+    """The CLI with two fake experiments, working in ``tmp_path``: EXT-2
+    passes and carries a metrics listing, EXP-2 fails its check and
+    carries a Figure-6-style listing.  Returns the CLI module and the
+    ids of the fakes that ran."""
+    import repro.experiments.__main__ as cli
+
+    ran = []
+
+    def ext2_metrics():
+        ran.append("EXT-2")
+        exp = Experiment("EXT-2", "metrics", "-",
+                         listing='metrics {"counters": {"b": 2, "a": 1}}')
+        exp.rows.append(Row("host ms", 1.5, 1.0, note="host time"))
+        exp.check("holds", True)
+        exp.health = {"rewrites": 3}
+        return exp
+
+    def exp2_figure():
+        ran.append("EXP-2")
+        exp = Experiment("EXP-2", "figure", "Fig. 6", listing="i-01: ret")
+        exp.check("fails", False)
+        return exp
+
+    monkeypatch.setattr(cli, "ALL_EXPERIMENTS", (ext2_metrics, exp2_figure))
+    monkeypatch.chdir(tmp_path)
+    return cli, ran
+
+
+def test_write_saves_canonical_records(fake_cli, tmp_path, capsys):
+    cli, ran = fake_cli
+    # the failing check still gets its record written, then exits 1
+    assert cli.main(["--write"]) == 1
+    assert ran == ["EXT-2", "EXP-2"]
+    assert "== EXP-2: figure" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_exp2.json", "BENCH_ext2.json"]
+
+    ext2 = (tmp_path / "BENCH_ext2.json").read_text()
+    doc = json.loads(ext2)
+    assert ext2 == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc == {
+        "id": "EXT-2", "title": "metrics", "paper_locus": "-",
+        "rows": [{"label": "host ms", "cycles": 1.5, "ratio": 1.0,
+                  "paper": "", "note": "host time"}],
+        "checks": [{"description": "holds", "holds": True}],
+        "health": {"rewrites": 3},
+        "metrics": {"counters": {"a": 1, "b": 2}},
+    }
+    exp2 = json.loads((tmp_path / "BENCH_exp2.json").read_text())
+    assert exp2["listing"] == "i-01: ret" and "metrics" not in exp2
+    assert exp2["checks"] == [{"description": "fails", "holds": False}]
+
+
+def test_without_write_nothing_is_saved(fake_cli, tmp_path):
+    cli, ran = fake_cli
+    assert cli.main(["ext-2"]) == 0
+    assert ran == ["EXT-2"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_id_runs_nothing(fake_cli, tmp_path, capsys):
+    cli, ran = fake_cli
+    assert cli.main(["--write", "ext-2", "ext-6", "--wirte"]) == 2
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "ext-6 --wirte" in err and "EXT-2" in err
