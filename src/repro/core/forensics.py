@@ -23,18 +23,18 @@ a deterministic replay needs:
 
 The on-disk format reuses :mod:`repro.core.persist` conventions: a
 magic+version first line, one ``<crc32hex> <canonical json>`` record per
-line (written through the same ``_encode_record`` helper), atomic
-temp-file + rename.  A record that fails its CRC or schema check is
-rejected with a ``bundle-corrupt`` :class:`~repro.errors.RewriteFailure`
-— per record where containment is possible, whole-bundle when the
-damaged record is structural (meta, conf, image).
+line (written and read through the same ``_encode_record`` and
+``_decode_record`` helpers), atomic temp-file + rename.  A record that
+fails its CRC or schema check is rejected with a ``bundle-corrupt``
+:class:`~repro.errors.RewriteFailure` — per record where containment is
+possible, whole-bundle when the damaged record is structural (meta,
+conf, image).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +44,7 @@ from repro.core.manager import conf_fingerprint
 # imported by value on purpose: the `snapshot` fault injector patches
 # persist's module attribute, and snapshot bit-rot must not leak into
 # bundle writes (the `bundle` injector patches *this* module instead)
-from repro.core.persist import _encode_record
+from repro.core.persist import _decode_record, _encode_record
 from repro.obs import FlightRecorder, Metrics
 
 #: First line of every bundle; the trailing integer is the schema
@@ -56,27 +56,6 @@ BUNDLE_MAGIC = "REPRO-BUNDLE 1"
 BUNDLE_KINDS = (
     "rewrite-failure", "shadow-divergence", "torture", "fabric-shard-death",
 )
-
-
-def _decode_record(line: str) -> dict:
-    """Parse and CRC-check one bundle line; raises ``RewriteFailure``
-    (``bundle-corrupt``) on any mismatch — the forensics twin of
-    :func:`repro.core.persist._decode_record`, separately tagged so a
-    rotten crash bundle is never mistaken for a rotten cache snapshot."""
-    try:
-        crc_hex, payload = line.split(" ", 1)
-        crc = int(crc_hex, 16)
-    except ValueError:
-        raise RewriteFailure("bundle-corrupt", "unparseable record framing")
-    if zlib.crc32(payload.encode()) != crc:
-        raise RewriteFailure("bundle-corrupt", "record CRC mismatch")
-    try:
-        record = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise RewriteFailure("bundle-corrupt", f"record is not JSON: {exc}")
-    if not isinstance(record, dict) or "kind" not in record:
-        raise RewriteFailure("bundle-corrupt", "record missing its kind")
-    return record
 
 
 def _jsonable(value):
@@ -346,7 +325,7 @@ def load_bundle(path: str | Path) -> CrashBundle:
         if not line.strip():
             continue
         try:
-            record = _decode_record(line)
+            record = _decode_record(line, "bundle-corrupt")
         except RewriteFailure:
             # containment is only safe for diagnostics; since a rotten
             # line's kind is unknowable, count it and let the structural

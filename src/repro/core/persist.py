@@ -59,22 +59,24 @@ def _encode_record(record: dict) -> str:
     return f"{zlib.crc32(payload.encode()):08x} {payload}"
 
 
-def _decode_record(line: str) -> dict:
-    """Parse and CRC-check one snapshot line; raises ``RewriteFailure``
-    (``snapshot-corrupt``) on any mismatch."""
+def _decode_record(line: str, reason: str = "snapshot-corrupt") -> dict:
+    """Parse and CRC-check one record line; raises ``RewriteFailure``
+    tagged ``reason`` on any mismatch (forensics bundles pass
+    ``bundle-corrupt``, so a rotten crash bundle is never mistaken for a
+    rotten cache snapshot)."""
     try:
         crc_hex, payload = line.split(" ", 1)
         crc = int(crc_hex, 16)
     except ValueError:
-        raise RewriteFailure("snapshot-corrupt", "unparseable record framing")
+        raise RewriteFailure(reason, "unparseable record framing")
     if zlib.crc32(payload.encode()) != crc:
-        raise RewriteFailure("snapshot-corrupt", "record CRC mismatch")
+        raise RewriteFailure(reason, "record CRC mismatch")
     try:
         record = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise RewriteFailure("snapshot-corrupt", f"record is not JSON: {exc}")
+        raise RewriteFailure(reason, f"record is not JSON: {exc}")
     if not isinstance(record, dict) or "kind" not in record:
-        raise RewriteFailure("snapshot-corrupt", "record missing its kind")
+        raise RewriteFailure(reason, "record missing its kind")
     return record
 
 

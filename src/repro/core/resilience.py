@@ -101,35 +101,6 @@ DEFAULT_LADDER: tuple[LadderRung, ...] = (
 
 
 # ====================================================================== gate
-@dataclass
-class _Snapshot:
-    """Access counters at the moment a write journal opened; the
-    journal itself (:attr:`Memory.journal`) holds the pre-image of
-    every segment written since."""
-
-    loads: dict[str, int]
-    stores: dict[str, int]
-
-
-def _take_snapshot(machine) -> _Snapshot:
-    """Open a write journal on the machine's memory.  The caller closes
-    it (``memory.close_journal()``) in a ``finally``."""
-    memory = machine.image.memory
-    memory.open_journal()
-    return _Snapshot(loads=dict(memory.loads), stores=dict(memory.stores))
-
-
-def _restore_snapshot(machine, snap: _Snapshot) -> None:
-    """Write back the journaled pre-images and the saved counters; the
-    journal stays open for the next run."""
-    memory = machine.image.memory
-    memory.rollback()
-    memory.loads.clear()
-    memory.loads.update(snap.loads)
-    memory.stores.clear()
-    memory.stores.update(snap.stores)
-
-
 def _writable_state(machine) -> dict[str, bytes]:
     """Contents of every journaled segment (the "memory writes" half of
     the differential comparison — identical inputs must leave identical
@@ -201,8 +172,8 @@ class _Observation:
 def _observe(machine, entry: int, args: tuple, max_steps: int) -> _Observation:
     """Run ``entry`` on ``args`` and capture its observable behaviour.
 
-    The caller opens the journal (:func:`_take_snapshot`) and restores
-    around this."""
+    The caller opens the write journal (``memory.open_journal()``) and
+    rolls back around this."""
     try:
         run = machine.cpu.run(entry, *args, max_steps=max_steps)
     except ReproError as exc:  # CpuError, MemoryError_, DecodeError, ...
@@ -240,15 +211,16 @@ def validate_variant(
     where the original did not is a divergence.
     """
     assert result.ok and result.entry is not None
-    snap = _take_snapshot(machine)
+    memory = machine.image.memory
+    memory.open_journal()
     try:
         for vec in _perturbed_vectors(conf, tuple(args), vectors, seed):
             want = _observe(machine, result.original, vec, max_steps)
-            _restore_snapshot(machine, snap)
+            memory.rollback()
             if want.error is not None:
                 continue  # original faults on this vector: unjudgeable
             got = _observe(machine, result.entry, vec, max_steps)
-            _restore_snapshot(machine, snap)
+            memory.rollback()
             if got.error is not None:
                 return f"variant faulted on {vec!r}: {got.error}"
             if got.uint_return != want.uint_return:
@@ -268,8 +240,8 @@ def validate_variant(
             if names:
                 return f"memory writes diverged on {vec!r} in {names}"
     finally:
-        _restore_snapshot(machine, snap)
-        machine.image.memory.close_journal()
+        memory.rollback()
+        memory.close_journal()
     return None
 
 

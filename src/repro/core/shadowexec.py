@@ -49,8 +49,6 @@ from repro.core.resilience import (
     _Observation,
     _diverged_segments,
     _observe,
-    _restore_snapshot,
-    _take_snapshot,
     _writable_state,
 )
 from repro.obs import Metrics
@@ -171,11 +169,12 @@ class ShadowSampler:
         have.  The journal is closed even when an exception escapes."""
         max_steps = max_steps if max_steps is not None else self.max_steps
         machine = self.machine
+        memory = machine.image.memory
         self.metrics.inc("shadow.samples")
-        snap = _take_snapshot(machine)
+        memory.open_journal()
         try:
             want = _observe(machine, original, args, max_steps)
-            _restore_snapshot(machine, snap)
+            memory.rollback()
             if want.error is None:
                 try:
                     run = machine.cpu.run(entry, *args, max_steps=max_steps)
@@ -190,9 +189,9 @@ class ShadowSampler:
                         self.metrics.inc("shadow.matches")
                         return ShadowOutcome(run=run)
                 # roll the variant's effects back
-                _restore_snapshot(machine, snap)
+                memory.rollback()
         finally:
-            machine.image.memory.close_journal()
+            memory.close_journal()
         if want.error is not None:
             # the original faults on these live args: nothing to judge
             # the variant against — deliver it unsupervised this time

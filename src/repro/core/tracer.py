@@ -394,7 +394,7 @@ class Tracer:
         if key in self.world.mem:
             value = self.world.mem[key]
         elif key[0] == "a" and self._image_foldable(key[1]):
-            raw = self.image.memory.read_u64(key[1], count=False)
+            raw = self.image.memory.read_u64(key[1])
             if self.config.memory_is_known(key[1], 8):
                 # a declared-known (mutable) cell fed the trace: part of
                 # the variant's world signature.  rodata/code folds are
@@ -1295,7 +1295,7 @@ class Tracer:
             if key in dst_world.mem:
                 continue
             if self._image_foldable(key[1]):
-                raw = self.image.memory.read_u64(key[1], count=False)
+                raw = self.image.memory.read_u64(key[1])
                 if self.config.memory_is_known(key[1], 8):
                     self.known_reads[key[1]] = raw
                 mine = value.value if isinstance(value, KnownInt) else (

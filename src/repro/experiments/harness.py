@@ -146,8 +146,6 @@ def result_fingerprint(result) -> tuple:
         struct.pack("<d", result.float_return),
         result.steps,
         tuple(sorted(result.perf.as_dict().items())),
-        tuple(sorted(result.perf.by_segment_loads.items())),
-        tuple(sorted(result.perf.by_segment_stores.items())),
     )
 
 

@@ -19,9 +19,8 @@ instead of thrashing one.
 Three claims are checked, on two kernels:
 
 * **transparency** — all three tiers produce *bit-for-bit identical*
-  architectural results (returns, steps, deterministic perf counters,
-  per-segment access counts), including across side exits and the
-  PGAS remote-segment surcharges;
+  architectural results (returns, steps, deterministic perf counters),
+  including across side exits and the PGAS remote-segment surcharges;
 * **speed** — warm wall clock drops by at least
   :data:`T1_SPEEDUP_FLOOR` x over tier 1 on both the Section V
   stencil sweep and a Section VI-shaped PGAS reduction, with *zero*
@@ -231,9 +230,8 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         run = lambda m=m, src=src, dst=dst: m.call(
             "stencil_sweep", src, dst, STENCIL_EDGE, STENCIL_EDGE, iters)
         run()  # warm: compiles blocks, profiles, installs traces
-        # parity capture at the same call index on every tier — the
-        # per-segment access counters are cumulative per machine, so
-        # the tiers must have executed the same number of calls here
+        # parity capture at the same call index on every tier, so each
+        # tier's captured run starts from the same memory
         st_fps[tier] = result_fingerprint(run())
         rounds = TIMING_ROUNDS if tier == 0 else TIMING_ROUNDS_JITTED
         st_times[tier], _ = best_of(run, rounds)

@@ -15,6 +15,7 @@ Python floats; packed values are 2-tuples of floats.
 from __future__ import annotations
 
 import math
+import struct
 
 from repro.errors import CpuError
 from repro.isa.flags import Flag
@@ -194,6 +195,8 @@ def cvttsd2si(a: float) -> int:
 
 Packed = tuple[float, float]
 
+_PACKED = struct.Struct("<dd")
+
 
 def packed_binop(op: Op, a: Packed, b: Packed) -> Packed:
     """Packed-double (2-lane) arithmetic."""
@@ -207,3 +210,11 @@ def packed_binop(op: Op, a: Packed, b: Packed) -> Packed:
         # x86 HADDPD: dst = (dst0+dst1, src0+src1)
         return (a[0] + a[1], b[0] + b[1])
     raise CpuError(f"not a packed binop: {op}")
+
+
+def xorpd(a: Packed, b: Packed) -> Packed:
+    """XORPD: bitwise xor of both lanes' IEEE-754 bytes (exact for signed
+    zeros and NaN payloads, which float arithmetic would not keep)."""
+    pa = _PACKED.pack(*a)
+    pb = _PACKED.pack(*b)
+    return _PACKED.unpack(bytes(x ^ y for x, y in zip(pa, pb)))

@@ -88,7 +88,6 @@ _RDX = int(GPR.RDX)
 
 _SQ = struct.Struct("<Q")
 _SD = struct.Struct("<d")
-_SDD = struct.Struct("<dd")
 
 #: Opclasses that end a basic block.  CALL is included (it is not a
 #: TERMINATOR for the tracer) because host functions run arbitrary
@@ -99,26 +98,17 @@ _BLOCK_ENDERS = frozenset(
 
 
 def _xorpd(a0: float, a1: float, b0: float, b1: float):
-    """Byte-exact XORPD, matching the interpreter's struct round-trip."""
-    pa = _SDD.pack(a0, a1)
-    pb = _SDD.pack(b0, b1)
-    return _SDD.unpack(bytes(x ^ y for x, y in zip(pa, pb)))
+    """The ``XPD`` helper: :func:`repro.isa.semantics.xorpd` on the
+    four lanes the generated code passes."""
+    return S.xorpd((a0, a1), (b0, b1))
 
 
 class _NoSeg:
-    """TLB sentinel whose bounds check always misses.
-
-    The tier-2 trace preamble caches segment *fields* (base/end/data/
-    extra_cost/name/watched) into locals, so the sentinel carries
-    inert values for all of them; the failing bounds check guarantees
-    they are replaced before any access goes through."""
+    """TLB sentinel whose bounds check always misses, so a block
+    replaces it before any access reads another segment field."""
 
     base = 1
     end = 0
-    data = b""
-    extra_cost = 0
-    name = "?"
-    watched = False
 
 
 _NOSEG = _NoSeg()
@@ -265,14 +255,13 @@ class _BlockCompiler:
         e("if _x:")
         e("    perf.cycles += _x; perf.remote_cycles += _x; "
           "perf.remote_accesses += 1")
-        e("mloads[seg_.name] += 1")
         fn = "UQF" if fmt == "Q" else "UDF"
         e(f"{var} = {fn}(seg_.data, {t} - seg_.base)[0]")
         if count_inline:
             e("perf.loads += 1")
         else:
             self.n_loads += 1
-        self.needs.update(("mem", "mloads"))
+        self.needs.add("mem")
         return t
 
     def store(self, ea_expr: str, value_expr: str, fmt: str = "Q",
@@ -288,7 +277,6 @@ class _BlockCompiler:
         e("if _x:")
         e("    perf.cycles += _x; perf.remote_cycles += _x; "
           "perf.remote_accesses += 1")
-        e("mstores[seg_.name] += 1")
         fn = "PQI" if fmt == "Q" else "PDI"
         self._barriered_store(
             "seg_.watched and cpu.memory.before_write(seg_)",
@@ -319,7 +307,7 @@ class _BlockCompiler:
             e("perf.stores += 1")
         else:
             self.n_stores += 1
-        self.needs.update(("mem", "mstores"))
+        self.needs.add("mem")
 
     def read_int(self, operand) -> str:
         """Expression (or temp) holding an integer operand's canonical
@@ -815,10 +803,6 @@ class _BlockCompiler:
             pre.append("    segfor = cpu.memory.segment_for")
         if "cw" in self.needs:
             pre.append("    cw_ = False")
-        if "mloads" in self.needs:
-            pre.append("    mloads = cpu.memory.loads")
-        if "mstores" in self.needs:
-            pre.append("    mstores = cpu.memory.stores")
         if "call" in self.needs:
             pre.append("    hooks = cpu.call_hooks")
             pre.append("    hostfns = cpu.host_functions")

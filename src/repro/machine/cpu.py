@@ -129,7 +129,6 @@ class CPU:
         """8-byte load with counters and segment surcharge."""
         seg = self._segment(addr)
         self._charge_segment(seg)
-        self.memory.loads[seg.name] += 1
         self.perf.loads += 1
         return struct.unpack_from("<Q", seg.data, addr - seg.base)[0]
 
@@ -137,7 +136,6 @@ class CPU:
         """8-byte store with counters and segment surcharge."""
         seg = self._segment(addr)
         self._charge_segment(seg)
-        self.memory.stores[seg.name] += 1
         self.perf.stores += 1
         if seg.watched and self.memory.before_write(seg):
             struct.pack_into("<Q", seg.data, addr - seg.base, value & MASK64)
@@ -149,7 +147,6 @@ class CPU:
         """Double load with counters and segment surcharge."""
         seg = self._segment(addr)
         self._charge_segment(seg)
-        self.memory.loads[seg.name] += 1
         self.perf.loads += 1
         return struct.unpack_from("<d", seg.data, addr - seg.base)[0]
 
@@ -157,7 +154,6 @@ class CPU:
         """Double store with counters and segment surcharge."""
         seg = self._segment(addr)
         self._charge_segment(seg)
-        self.memory.stores[seg.name] += 1
         self.perf.stores += 1
         if seg.watched and self.memory.before_write(seg):
             struct.pack_into("<d", seg.data, addr - seg.base, value)
@@ -270,14 +266,11 @@ class CPU:
         self.pc = entry_addr
         before = self.perf.snapshot()
         steps = self._loop(max_steps)
-        delta = self.perf.delta(before)
-        delta.by_segment_loads = dict(self.memory.loads)
-        delta.by_segment_stores = dict(self.memory.stores)
         return RunResult(
             uint_return=self.regs[GPR.RAX],
             float_return=self.xmm[0][0],
             steps=steps,
-            perf=delta,
+            perf=self.perf.delta(before),
         )
 
     # ---------------------------------------------------------------- loop
@@ -342,13 +335,8 @@ class CPU:
             self.regs[ops[0].reg] = self.ea(ops[1])  # type: ignore[union-attr]
         elif cls is OpClass.FMOV:
             if op is Op.XORPD:
-                a = self.read_packed(ops[0])
-                b = self.read_packed(ops[1])
-                pa = struct.pack("<dd", *a)
-                pb = struct.pack("<dd", *b)
-                lanes = struct.unpack(
-                    "<dd", bytes(x ^ y for x, y in zip(pa, pb))
-                )
+                lanes = S.xorpd(self.read_packed(ops[0]),
+                                self.read_packed(ops[1]))
                 self.xmm[ops[0].reg][0] = lanes[0]  # type: ignore[union-attr]
                 self.xmm[ops[0].reg][1] = lanes[1]  # type: ignore[union-attr]
             else:  # MOVSD

@@ -105,9 +105,10 @@ class Image:
     def resolve(self, name_or_addr: str | int) -> int:
         return self.symbol(name_or_addr) if isinstance(name_or_addr, str) else name_or_addr
 
-    # -- raw poking (loader-level, bypasses perms and counters) -------------
+    # -- raw poking (loader-level, bypasses perms) ----------------------------
     def poke(self, addr: int, data: bytes) -> None:
-        """Loader-level raw write (bypasses permissions and counters)."""
+        """Loader-level raw write (bypasses permissions; the write
+        barrier still runs)."""
         seg = self.memory.segment_for(addr, len(data))
         off = addr - seg.base
         if seg.watched and self.memory.before_write(seg):
@@ -127,7 +128,7 @@ class Image:
             listener(addr, max(length, 1))
 
     def peek(self, addr: int, length: int) -> bytes:
-        """Loader-level raw read (bypasses permissions and counters)."""
+        """Loader-level raw read (bypasses permissions)."""
         seg = self.memory.segment_for(addr, length)
         off = addr - seg.base
         return bytes(seg.data[off : off + length])

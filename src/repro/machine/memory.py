@@ -69,9 +69,6 @@ class Memory:
 
     def __init__(self) -> None:
         self.segments: list[Segment] = []
-        # Access counters per segment name, maintained for the perf report.
-        self.loads: dict[str, int] = {}
-        self.stores: dict[str, int] = {}
         #: The open write journal: segment name -> contents before the
         #: segment's first write since :meth:`open_journal`, or None.
         self.journal: dict[str, bytes] | None = None
@@ -86,8 +83,6 @@ class Memory:
                 )
         self.segments.append(segment)
         self.segments.sort(key=lambda s: s.base)
-        self.loads.setdefault(segment.name, 0)
-        self.stores.setdefault(segment.name, 0)
         return segment
 
     def segment_for(self, addr: int, length: int = 1) -> Segment:
@@ -144,50 +139,40 @@ class Memory:
             seg.watched = Perm.X in seg.perms
 
     # -- raw access --------------------------------------------------------
-    def read_bytes(self, addr: int, length: int, *, count: bool = True) -> bytes:
-        """Permission-checked read; ``count=False`` skips the counters."""
+    def read_bytes(self, addr: int, length: int) -> bytes:
+        """Permission-checked read."""
         seg = self.segment_for(addr, length)
         if Perm.R not in seg.perms:
             raise MemoryError_(f"read from non-readable segment {seg.name!r}", addr)
-        if count:
-            self.loads[seg.name] += 1
         off = addr - seg.base
         return bytes(seg.data[off : off + length])
 
-    def write_bytes(self, addr: int, data: bytes, *, count: bool = True) -> None:
-        """Permission-checked write; ``count=False`` skips the counters."""
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        """Permission-checked write."""
         seg = self.segment_for(addr, len(data))
         if Perm.W not in seg.perms:
             raise MemoryError_(f"write to non-writable segment {seg.name!r}", addr)
-        if count:
-            self.stores[seg.name] += 1
         if seg.watched:
             self.before_write(seg)
         off = addr - seg.base
         seg.data[off : off + len(data)] = data
 
     # -- typed access -------------------------------------------------------
-    def read_u64(self, addr: int, *, count: bool = True) -> int:
-        return struct.unpack("<Q", self.read_bytes(addr, 8, count=count))[0]
+    def read_u64(self, addr: int) -> int:
+        return struct.unpack("<Q", self.read_bytes(addr, 8))[0]
 
-    def read_i64(self, addr: int, *, count: bool = True) -> int:
-        return struct.unpack("<q", self.read_bytes(addr, 8, count=count))[0]
+    def read_i64(self, addr: int) -> int:
+        return struct.unpack("<q", self.read_bytes(addr, 8))[0]
 
-    def write_u64(self, addr: int, value: int, *, count: bool = True) -> None:
-        self.write_bytes(addr, struct.pack("<Q", value & ((1 << 64) - 1)), count=count)
+    def write_u64(self, addr: int, value: int) -> None:
+        self.write_bytes(addr, struct.pack("<Q", value & ((1 << 64) - 1)))
 
-    def read_f64(self, addr: int, *, count: bool = True) -> float:
-        return struct.unpack("<d", self.read_bytes(addr, 8, count=count))[0]
+    def read_f64(self, addr: int) -> float:
+        return struct.unpack("<d", self.read_bytes(addr, 8))[0]
 
-    def write_f64(self, addr: int, value: float, *, count: bool = True) -> None:
-        self.write_bytes(addr, struct.pack("<d", value), count=count)
+    def write_f64(self, addr: int, value: float) -> None:
+        self.write_bytes(addr, struct.pack("<d", value))
 
     def access_cost(self, addr: int) -> int:
         """Cycle surcharge for touching ``addr`` (0 for plain segments)."""
         return self.segment_for(addr).extra_cost
-
-    def reset_counters(self) -> None:
-        for key in self.loads:
-            self.loads[key] = 0
-        for key in self.stores:
-            self.stores[key] = 0

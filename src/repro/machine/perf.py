@@ -7,7 +7,7 @@ fewer call pairs, fewer branches) the way the paper's prose does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -24,39 +24,24 @@ class PerfCounters:
     #: Surcharge cycles paid to special segments (e.g. remote nodes).
     remote_cycles: int = 0
     remote_accesses: int = 0
-    by_segment_loads: dict[str, int] = field(default_factory=dict)
-    by_segment_stores: dict[str, int] = field(default_factory=dict)
 
     def reset(self) -> None:
         """Zero every counter."""
         for f in fields(self):
-            if f.type == "int" or isinstance(getattr(self, f.name), int):
-                setattr(self, f.name, 0)
-        self.by_segment_loads = {}
-        self.by_segment_stores = {}
+            setattr(self, f.name, 0)
 
     def snapshot(self) -> "PerfCounters":
         """An independent copy, for later delta()."""
         snap = PerfCounters()
         for f in fields(self):
-            value = getattr(self, f.name)
-            setattr(snap, f.name, dict(value) if isinstance(value, dict) else value)
+            setattr(snap, f.name, getattr(self, f.name))
         return snap
 
     def delta(self, earlier: "PerfCounters") -> "PerfCounters":
         """Counters accumulated since ``earlier`` (a snapshot)."""
         out = PerfCounters()
         for f in fields(self):
-            now = getattr(self, f.name)
-            before = getattr(earlier, f.name)
-            if isinstance(now, dict):
-                setattr(
-                    out,
-                    f.name,
-                    {k: now.get(k, 0) - before.get(k, 0) for k in now},
-                )
-            else:
-                setattr(out, f.name, now - before)
+            setattr(out, f.name, getattr(self, f.name) - getattr(earlier, f.name))
         return out
 
     def as_dict(self) -> dict[str, int]:

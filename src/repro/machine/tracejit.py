@@ -265,10 +265,9 @@ class _TraceCompiler(_BlockCompiler):
         #: Per-site TLB slots: every static access site caches its own
         #: segment in its own locals (site ``j``: ``sb{j}_`` base,
         #: ``sm{j}_`` last valid address, ``sd{j}_`` data, ``sx{j}_``
-        #: surcharge, ``sn{j}_`` name, ``sw{j}_`` watched, plus a
-        #: batched access counter ``mlc{j}_``/``msc{j}_``).  A site has
-        #: locality to one segment even when consecutive sites alternate
-        #: segments (matrix / stack / matrix), which thrashes a shared
+        #: surcharge, ``sw{j}_`` watched).  A site has locality to one
+        #: segment even when consecutive sites alternate segments
+        #: (matrix / stack / matrix), which thrashes a shared
         #: single-entry TLB into a ``segment_for`` walk per access.
         self._load_slots: list[int] = []
         self._store_slots: list[int] = []
@@ -313,17 +312,12 @@ class _TraceCompiler(_BlockCompiler):
 
     # ------------------------------------------------- memory fast path
     def _site_refill(self, j, t):
-        """Refill site ``j``'s segment locals on a bounds miss; the
-        site's batched access counter flushes under the old name
-        first."""
+        """Refill site ``j``'s segment locals on a bounds miss."""
         e = self.emit
-        c, tab = (("mlc", "mloads") if j in self._load_slots
-                  else ("msc", "mstores"))
-        e(f"    if {c}{j}_: {tab}[sn{j}_] += {c}{j}_; {c}{j}_ = 0")
         e(f"    seg_ = segfor({t}, 8); cpu._seg_cache = seg_")
         e(f"    sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8; "
           f"sd{j}_ = seg_.data; sx{j}_ = seg_.extra_cost; "
-          f"sn{j}_ = seg_.name; sw{j}_ = seg_.watched")
+          f"sw{j}_ = seg_.watched")
 
     def load(self, ea_expr, var, fmt="Q", count_inline=False):
         """Inline a guest load through this site's private TLB slot."""
@@ -337,14 +331,13 @@ class _TraceCompiler(_BlockCompiler):
         e(f"if sx{j}_:")
         e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
           "perf.remote_accesses += 1")
-        e(f"mlc{j}_ += 1")
         fn = "UQF" if fmt == "Q" else "UDF"
         e(f"{var} = {fn}(sd{j}_, {t} - sb{j}_)[0]")
         if count_inline:
             e("perf.loads += 1")
         else:
             self.n_loads += 1
-        self.needs.update(("mem", "mloads"))
+        self.needs.add("mem")
         return t
 
     def store(self, ea_expr, value_expr, fmt="Q", count_inline=False):
@@ -362,7 +355,6 @@ class _TraceCompiler(_BlockCompiler):
         e(f"if sx{j}_:")
         e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
           "perf.remote_accesses += 1")
-        e(f"msc{j}_ += 1")
         fn = "PQI" if fmt == "Q" else "PDI"
         self._barriered_store(
             f"sw{j}_ and (sw{j}_ := "
@@ -457,10 +449,6 @@ class _TraceCompiler(_BlockCompiler):
         out = [f"perf.{name} += {itvar}*{n} + {p}"
                for name, n, p in zip(_EXIT_COUNTERS, per_iter, prefix)
                if n or p]
-        out += [f"if mlc{j}_: mloads[sn{j}_] += mlc{j}_"
-                for j in self._load_slots]
-        out += [f"if msc{j}_: mstores[sn{j}_] += msc{j}_"
-                for j in self._store_slots]
         if writeback:
             out.append(writeback)
         if defer is None:
@@ -617,14 +605,8 @@ class _TraceCompiler(_BlockCompiler):
             # Poisoned bounds: every site's first access misses and
             # fills its slot; the other slot locals are defined by the
             # refill before anything reads them.
-            for j in self._load_slots:
-                pre.append(f"    sb{j}_ = 1; sm{j}_ = 0; mlc{j}_ = 0")
-            for j in self._store_slots:
-                pre.append(f"    sb{j}_ = 1; sm{j}_ = 0; msc{j}_ = 0")
-        if "mloads" in self.needs:
-            pre.append("    mloads = cpu.memory.loads")
-        if "mstores" in self.needs:
-            pre.append("    mstores = cpu.memory.stores")
+            for j in self._load_slots + self._store_slots:
+                pre.append(f"    sb{j}_ = 1; sm{j}_ = 0")
         if "cw" in self.needs:
             pre.append("    cw_ = False")
         if "call" in self.needs:

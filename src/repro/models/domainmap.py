@@ -141,7 +141,7 @@ class DomainMapRuntime:
         )
 
     def _install(self, fn_addr: int) -> None:
-        self.machine.memory.write_u64(self.slot_addr, fn_addr, count=False)
+        self.machine.memory.write_u64(self.slot_addr, fn_addr)
 
     def element_address(self, i: int) -> int:
         """Storage address of logical element ``i`` under the current map."""

@@ -91,7 +91,7 @@ def test_forced_unknown_param_on_inlined_callee():
     assert guarded.stats.blocks > plain.stats.blocks
 
 
-def test_ptr_to_known_range_is_bounded_by_segment():
+def test_ptr_to_known_range_is_bounded_by_its_segment():
     m = Machine()
     m.load("noinline long f(long *p) { return p[0]; }")
     buf = m.image.malloc(16)

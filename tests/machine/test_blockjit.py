@@ -34,8 +34,6 @@ def fingerprint(machine, result):
         struct.pack("<d", result.float_return),
         result.steps,
         tuple(sorted(result.perf.as_dict().items())),
-        tuple(sorted(result.perf.by_segment_loads.items())),
-        tuple(sorted(result.perf.by_segment_stores.items())),
         tuple(cpu.regs),
         tuple(tuple(x) for x in cpu.xmm),
         cpu.pc,
@@ -165,7 +163,7 @@ def test_interpreter_cost_recomputed_after_inplace_rewrite():
     with)."""
     m = Machine()  # tier 0 only
     buf = m.image.malloc(8)
-    m.memory.write_u64(buf, 5, count=False)
+    m.memory.write_u64(buf, 5)
     addr = load(m.image, "f", "mov rax, 3\nret")
     plain = m.call("f")
     assert plain.int_return == 3

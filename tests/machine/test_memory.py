@@ -59,17 +59,6 @@ def test_extra_cost_surfaced(mem):
     assert mem.access_cost(0x1000) == 0
 
 
-def test_counters_track_by_segment(mem):
-    mem.read_u64(0x1000)
-    mem.read_u64(0x4000)
-    mem.write_u64(0x1000, 1)
-    assert mem.loads["ram"] == 1
-    assert mem.loads["rom"] == 1
-    assert mem.stores["ram"] == 1
-    mem.reset_counters()
-    assert mem.loads["ram"] == 0
-
-
 def test_segment_by_name(mem):
     assert mem.segment_by_name("rom").base == 0x4000
     with pytest.raises(MemoryError_):

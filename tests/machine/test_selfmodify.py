@@ -229,7 +229,6 @@ def test_selfmod_loop_trace_matches_interpreter_exactly():
     got = traced.cpu.run(e)
     assert (got.uint_return, got.steps) == (want.uint_return, want.steps)
     assert got.perf.as_dict() == want.perf.as_dict()
-    assert dict(got.perf.by_segment_stores) == dict(want.perf.by_segment_stores)
 
 
 def test_trace_codewrite_exit_every_iteration():

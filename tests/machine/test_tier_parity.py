@@ -46,7 +46,6 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.asm.assembler import assemble
-from repro.core.resilience import _restore_snapshot, _take_snapshot
 from repro.errors import CpuError
 from repro.experiments.harness import result_fingerprint
 from repro.isa.opcodes import OpClass
@@ -95,11 +94,6 @@ def _fp_bits(values) -> tuple:
                  for v in values)
 
 
-def _delta(after: dict, before: dict) -> tuple:
-    return tuple(sorted((k, v - before.get(k, 0)) for k, v in after.items()
-                        if v != before.get(k, 0)))
-
-
 #: The call-stack frames every run starts under.  ``cpu.run`` pushes no
 #: frame for the function it enters, so that function's final ``ret``
 #: pops one of them; the other keeps a frame that a trace exit failed to
@@ -109,10 +103,8 @@ CALLER_FRAMES = (CallFrameInfo(0, 1), CallFrameInfo(0, 2))
 
 def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
     """Call ``fn(buf)``; everything architectural and counted about the
-    run.  Per-segment access counts are cumulative per machine, so the
-    run's own share is taken as a delta."""
+    run."""
     cpu = machine.cpu
-    loads, stores = dict(cpu.memory.loads), dict(cpu.memory.stores)
     cpu.call_stack[:] = CALLER_FRAMES
     result = machine.call(fn, buf)
     fp_half = struct.unpack(f"<{FP_BYTES // 8}d",
@@ -122,8 +114,6 @@ def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
         _fp_bits([result.float_return]),
         result.steps,
         tuple(sorted(result.perf.as_dict().items())),
-        _delta(result.perf.by_segment_loads, loads),
-        _delta(result.perf.by_segment_stores, stores),
         tuple(cpu.regs),
         _fp_bits(v for lanes in cpu.xmm for v in lanes),
         tuple(sorted((f.name, bool(v)) for f, v in cpu.flags.items())),
@@ -684,24 +674,21 @@ def contents(machine: Machine) -> list:
 
 def run_journaled(machine: Machine, run) -> tuple:
     """``run()`` under an open write journal, then rolled back.  The
-    rollback must restore every segment byte for byte and both access
-    counter tables.  Returns ``(run's result or exception, journaled
-    segment names)``."""
+    rollback must restore every segment byte for byte.  Returns
+    ``(run's result or exception, journaled segment names)``."""
     memory = machine.memory
     before = full_copy(machine)
-    loads, stores = dict(memory.loads), dict(memory.stores)
-    snap = _take_snapshot(machine)
+    memory.open_journal()
     try:
         try:
             outcome = run()
         except CpuError as exc:
             outcome = exc
         written = set(memory.journal)
-        _restore_snapshot(machine, snap)
+        memory.rollback()
     finally:
         memory.close_journal()
     assert contents(machine) == before
-    assert memory.loads == loads and memory.stores == stores
     return outcome, written
 
 

@@ -50,8 +50,6 @@ def fingerprint(machine, result):
         struct.pack("<d", result.float_return),
         result.steps,
         tuple(sorted(result.perf.as_dict().items())),
-        tuple(sorted(result.perf.by_segment_loads.items())),
-        tuple(sorted(result.perf.by_segment_stores.items())),
         tuple(cpu.regs),
         tuple(tuple(x) for x in cpu.xmm),
         cpu.pc,

@@ -50,14 +50,18 @@ def test_host_function_symbol_registered():
     assert m.symbol("helper") == addr
 
 
-def test_runs_have_independent_perf_deltas():
+@pytest.mark.parametrize("tier", [0, 1, 2])
+def test_runs_have_independent_perf_deltas(tier):
     m = Machine()
+    if tier:
+        m.enable_jit(trace=tier == 2)
     m.load("long f(long n) { long t = 0; for (long i = 0; i < n; i++) t += i; return t; }")
     small = m.call("f", 2)
     big = m.call("f", 50)
     small2 = m.call("f", 2)
     assert big.cycles > small.cycles
-    assert small.cycles == small2.cycles  # deterministic, per-run deltas
+    # deterministic, and every counter is this run's own delta
+    assert small.perf == small2.perf
 
 
 def test_perf_snapshot_and_delta():
@@ -76,10 +80,9 @@ def test_perf_snapshot_and_delta():
 def test_perf_reset():
     perf = PerfCounters()
     perf.cycles = 5
-    perf.by_segment_loads["heap"] = 3
+    perf.remote_accesses = 3
     perf.reset()
-    assert perf.cycles == 0
-    assert perf.by_segment_loads == {}
+    assert perf == PerfCounters()
 
 
 def test_perf_as_dict_roundtrip():
