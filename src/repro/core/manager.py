@@ -169,8 +169,8 @@ class SpecializationManager:
         #: Content-addressed code index: sha1 of the emitted bytes →
         #: canonical (entry, name).  Two keys whose rewrites produce
         #: byte-identical bodies (emission is rel32 position-independent)
-        #: dispatch through one copy; the redundant emission is left in
-        #: the image (there is no code GC) but never dispatched to.
+        #: dispatch through one copy; the redundant emission's span goes
+        #: back to the rewrite allocator when it is the latest one.
         self._code_index: dict[str, tuple[int, str]] = {}
         self._listeners: list[Callable[[list[tuple]], None]] = []
         self.hits = 0
@@ -346,12 +346,16 @@ class SpecializationManager:
         a body becomes canonical and later identical emissions dispatch
         through it.  This is what makes world-signature sharing pay off
         across *distinct* cache keys (e.g. configs with different
-        declared ranges whose read cells happen to agree)."""
+        declared ranges whose read cells happen to agree), and what
+        keeps a service that cycles through a few configurations
+        (Sec. VI retuning) from growing its code: the duplicate's span
+        goes back to the allocator (:meth:`Image.free_rewrite`), and its
+        debug map moves onto the canonical body, whose instructions sit
+        at the same offsets."""
         if not result.ok or result.entry is None or not result.code_size:
             return result
-        digest = hashlib.sha1(
-            self.machine.image.peek(result.entry, result.code_size)
-        ).hexdigest()
+        image = self.machine.image
+        digest = hashlib.sha1(image.peek(result.entry, result.code_size)).hexdigest()
         canonical = self._code_index.get(digest)
         if canonical is None:
             self._code_index[digest] = (result.entry, result.name)
@@ -361,7 +365,13 @@ class SpecializationManager:
             return result
         self.code_dedup += 1
         self.metrics.inc("manager.code_dedup")
-        return replace(result, entry=entry, name=name)
+        image.free_rewrite(result.entry, result.code_size)
+        debug = result.debug
+        if debug is not None:
+            shift = entry - result.entry
+            debug = replace(debug, entries={
+                addr + shift: where for addr, where in debug.entries.items()})
+        return replace(result, entry=entry, name=name, debug=debug)
 
     def cached_result(self, key: tuple) -> RewriteResult | None:
         """The cached :class:`RewriteResult` under ``key`` (no freshness

@@ -184,6 +184,23 @@ class Image:
         self._rewrite_next = addr + size
         return addr
 
+    def free_rewrite(self, addr: int, size: int) -> bool:
+        """Give back ``[addr, addr+size)`` if it is the latest rewrite
+        allocation: roll the cursor back to ``addr`` and drop the span's
+        symbol and ``function_sizes`` entry, so the next ``alloc_rewrite``
+        returns ``addr`` again.  Any other span is left as it is (the
+        allocator only bumps).  The bytes stay until the next emission
+        writes over them, and that write drops the code compiled there.
+        Returns whether the span was freed."""
+        if addr + size != self._rewrite_next:
+            return False
+        self._rewrite_next = addr
+        name = self.symbol_names.pop(addr, None)
+        if name is not None:
+            del self.symbols[name]
+        self.function_sizes.pop(addr, None)
+        return True
+
     def reserve_rewrite(self, addr: int, size: int) -> None:
         """Pin ``[addr, addr+size)`` of the rewrite segment as occupied
         (snapshot restore re-places emitted bodies at their recorded

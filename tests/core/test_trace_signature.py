@@ -142,6 +142,8 @@ def test_identical_bodies_dedup_across_keys(setup):
     assert r2.entry == r1.entry
     assert mgr.code_dedup == 1 and mgr.stats()["code_dedup"] == 1
     assert m.call(r2.entry, 7, cfg).int_return == 14
+    # the debug map moved onto the canonical body with the entry
+    assert m.explain_rewrite(r2) == m.explain_rewrite(r1)
 
 
 # -------------------------------------------------- eviction accounting

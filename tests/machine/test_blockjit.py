@@ -11,6 +11,7 @@ import pytest
 from repro.asm.assembler import assemble
 from repro.core import BREW_KNOWN, brew_init_conf, brew_rewrite, brew_setpar
 from repro.errors import CpuError
+from repro.machine import blockjit
 from repro.machine.blockjit import enable_blockjit
 from repro.machine.vm import Machine
 from repro.obs import Metrics
@@ -153,6 +154,36 @@ def test_stale_block_never_executes_after_inplace_poke():
     m.image.poke(addr, replacement)
     assert m.jit.stats()["invalidations"] > 0
     assert m.call("f").int_return == 7
+
+
+def test_retranslation_of_known_bytes_reuses_compiled_code(monkeypatch):
+    """A block translated again from bytes it compiled before takes its
+    code from the JIT's ``compile()`` memo, which drops its oldest entry
+    when full."""
+    monkeypatch.setattr(blockjit, "MAX_CODE_MEMO", 2)
+    m = Machine(jit=True)
+    addr = load(m.image, "f", "mov rax, 42\nret")
+    bodies = {42: m.image.peek(addr, m.image.function_sizes[addr])}
+    for value in (7, 9):
+        bodies[value], _ = assemble(f"mov rax, {value}\nret", base_addr=addr)
+        assert len(bodies[value]) == len(bodies[42])
+    calls = []
+    monkeypatch.setattr(blockjit, "compile",
+                        lambda *a: calls.append(a[1]) or compile(*a),
+                        raising=False)
+
+    def run(value):
+        m.image.poke(addr, bodies[value])
+        assert m.call("f").int_return == value
+
+    assert m.call("f").int_return == 42
+    run(7)
+    compiles, n_calls = m.jit.stats()["compiles"], len(calls)
+    run(42)  # retranslated, memo hit
+    assert m.jit.stats()["compiles"] > compiles and len(calls) == n_calls
+    run(9)  # full memo: the oldest entry, 42's code, goes
+    run(42)
+    assert len(calls) == n_calls + 2 and len(m.jit._code_memo) == 2
 
 
 def test_interpreter_cost_recomputed_after_inplace_rewrite():

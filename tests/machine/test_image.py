@@ -6,8 +6,12 @@ import struct
 
 import pytest
 
+from repro.core import BREW_KNOWN, BREW_PTR_TO_KNOWN, brew_init_conf, brew_setpar
+from repro.core.manager import SpecializationManager
+from repro.core.persist import load_manager, save_manager
 from repro.errors import LinkError, MemoryError_
 from repro.machine.image import Image, LAYOUT
+from repro.machine.vm import Machine
 
 
 @pytest.fixture()
@@ -68,6 +72,77 @@ def test_emit_rewritten_lands_in_rewrite_segment(image):
     addr = image.emit_rewritten("f__brew", b"\x70\x00")
     assert image.seg_rewrite.contains(addr, 2)
     assert image.symbol("f__brew") == addr
+
+
+def test_free_rewrite_refuses_all_but_the_latest_span(image):
+    a = image.emit_rewritten("a", b"\x70\x00" * 3)
+    b = image.emit_rewritten("b", b"\x70\x00")
+    tables = (dict(image.symbols), dict(image.symbol_names),
+              dict(image.function_sizes))
+    assert not image.free_rewrite(a, 6)  # an older span
+    assert not image.free_rewrite(b, 1)  # part of the latest one
+    assert tables == (image.symbols, image.symbol_names, image.function_sizes)
+    assert image.alloc_rewrite(2) > b
+
+
+def test_free_rewrite_gives_the_latest_span_back(image):
+    a = image.emit_rewritten("a", b"\x70\x00" * 3)
+    b = image.emit_rewritten("b", b"\x70\x00")
+    assert image.free_rewrite(b, 2)
+    assert "b" not in image.symbols and b not in image.symbol_names
+    assert b not in image.function_sizes
+    assert image.symbol("a") == a and image.function_sizes[a] == 6
+    assert image.alloc_rewrite(2) == b
+
+
+RECLAIM_SOURCE = """
+struct Cfg { long scale; };
+noinline long scaled(long x, struct Cfg *c) { return x * c->scale; }
+noinline long shifted(long x, long k) { return x + k; }
+"""
+
+
+def _reclaim_machine():
+    m = Machine()
+    m.load(RECLAIM_SOURCE)
+    cfg = m.image.malloc(8)
+    m.memory.write_u64(cfg, 3)
+    return m, cfg, m.image.malloc(8)
+
+
+def test_snapshot_round_trip_after_a_reclaim(tmp_path):
+    """A deduplicated body's span is reused by the next rewrite, and a
+    snapshot taken afterwards restores every entry."""
+    m, cfg, scratch = _reclaim_machine()
+    mgr = SpecializationManager(m)
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+    dup = brew_init_conf()
+    brew_setpar(dup, 2, BREW_PTR_TO_KNOWN)
+    dup.add_known_memory(scratch, scratch + 8)  # never read: same body
+    known = brew_init_conf()
+    brew_setpar(known, 2, BREW_KNOWN)
+    r1 = mgr.get(conf, "scaled", 0, cfg)
+    r2 = mgr.get(dup, "scaled", 0, cfg)
+    r3 = mgr.get(known, "shifted", 0, 5)
+    assert r1.ok and r2.ok and r3.ok and mgr.code_dedup == 1
+    assert r2.entry == r1.entry
+    assert r3.entry == (r1.entry + r1.code_size + 15) & ~15  # the freed span
+    path = save_manager(mgr, tmp_path / "spec.snap")
+
+    m2, cfg2, _ = _reclaim_machine()
+    assert cfg2 == cfg  # the same layout: the restored bodies read it
+    mgr2 = SpecializationManager(m2)
+    report = load_manager(mgr2, path)
+    assert not report.rejected
+    assert sorted(report.restored_ok) == sorted(
+        key for key, *_ in mgr.export_entries())
+    for key in report.restored_ok:
+        result = mgr2.cached_result(key)
+        if result.name.startswith("scaled"):
+            assert m2.call(result.entry, 7, cfg).int_return == 21
+        else:
+            assert m2.call(result.entry, 7, 5).int_return == 12
 
 
 def test_host_slots_unmapped_and_below_2_31(image):

@@ -20,7 +20,7 @@ import pytest
 from repro.asm.assembler import assemble
 from repro.errors import CpuError
 from repro.isa.registers import GPR
-from repro.machine import tracejit
+from repro.machine import blockjit, tracejit
 from repro.machine.tracejit import TraceJIT, enable_tracejit
 from repro.machine.vm import Machine
 from repro.obs import Metrics
@@ -246,9 +246,38 @@ def test_full_version_table_evicts_the_oldest_version():
     assert all(len(t) <= tracejit.MAX_VERSIONS for t in jit.versions.values())
 
 
+def test_rebuilt_versions_reuse_their_compiled_code(monkeypatch):
+    """A second round over five callees rebuilds the versions the first
+    round evicted from identical source, so it makes no ``compile()``
+    call, and every run is still traced."""
+    m = Machine()
+    m.load(POINTER_SRC)
+    jit = m.enable_jit(trace=True)
+    for name in POINTER_CALLEES:
+        m.call("run", m.symbol(name), 400)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return compile(*args)
+
+    for module in (blockjit, tracejit):  # both tiers' compile() calls
+        monkeypatch.setattr(module, "compile", counting, raising=False)
+    trace_compiles = jit.stats()["trace_compiles"]
+    for name, fn in POINTER_CALLEES.items():
+        before = jit.stats()["trace_iterations"]
+        r = m.call("run", m.symbol(name), 400)
+        assert r.int_return == sum(fn(i) for i in range(400)), name
+        assert jit.stats()["trace_iterations"] > before, name
+    assert jit.stats()["trace_compiles"] > trace_compiles
+    assert calls == []
+
+
 def test_version_reuse_no_recompile_in_steady_state(monkeypatch):
     """Once both versions of a phase-shifting loop are compiled, further
-    calls swap installed versions without new compiles."""
+    calls swap installed versions without new compiles, and a
+    deactivation puts the head's tier-1 block back instead of
+    translating it again."""
     src = """
         long f(long n) {
             long t; long i;
@@ -265,10 +294,13 @@ def test_version_reuse_no_recompile_in_steady_state(monkeypatch):
     m.enable_jit(trace=True, **HOT)
     for _ in range(4):
         m.call("f", 300)
-    compiles = m.jit.stats()["trace_compiles"]
+    before = m.jit.stats()
     for _ in range(3):
         m.call("f", 300)
-    assert m.jit.stats()["trace_compiles"] == compiles
+    after = m.jit.stats()
+    assert after["trace_compiles"] == before["trace_compiles"]
+    assert after["trace_deactivations"] > before["trace_deactivations"]
+    assert after["compiles"] == before["compiles"]
 
 
 def test_invalidation_severs_installed_traces():
@@ -435,6 +467,34 @@ def test_host_function_registered_at_callee_is_called_not_inlined():
     assert results[0] == results[1] == results[2]
     assert results[0][0] == list(range(60))
     assert m.jit.stats()["trace_installs"] == installs
+
+
+def test_promotion_decodes_nothing(monkeypatch):
+    """Trace formation reads the instructions of the cached blocks on
+    its path instead of decoding their bytes again."""
+    in_promote, decodes = [False], []
+    real_decode, real_promote = TraceJIT._decode_block, TraceJIT._promote
+
+    def decode(self, addr):
+        if in_promote[0]:
+            decodes.append(addr)
+        return real_decode(self, addr)
+
+    def promote(self, head):
+        in_promote[0] = True
+        try:
+            return real_promote(self, head)
+        finally:
+            in_promote[0] = False
+
+    monkeypatch.setattr(TraceJIT, "_decode_block", decode)
+    monkeypatch.setattr(TraceJIT, "_promote", promote)
+    m = Machine()
+    m.load(CALL_SRC)
+    m.enable_jit(trace=True, **HOT)
+    assert m.call("main", 60).int_return == sum(3 * i + 1 for i in range(60))
+    assert m.jit.stats()["trace_installs"] > 0
+    assert decodes == []
 
 
 def _asm_at(m: Machine, addr: int, src: str, labels=None) -> bytes:

@@ -151,9 +151,9 @@ def test_nine_point_stencil_also_works():
 
 # ------------------------------------------- respecialization under the JIT
 #: Nine coefficient sets over the 3x3 neighbourhood; set ``j`` has
-#: ``j + 1`` points.  Each respecialization emits a variant at a new
-#: address, so the sweep's loop heads see a new call target per set:
-#: nine outnumber the versions two heads keep (2 x MAX_VERSIONS).
+#: ``j + 1`` points.  Each set's variant has an address of its own, so
+#: the sweep's loop heads see a new call target per set: nine outnumber
+#: the versions two heads keep (2 x MAX_VERSIONS).
 OFFSETS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 RETUNE_SETS = [
     StencilSpec([((k + 1) / (8.0 * (j + 1)), dx, dy)
@@ -196,16 +196,27 @@ def sweep(lab: StencilLab, entry: int):
 
 
 def test_respecialization_under_trace_tier_matches_tier0():
-    """Each retune publishes a new variant beside the old ones; sweeps
-    through it under the trace tier equal tier 0 and stay traced, even
-    after the loop heads' version tables fill up."""
+    """The first round of retunes publishes a new variant per set; the
+    second round rewrites each set to a body identical to its first
+    variant, which is served instead, and the duplicate's span goes
+    back to the allocator, so neither the rewrite segment nor the code
+    cache grows.  Sweeps under the trace tier equal tier 0 and stay
+    traced, even after the loop heads' version tables fill up."""
     traced, plain = service_lab(True), service_lab(False)
-    jit = traced.machine.jit
+    image, jit = traced.machine.image, traced.machine.jit
+    space = []
     for spec in RETUNE_SETS * 2:
         before = jit.stats()["trace_iterations"]
         got = sweep(traced, respecialize(traced, spec))
         assert jit.stats()["trace_iterations"] > before, spec
         assert got == sweep(plain, respecialize(plain, spec)), spec
+        space.append((image._rewrite_next, jit.stats()["cached_blocks"]))
+    # round 2 emits each duplicate where the last one was given back:
+    # the first duplicate's blocks are the only ones it adds
+    round2 = space[len(RETUNE_SETS):]
+    assert round2 == [round2[0]] * len(RETUNE_SETS), space
+    assert round2[0][0] == space[len(RETUNE_SETS) - 1][0]
+    assert traced.service.manager.stats()["code_dedup"] == len(RETUNE_SETS)
 
 
 def test_withdrawn_variant_is_not_called_again():
