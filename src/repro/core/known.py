@@ -49,6 +49,12 @@ from typing import Union
 from repro.isa.flags import Flag
 from repro.isa.registers import GPR, XMM
 
+# Member tuples: iterating an enum class runs a Python generator, and
+# worlds are built, copied and compared for every traced block.
+_GPRS = tuple(GPR)
+_XMMS = tuple(XMM)
+_FLAGS = tuple(Flag)
+
 MASK64 = (1 << 64) - 1
 
 
@@ -295,9 +301,9 @@ class World:
     __slots__ = ("regs", "xmm", "flags", "mem", "escaped")
 
     def __init__(self) -> None:
-        self.regs: dict[GPR, Value] = {r: None for r in GPR}
-        self.xmm: dict[XMM, KnownFloat | None] = {x: None for x in XMM}
-        self.flags: dict[Flag, bool | None] = {f: None for f in Flag}
+        self.regs: dict[GPR, Value] = dict.fromkeys(_GPRS)
+        self.xmm: dict[XMM, KnownFloat | None] = dict.fromkeys(_XMMS)
+        self.flags: dict[Flag, bool | None] = dict.fromkeys(_FLAGS)
         # value None here means *dirty* (see module doc); absent = untracked
         self.mem: CowMem = CowMem()
         #: Frame escape flag: False while no address of this frame has
@@ -334,8 +340,8 @@ class World:
     # -------------------------------------------------------------- digest
     def digest(self) -> tuple:
         """Hashable identity of this world (flags excluded; see module doc)."""
-        regs = tuple(self.regs[r] for r in GPR)
-        xmm = tuple(self.xmm[x] for x in XMM)
+        regs = tuple(map(self.regs.__getitem__, _GPRS))
+        xmm = tuple(map(self.xmm.__getitem__, _XMMS))
         mem = self.mem.snapshot_items()
         assert all(
             v.gen == 0 for _, v in mem if isinstance(v, RegSnapshot)
@@ -361,8 +367,7 @@ class World:
 
     # ------------------------------------------------------------ mutation
     def kill_flags(self) -> None:
-        for f in Flag:
-            self.flags[f] = None
+        self.flags = dict.fromkeys(_FLAGS)
 
     def kill_mem_overlapping(self, key: MemKey) -> None:
         """Remove tracked cells overlapping an 8-byte access at ``key``
@@ -406,11 +411,11 @@ def migration_mismatch(src: "World", dst: "World") -> list[str]:
     alias refers to.
     """
     problems: list[str] = []
-    for r in GPR:
+    for r in _GPRS:
         d = dst.regs[r]
         if d is not None and d != src.regs[r]:
             problems.append(f"reg {r}")
-    for x in XMM:
+    for x in _XMMS:
         d = dst.xmm[x]
         if d is not None and d != src.xmm[x]:
             problems.append(f"xmm {x}")
@@ -446,12 +451,12 @@ def generalize(a: "World", b: "World") -> "World":
     escaped in that case (and whenever either input already was)."""
     out = World()
     out.escaped = a.escaped or b.escaped
-    for r in GPR:
+    for r in _GPRS:
         if a.regs[r] is not None and a.regs[r] == b.regs[r]:
             out.regs[r] = a.regs[r]
         elif isinstance(a.regs[r], StackRel) or isinstance(b.regs[r], StackRel):
             out.escaped = True  # a frame address goes runtime-live
-    for x in XMM:
+    for x in _XMMS:
         if a.xmm[x] is not None and a.xmm[x] == b.xmm[x]:
             out.xmm[x] = a.xmm[x]
     keys = set(a.mem) | set(b.mem)
@@ -480,9 +485,9 @@ def materialization_needs(src: "World", dst: "World") -> tuple[list, list, list]
 
     Returns ``(gprs, xmms, mem_keys)``.
     """
-    gprs = [r for r in GPR
+    gprs = [r for r in _GPRS
             if src.regs[r] is not None and dst.regs[r] is None and r is not GPR.RSP]
-    xmms = [x for x in XMM if src.xmm[x] is not None and dst.xmm[x] is None]
+    xmms = [x for x in _XMMS if src.xmm[x] is not None and dst.xmm[x] is None]
     mem_keys = []
     for key, sval in src.mem.items():
         if sval is None:

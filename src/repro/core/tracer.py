@@ -54,7 +54,6 @@ from repro.core.known import (
     abs_key, generalize, materialization_needs, migration_mismatch, stack_key,
 )
 from repro.core.shadow import ShadowFrame
-from repro.isa.encoding import decode
 from repro.isa.flags import Flag, cond_holds
 from repro.isa.instruction import Instruction, ins
 from repro.isa.opcodes import Op, OpClass, op_info
@@ -204,26 +203,38 @@ class Tracer:
             self.stats.folded_instructions += 1
 
     def _decode(self, addr: int) -> Instruction:
-        try:
-            seg = self.image.memory.segment_for(addr, 2)
-        except MemoryError_:
-            # Distinguish a fetch that genuinely walked off every mapped
-            # segment from an access-machinery fault (e.g. an injected
-            # SegmentationFault on a mapped address): scan the segment
-            # list directly so the answer does not depend on the
-            # (patchable) resolution path that just failed.
-            if any(s.base <= addr and addr + 2 <= s.end
-                   for s in self.image.memory.segments):
-                raise
-            raise RewriteFailure(
-                "fetch-out-of-bounds",
-                f"instruction fetch at unmapped address 0x{addr:x}",
-            ) from None
-        if Perm.X not in seg.perms:
-            raise RewriteFailure(
-                "not-executable", f"trace reached non-executable address 0x{addr:x}"
-            )
-        return decode(seg.data, addr, addr - seg.base)
+        # The decode cache holds only mapped, executable bytes, so a hit
+        # needs neither fetch check.
+        if addr not in self.image.decoded:
+            try:
+                seg = self.image.memory.segment_for(addr, 2)
+            except MemoryError_:
+                # Distinguish a fetch that genuinely walked off every
+                # mapped segment from an access-machinery fault (e.g. an
+                # injected SegmentationFault on a mapped address): scan
+                # the segment list directly so the answer does not
+                # depend on the (patchable) resolution path that just
+                # failed.
+                if any(s.base <= addr and addr + 2 <= s.end
+                       for s in self.image.memory.segments):
+                    raise
+                raise RewriteFailure(
+                    "fetch-out-of-bounds",
+                    f"instruction fetch at unmapped address 0x{addr:x}",
+                ) from None
+            if Perm.X not in seg.perms:
+                raise RewriteFailure(
+                    "not-executable",
+                    f"trace reached non-executable address 0x{addr:x}",
+                )
+        return self._fetch(addr)
+
+    def _fetch(self, addr: int) -> Instruction:
+        """The executable instruction at ``addr``, from the image's decode
+        cache: a rewrite that traces code decoded before (by an earlier
+        rewrite or by execution) decodes nothing.  The ``decode`` and
+        ``undecodable`` fault seams wrap this call."""
+        return self.image.fetch(addr)
 
     # ======================================================== emission
     @staticmethod

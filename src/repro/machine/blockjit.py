@@ -50,10 +50,13 @@ an address is a deduplicated body's span, given back to the allocator
 (:meth:`Image.free_rewrite`): the next emission writes over it, and that
 write drops the blocks compiled there.
 
-The trace former reads the instructions each cached block was decoded
-into, and both tiers take their ``compile()`` output from one bounded
-memo (:meth:`BlockJIT._code`), so code rebuilt from unchanged bytes
-costs a translation but no Python compile.
+Blocks take their instructions from the image's decode cache
+(:meth:`Image.fetch`), and the trace former reads the instructions each
+cached block holds; both tiers take their ``compile()`` output from one
+bounded memo (:meth:`BlockJIT._code`), so code rebuilt from unchanged
+bytes costs a translation but no decode and no Python compile.  Bytes
+outside executable segments are never compiled: their writes fire no
+code listener, so each visit runs one freshly decoded interpreted step.
 
 Every invalidation bumps a generation counter and clears all chain
 links, which also resets the edge profile the trace former walks; the
@@ -81,7 +84,6 @@ from repro.isa.opcodes import Op, OpClass
 from repro.isa.operands import FReg, Imm, Mem, Reg
 from repro.isa.registers import GPR
 from repro.isa import semantics as S
-from repro.isa.encoding import decode
 from repro.machine.cpu import CallFrameInfo, CPU, MASK64
 from repro.machine.image import LAYOUT
 
@@ -917,21 +919,24 @@ class BlockJIT:
 
     # -------------------------------------------------------------- compile
     def _decode_block(self, addr: int) -> tuple[list[Instruction], int]:
-        """Decode the straight-line run starting at ``addr``; returns
-        ``(insns, end_addr)``.  A decode fault *mid*-block truncates it
-        (the preceding instructions must still execute before the guest
+        """The straight-line run of executable instructions starting at
+        ``addr``, fetched through the image's decode cache; returns
+        ``(insns, end_addr)``, with no instructions if ``addr`` is not
+        executable.  A decode fault *mid*-block truncates it (the
+        preceding instructions must still execute before the guest
         observes the fault at the bad pc)."""
-        memory = self.cpu.memory
+        image = self.cpu.image
         insns: list[Instruction] = []
         pc = addr
         while True:
             try:
-                seg = memory.segment_for(pc, 2)
-                insn = decode(seg.data, pc, pc - seg.base)
+                insn = image.fetch(pc)
             except Exception:
                 if insns:
                     break
                 raise
+            if pc not in image.decoded:
+                break  # not executable: only executable bytes are cached
             insns.append(insn)
             pc += insn.size
             if insn.info.opclass in _BLOCK_ENDERS:
@@ -957,6 +962,10 @@ class BlockJIT:
 
     def _compile(self, addr: int) -> CompiledBlock:
         insns, end = self._decode_block(addr)
+        if not insns:
+            # not executable: writes there drop no compiled code, so the
+            # step runs uncached (and unlinked) on every visit
+            return self._fallback_block(addr)
         try:
             compiler = _BlockCompiler(insns, end, self.cpu.costs)
             source = compiler.gen()
@@ -973,12 +982,11 @@ class BlockJIT:
 
     def _fallback_block(self, addr: int) -> CompiledBlock:
         """A single interpreted step wrapped as a block — the safety net
-        for operand shapes the translator does not handle."""
+        for operand shapes the translator does not handle, and the way
+        non-executable bytes run."""
         cpu = self.cpu
-        entry = cpu._icache.get(addr)
-        if entry is None:
-            entry = cpu._fill_icache(addr)
-        insn, c_nt, c_t = entry
+        insn = cpu.image.fetch(addr)
+        c_nt, c_t = cpu.step_cost(insn)
 
         def run(c, _i=insn, _nt=c_nt, _t=c_t):
             p = c.perf
@@ -1047,7 +1055,8 @@ class BlockJIT:
                             nxt = self._compile(pc)
                         else:
                             hits += 1
-                        blk.links[pc] = [nxt, 0]
+                        if pc in cache:  # an uncached step gets no link
+                            blk.links[pc] = [nxt, 0]
                     else:
                         ent[1] += 1
                         follows += 1

@@ -7,8 +7,10 @@ the rest of the system needs:
 
 * ``host_functions`` — Python callables reachable via ``CALL`` at
   reserved addresses (used for ``print``-style helpers in examples);
-* ``call_hooks`` — observers fired at every call (the value profiler);
-* an instruction cache invalidated when the rewriter emits new code.
+* ``call_hooks`` — observers fired at every call (the value profiler).
+
+Instructions come from the image's decode cache (:meth:`Image.fetch`),
+which the block JIT and the rewriter's tracer read too.
 
 Value semantics are delegated to :mod:`repro.isa.semantics`, the same
 module the rewriter's tracer folds constants with — by construction the
@@ -23,7 +25,6 @@ from typing import Callable
 
 from repro.errors import CpuError
 from repro.isa.costs import DEFAULT_COSTS, CostModel
-from repro.isa.encoding import decode
 from repro.isa.flags import Flag, cond_holds
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OpClass
@@ -34,6 +35,8 @@ from repro.machine.image import Image, LAYOUT
 from repro.machine.perf import PerfCounters
 
 MASK64 = (1 << 64) - 1
+
+_FLAGS = tuple(Flag)
 
 
 @dataclass
@@ -72,15 +75,17 @@ class CPU:
         self.perf = PerfCounters()
         self.regs: list[int] = [0] * 16
         self.xmm: list[list[float]] = [[0.0, 0.0] for _ in range(16)]
-        self.flags: dict[Flag, bool] = {f: False for f in Flag}
+        self.flags: dict[Flag, bool] = dict.fromkeys(_FLAGS, False)
         self.pc: int = 0
         self.host_functions: dict[int, Callable[["CPU"], None]] = {}
         self.call_hooks: list[Callable[["CPU", int], None]] = []
         self.call_stack: list[CallFrameInfo] = []
-        # decoded instruction plus its (not-taken, taken) cycle cost,
-        # all filled at decode time — one dict hit per interpreted step,
-        # and no cache keyed on object identity to go stale
-        self._icache: dict[int, tuple[Instruction, int, int]] = {}
+        #: A step's (not-taken, taken) cycle costs by opcode, then by
+        #: operand-kind string: all that :meth:`CostModel.base_cost` reads
+        #: of an instruction, so one pair serves every instruction of that
+        #: shape and no code write can make it stale.
+        self._step_costs: dict[Op, dict[str, tuple[int, int]]] = {
+            op: {} for op in Op}
         #: Set by a compiled block that exits early through its
         #: code-write (self-modification) path: the number of its
         #: instructions that actually executed.  Tier-2 traces
@@ -95,19 +100,6 @@ class CPU:
         #: :class:`repro.machine.tracejit.TraceJIT` subclass; None runs
         #: the plain interpreter loop.
         self.jit = None
-        image.code_listeners.append(self._on_code_write)
-
-    def _on_code_write(self, addr: int, length: int) -> None:
-        """Drop icache entries whose decoded bytes overlap the write.
-
-        Entries are keyed by start address; the longest encoding is 18
-        bytes (header + two 8-byte operands), so scanning back 17 from
-        the write covers every entry that could span into
-        ``[addr, addr+length)``."""
-        if not self._icache:
-            return
-        for entry_addr in range(addr - 17, addr + length):
-            self._icache.pop(entry_addr, None)
 
     # ------------------------------------------------------------------ mem
     def _segment(self, addr: int, length: int = 8):
@@ -161,25 +153,15 @@ class CPU:
         else:
             struct.pack_into("<d", seg.data, addr - seg.base, value)
 
-    # --------------------------------------------------------------- fetch
-    def fetch(self, addr: int) -> Instruction:
-        """Decode (and cache) the instruction at ``addr``."""
-        entry = self._icache.get(addr)
-        if entry is None:
-            entry = self._fill_icache(addr)
-        return entry[0]
-
-    def _fill_icache(self, addr: int) -> tuple[Instruction, int, int]:
-        """Decode at ``addr`` and cache it with both cycle costs."""
-        seg = self._segment(addr, 2)
-        insn = decode(seg.data, addr, addr - seg.base)
-        entry = (
-            insn,
-            self.costs.base_cost(insn, False),
-            self.costs.base_cost(insn, True),
-        )
-        self._icache[addr] = entry
-        return entry
+    # --------------------------------------------------------------- costs
+    def step_cost(self, insn: Instruction) -> tuple[int, int]:
+        """``insn``'s (not-taken, taken) cycle cost, memoized."""
+        by_kinds = self._step_costs[insn.op]
+        pair = by_kinds.get(insn.kinds)
+        if pair is None:
+            pair = by_kinds[insn.kinds] = (self.costs.base_cost(insn, False),
+                                           self.costs.base_cost(insn, True))
+        return pair
 
     # ------------------------------------------------------------ operands
     def ea(self, mem: Mem) -> int:
@@ -257,7 +239,7 @@ class CPU:
         if reset_regs:
             self.regs = [0] * 16
             self.xmm = [[0.0, 0.0] for _ in range(16)]
-            self.flags = {f: False for f in Flag}
+            self.flags = dict.fromkeys(_FLAGS, False)
         self.setup_args(tuple(args))
         self.regs[GPR.RSP] = self.image.initial_rsp
         # push the halt sentinel as the return address
@@ -284,18 +266,23 @@ class CPU:
         executed (the block engine falls back here near the step limit
         so the exhaustion fault fires at exactly the same point)."""
         perf = self.perf
-        icache = self._icache
+        decoded = self.image.decoded
+        fetch = self.image.fetch
+        step_costs = self._step_costs
         halt = LAYOUT.halt_addr
         while True:
             if steps >= max_steps:
                 raise CpuError(f"exceeded max_steps={max_steps} at pc=0x{self.pc:x}")
-            entry = icache.get(self.pc)
-            if entry is None:
-                entry = self._fill_icache(self.pc)
+            insn = decoded.get(self.pc)
+            if insn is None:
+                insn = fetch(self.pc)
+            cost = step_costs[insn.op].get(insn.kinds)
+            if cost is None:
+                cost = self.step_cost(insn)
             steps += 1
             perf.instructions += 1
-            taken = self._execute(entry[0])
-            perf.cycles += entry[2] if taken else entry[1]
+            taken = self._execute(insn)
+            perf.cycles += cost[1] if taken else cost[0]
             if self.pc == halt:
                 return steps
 

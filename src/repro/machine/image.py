@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import LinkError, MemoryError_
+from repro.isa.encoding import decode
+from repro.isa.instruction import Instruction
 from repro.machine.memory import Memory, Perm, Segment
 
 
@@ -80,13 +82,16 @@ class Image:
         self.symbol_names: dict[int, str] = {}
         #: Sizes of named functions (addr -> code length), for disassembly.
         self.function_sizes: dict[int, int] = {}
+        #: The decoded-instruction cache (see :meth:`fetch`): start
+        #: address -> the instruction its executable bytes decode to.
+        self.decoded: dict[int, Instruction] = {}
         #: Callbacks ``(addr, length)`` fired by :meth:`notify_code_write`
         #: whenever bytes land in an executable segment (``poke``, guest
         #: stores) or a rewrite range is pinned (``reserve_rewrite``).
-        #: This is the only invalidation path: the interpreter icache
+        #: This is the only invalidation path: the decode cache (first)
         #: and both JIT tiers drop exactly the decoded or compiled code
         #: overlapping the range, and nothing else flushes them.
-        self.code_listeners: list = []
+        self.code_listeners: list = [self._drop_decoded]
 
     # -- symbols -----------------------------------------------------------
     def define_symbol(self, name: str, addr: int) -> None:
@@ -122,10 +127,41 @@ class Image:
 
         Every path that mutates executable bytes must route through here
         (``poke`` does; the CPU's store helpers do for guest stores that
-        land in code) so decoded-instruction caches — the interpreter
-        icache and both JIT tiers — can never serve stale bytes."""
+        land in code) so decoded-instruction caches — the image's own
+        and both JIT tiers — can never serve stale bytes."""
         for listener in self.code_listeners:
             listener(addr, max(length, 1))
+
+    # -- decoded instructions --------------------------------------------------
+    def fetch(self, addr: int) -> Instruction:
+        """The instruction whose encoding starts at ``addr``.
+
+        The one decode cache of the machine: the interpreter, the block
+        JIT and the rewriter's tracer all fetch through it, so each
+        instruction is decoded once while its bytes stay unchanged.  Only
+        successful decodes of executable bytes are kept; bytes in other
+        segments decode afresh on every fetch, because writes to them
+        fire no code listener.  Raises what the segment lookup or
+        :func:`~repro.isa.encoding.decode` raises."""
+        insn = self.decoded.get(addr)
+        if insn is None:
+            seg = self.memory.segment_for(addr, 2)
+            insn = decode(seg.data, addr, addr - seg.base)
+            if Perm.X in seg.perms:
+                self.decoded[addr] = insn
+        return insn
+
+    def _drop_decoded(self, addr: int, length: int) -> None:
+        """Code listener: drop the decodes overlapping the write.
+
+        Entries are keyed by start address; the longest encoding is 18
+        bytes (header + two 8-byte operands), so scanning back 17 from
+        the write covers every entry that could span into
+        ``[addr, addr+length)``."""
+        decoded = self.decoded
+        if decoded:
+            for start in range(addr - 17, addr + length):
+                decoded.pop(start, None)
 
     def peek(self, addr: int, length: int) -> bytes:
         """Loader-level raw read (bypasses permissions)."""

@@ -32,17 +32,24 @@ class PerfCounters:
 
     def snapshot(self) -> "PerfCounters":
         """An independent copy, for later delta()."""
-        snap = PerfCounters()
-        for f in fields(self):
-            setattr(snap, f.name, getattr(self, f.name))
-        return snap
+        return PerfCounters(
+            self.cycles, self.instructions, self.loads, self.stores,
+            self.branches, self.taken_branches, self.calls, self.rets,
+            self.remote_cycles, self.remote_accesses)
 
     def delta(self, earlier: "PerfCounters") -> "PerfCounters":
         """Counters accumulated since ``earlier`` (a snapshot)."""
-        out = PerfCounters()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name) - getattr(earlier, f.name))
-        return out
+        return PerfCounters(
+            self.cycles - earlier.cycles,
+            self.instructions - earlier.instructions,
+            self.loads - earlier.loads,
+            self.stores - earlier.stores,
+            self.branches - earlier.branches,
+            self.taken_branches - earlier.taken_branches,
+            self.calls - earlier.calls,
+            self.rets - earlier.rets,
+            self.remote_cycles - earlier.remote_cycles,
+            self.remote_accesses - earlier.remote_accesses)
 
     def as_dict(self) -> dict[str, int]:
         return {

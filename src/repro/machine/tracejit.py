@@ -988,7 +988,8 @@ class TraceJIT(BlockJIT):
                             nxt = self._compile(pc)
                         else:
                             hits += 1
-                        blk.links[pc] = [nxt, 0]
+                        if pc in cache:  # an uncached step gets no link
+                            blk.links[pc] = [nxt, 0]
                     else:
                         ent[1] += 1
                         follows += 1

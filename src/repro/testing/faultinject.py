@@ -11,8 +11,9 @@ class, never an escaping exception.
 Four fault classes cover the pipeline end to end:
 
 ``decode``
-    The instruction decoder raises :class:`~repro.errors.DecodeError`
-    mid-trace (corrupt code bytes) → reason ``decode-error``.
+    The tracer's Nth instruction fetch raises
+    :class:`~repro.errors.DecodeError` (corrupt code bytes) → reason
+    ``decode-error``.
 ``memory``
     The memory system raises :class:`~repro.errors.SegmentationFault`
     on an access (unmapped address reached while tracing) → reason
@@ -77,7 +78,7 @@ Four more cover the adversarial-guest situations the torture suite
 
 ``undecodable`` / ``self-modify-mid-trace`` / ``indirect-jump-unknown``
 / ``segment-escape``
-    The Nth decode yields an impossible operand shape → reason
+    The Nth fetch yields an impossible operand shape → reason
     ``undecodable-instruction``; the Nth traced store lands in
     executable bytes → ``self-modifying-code``; the Nth jump target is
     unknowable → ``indirect-jump``; the Nth instruction fetch walks off
@@ -86,6 +87,13 @@ Four more cover the adversarial-guest situations the torture suite
 Injection sites are patched for the dynamic extent of the context
 manager only and restored unconditionally; injectors are reusable but
 not reentrant.
+
+The ``decode`` and ``undecodable`` seams sit behind the image's decode
+cache (:meth:`repro.machine.image.Image.fetch`): they wrap the tracer's
+read of it, :meth:`repro.core.tracer.Tracer._fetch`, and count every
+fetch that reaches it — cache hits, and misses that passed the tracer's
+mapping and permission checks — so code decoded by an earlier rewrite
+or by execution cannot hide an injected fault.
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ FABRIC_FAULT_KINDS = ("shard-crash", "shard-stall", "tenant-flood")
 
 #: Adversarial-guest fault classes (PR 6, the torture suite): the four
 #: ways hostile code bytes break a trace.  ``undecodable`` makes the Nth
-#: decode return garbage that parses but names no instruction;
+#: fetch return garbage that parses but names no instruction;
 #: ``self-modify-mid-trace`` makes the Nth traced store land in
 #: executable bytes; ``indirect-jump-unknown`` makes the Nth jump's
 #: target unknowable; ``segment-escape`` makes the Nth instruction fetch
@@ -220,24 +228,30 @@ class FaultInjector:
             restore()
 
     # -------------------------------------------------------------- seams
-    def _install_decode(self):
-        """Patch the tracer's view of :func:`repro.isa.encoding.decode`."""
-        import repro.core.tracer as tracer_mod
+    def _install_fetch(self, error):
+        """Patch :meth:`repro.core.tracer.Tracer._fetch`, the tracer's
+        read of the image's decode cache, so its Nth call raises
+        ``error`` instead of returning an instruction (hits count too)."""
+        from repro.core.tracer import Tracer
 
-        real = tracer_mod.decode
+        real = Tracer._fetch
 
-        def faulty_decode(buf, addr=0, offset=0):
-            """Injected: fail decode at the Nth decoded instruction."""
+        def faulty_fetch(tracer, addr):
+            """Injected: fail the Nth fetch as if its bytes were bad."""
             if self._tick():
-                raise DecodeError(f"{INJECTED_MARK}: decode", addr)
-            return real(buf, addr, offset)
+                raise error(f"{INJECTED_MARK}: {self.kind}", addr)
+            return real(tracer, addr)
 
-        tracer_mod.decode = faulty_decode
+        Tracer._fetch = faulty_fetch
 
         def restore():
-            tracer_mod.decode = real
+            Tracer._fetch = real
 
         return restore
+
+    def _install_decode(self):
+        """The Nth fetch does not decode (``decode-error``)."""
+        return self._install_fetch(DecodeError)
 
     def _install_memory(self):
         """Patch :meth:`repro.machine.memory.Memory.segment_for`, the
@@ -486,26 +500,10 @@ class FaultInjector:
         return restore
 
     def _install_undecodable(self):
-        """Patch the tracer's view of :func:`repro.isa.encoding.decode`
-        so the Nth decoded instruction parses structurally but names no
-        executable instruction — the adversarial-bytes shape the torture
-        generator produces organically."""
-        import repro.core.tracer as tracer_mod
-
-        real = tracer_mod.decode
-
-        def faulty_decode(buf, addr=0, offset=0):
-            """Injected: the Nth decode yields an impossible shape."""
-            if self._tick():
-                raise UndecodableError(f"{INJECTED_MARK}: undecodable", addr)
-            return real(buf, addr, offset)
-
-        tracer_mod.decode = faulty_decode
-
-        def restore():
-            tracer_mod.decode = real
-
-        return restore
+        """The Nth fetch parses structurally but names no executable
+        instruction — the adversarial-bytes shape the torture generator
+        produces organically (``undecodable-instruction``)."""
+        return self._install_fetch(UndecodableError)
 
     def _install_self_modify_mid_trace(self):
         """Patch :meth:`repro.core.tracer.Tracer._store_hits_code` so the

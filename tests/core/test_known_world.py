@@ -27,6 +27,20 @@ def test_entry_world_only_rsp_known():
     assert all(v is None for v in w.xmm.values())
 
 
+def test_world_dicts_keep_enum_order():
+    """Worlds are built from member tuples, not by iterating the enum
+    classes; the dict order (and so every digest) is the enum order."""
+    w = make_world(rax=KnownInt(3))
+    assert list(w.regs) == list(GPR) and list(w.xmm) == list(XMM)
+    assert list(w.flags) == list(Flag)
+    w.kill_flags()
+    assert list(w.flags) == list(Flag)
+    assert all(v is None for v in w.flags.values())
+    regs, xmm, _, _ = w.digest()
+    assert regs == tuple(w.regs[r] for r in GPR)
+    assert xmm == tuple(w.xmm[x] for x in XMM)
+
+
 def test_digest_equality_and_hash():
     a = make_world(rax=KnownInt(5))
     b = make_world(rax=KnownInt(5))

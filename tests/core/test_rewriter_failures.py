@@ -9,6 +9,7 @@ import pytest
 from repro.asm.assembler import assemble
 from repro.core import brew_init_conf, brew_rewrite, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
 from repro.machine.vm import Machine
+from repro.testing import EXPECTED_REASON, inject_fault
 
 
 def load_asm(machine: Machine, name: str, src: str) -> int:
@@ -142,3 +143,79 @@ def test_unknown_indirect_call_is_kept_not_failed(machine):
     assert result.ok, result.message
     t = machine.symbol("target")
     assert machine.call(result.entry, t, 10).int_return == 16
+
+
+# ---------------------------------------------- failures on a warm cache
+# The tracer fetches through the image's decode cache.  A cache that
+# already holds the traced code (from an earlier rewrite or from
+# execution) must hide neither the fetch checks nor an injected decode
+# fault.
+
+MUL2 = """
+    mov rax, rdi
+    imul rax, rsi
+    ret
+"""
+
+
+def _known2_conf():
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    conf.passes = ()
+    return conf
+
+
+def _insn_addrs(machine, name, count):
+    addr, addrs = machine.image.symbol(name), []
+    for _ in range(count):
+        addrs.append(addr)
+        addr += machine.image.fetch(addr).size
+    return addrs
+
+
+@pytest.mark.parametrize("kind,nth", [("decode", 1), ("decode", 3),
+                                      ("undecodable", 1), ("undecodable", 2)])
+def test_decode_seams_fire_on_a_warm_cache(machine, kind, nth):
+    """Rewrite once (every fetch fills the cache), then inject a decode
+    fault and rewrite the same function again: each fetch is a cache
+    hit, and the Nth still fails with the seam's reason."""
+    load_asm(machine, "mul2", MUL2)
+    assert brew_rewrite(machine, _known2_conf(), "mul2", 5, 7).ok
+    addrs = _insn_addrs(machine, "mul2", 3)
+    assert all(a in machine.image.decoded for a in addrs)
+    with inject_fault(kind, nth=nth) as injector:
+        result = brew_rewrite(machine, _known2_conf(), "mul2", 5, 7)
+    assert injector.fired and injector.calls == nth
+    check_failure(machine, result, EXPECTED_REASON[kind])
+    assert "injected-fault" in result.message
+    again = brew_rewrite(machine, _known2_conf(), "mul2", 5, 7)
+    assert again.ok and machine.call(again.entry, 6, 7).int_return == 42
+
+
+@pytest.mark.parametrize("jit", [None, "block", "trace"])
+def test_warm_cache_still_reports_not_executable(machine, jit):
+    """Code in the data segment runs on every tier but is never cached,
+    so a rewrite that reaches it fails ``not-executable`` however often
+    it ran or was traced before."""
+    blob = machine.image.add_data("blob", assemble("mov rax, 2\nret", 0)[0])
+    load_asm(machine, "f", "mov rax, 1\njmp blob")
+    if jit is not None:
+        machine.enable_jit(trace=jit == "trace")
+    for _ in range(3):
+        assert machine.call("f").int_return == 2
+        check_failure(machine, brew_rewrite(machine, brew_init_conf(), "f"),
+                      "not-executable")
+    assert machine.image.symbol("f") in machine.image.decoded
+    assert blob not in machine.image.decoded
+
+
+def test_warm_cache_still_reports_fetch_out_of_bounds(machine):
+    """The cache holds only mapped bytes, so the fetch that walks off
+    every segment misses and is checked: the trace fails the same way
+    on a warm cache as on a cold one."""
+    load_asm(machine, "f", "mov rax, 1\njmp 0x150000")
+    for _ in range(2):
+        check_failure(machine, brew_rewrite(machine, brew_init_conf(), "f"),
+                      "fetch-out-of-bounds")
+    assert all(a in machine.image.decoded
+               for a in _insn_addrs(machine, "f", 2))

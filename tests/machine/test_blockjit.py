@@ -188,10 +188,10 @@ def test_retranslation_of_known_bytes_reuses_compiled_code(monkeypatch):
 
 def test_interpreter_cost_recomputed_after_inplace_rewrite():
     """Regression for the per-instruction cost cache: after rewriting
-    code in place (the poke drops the overlapping icache entries), the
-    interpreter must charge the *new* instruction's cost (the old cache
-    keyed on ``id(insn)``, which a recycled decode object could collide
-    with)."""
+    code in place (the poke drops the overlapping decode-cache entries),
+    the interpreter must charge the *new* instruction's cost (the old
+    cache keyed on ``id(insn)``, which a recycled decode object could
+    collide with)."""
     m = Machine()  # tier 0 only
     buf = m.image.malloc(8)
     m.memory.write_u64(buf, 5)

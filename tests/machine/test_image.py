@@ -5,11 +5,15 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from repro.asm.assembler import assemble
 from repro.core import BREW_KNOWN, BREW_PTR_TO_KNOWN, brew_init_conf, brew_setpar
 from repro.core.manager import SpecializationManager
 from repro.core.persist import load_manager, save_manager
-from repro.errors import LinkError, MemoryError_
+from repro.core.tracer import Tracer
+from repro.errors import DecodeError, LinkError, MemoryError_
+from repro.isa.encoding import decode
 from repro.machine.image import Image, LAYOUT
 from repro.machine.vm import Machine
 
@@ -175,3 +179,83 @@ def test_initial_rsp_aligned_inside_stack(image):
     rsp = image.initial_rsp
     assert rsp % 16 == 0
     assert image.seg_stack.contains(rsp - 8, 8)
+
+
+# ------------------------------------------------------- the decode cache
+#: Encodings the property test writes, 2 to 18 bytes long (the longest
+#: encoding: two 8-byte operands), so writes straddle cached entries at
+#: every offset the listener's 17-byte look-back must cover.
+_CODE_POOL = (
+    "nop", "ret", "mov rax, rdi", "add rax, 5", f"mov rcx, {1 << 40}",
+    "lea rax, [rdi+rsi*8+16]", "imul rax, [rdi+8]",
+    f"mov [rdi+rsi*8+64], {1 << 40}", "jmp 4096",
+)
+_REGION = 64
+
+
+def _fresh(image: Image, addr: int):
+    """What the bytes at ``addr`` decode to now (or the error type)."""
+    seg = image.memory.segment_for(addr, 2)
+    try:
+        return decode(seg.data, addr, addr - seg.base)
+    except DecodeError as exc:
+        return type(exc)
+
+
+def _read(reader, addr: int):
+    try:
+        return reader(addr)
+    except DecodeError as exc:
+        return type(exc)
+
+
+_WRITE = st.tuples(st.sampled_from(["poke", "store0", "store1"]),
+                   st.integers(0, 1), st.integers(0, _REGION - 1),
+                   st.integers(0, len(_CODE_POOL) - 1),
+                   st.integers(0, (1 << 64) - 1))
+_READ = st.tuples(st.just("read"), st.integers(0, 1),
+                  st.integers(0, _REGION - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(steps=st.lists(st.one_of(_WRITE, _READ), min_size=4, max_size=40))
+def test_decode_cache_matches_fresh_decodes(steps):
+    """Random code writes — ``poke`` into the code and rewrite segments,
+    guest stores from the interpreter and from tier 1 — interleaved with
+    fetches through the three readers (the interpreter's
+    :meth:`Image.fetch`, tier 1's ``_decode_block``, the tracer's
+    ``_decode``): every fetch, and every entry left in the cache, equals
+    a fresh decode of the current bytes."""
+    m = Machine()
+    image = m.image
+    # three 18-byte instructions, then short ones: fetched as one run
+    fill = assemble("\n".join([_CODE_POOL[7]] * 3 + ["add rax, 5"] * 2
+                               + ["ret"]), 0)[0].ljust(_REGION, b"\x00")
+    regions = [image.add_function("region", fill),
+               image.emit_rewritten("rwregion", fill)]
+    storer = image.add_function("storer", assemble("mov [rdi], rsi\nret",
+                                                   0)[0])
+    jit = m.enable_jit()
+    tracer = Tracer(image, brew_init_conf(), regions[0])
+    readers = (image.fetch, lambda a: jit._decode_block(a)[0][0],
+               tracer._decode)
+    for region in regions:
+        jit._decode_block(region)  # warm: caches the whole run
+    for step in steps:
+        addr = regions[step[1]] + step[2]
+        kind = step[0]
+        if kind == "poke":
+            code = assemble(_CODE_POOL[step[3]], addr)[0]
+            image.poke(addr, code[:regions[step[1]] + _REGION - addr])
+        elif kind.startswith("store"):
+            addr = min(addr, regions[step[1]] + _REGION - 8)
+            m.cpu.jit = jit if kind == "store1" else None
+            m.cpu.run(storer, addr, step[4])
+            m.cpu.jit = jit
+        else:
+            want = _fresh(image, addr)
+            for reader in readers:
+                assert _read(reader, addr) == want
+        for cached, insn in image.decoded.items():
+            assert insn == _fresh(image, cached), hex(cached)

@@ -2,11 +2,13 @@
 
 The machine permits plain guest stores into executable segments (there
 is no W^X in BX64's flat world), which makes self-modification a
-first-class hazard: the interpreter caches decoded instructions per pc,
-and the block JIT caches whole compiled blocks.  Both caches hang off
+first-class hazard: the image caches decoded instructions per pc (every
+tier fetches through it), and the block JIT caches whole compiled
+blocks.  Both caches hang off
 :meth:`repro.machine.image.Image.notify_code_write` — fired by
 ``Image.poke`` (the host/emit route) and by the CPU's store helpers and
-compiled-block stores (the organic guest route).
+compiled-block stores (the organic guest route).  Bytes outside
+executable segments fire no listener, so no tier keeps a decode of them.
 
 The regression pinned here: a guest that rewrites its own **hot** block
 mid-run must trigger cache invalidation on every tier and reconverge
@@ -23,6 +25,7 @@ import struct
 import pytest
 
 from repro.asm.assembler import assemble
+from repro.isa.encoding import decode
 from repro.machine.vm import Machine
 
 
@@ -73,10 +76,20 @@ def _run_sequence(machine: Machine) -> tuple:
     )
 
 
-def test_interpreter_icache_invalidated_by_guest_store():
+def test_interpreter_decode_cache_invalidated_by_guest_store():
+    """The interpreter fetches through the image's decode cache; the
+    patcher's organic store drops the target's cached decode, and the
+    next run decodes and executes the new bytes."""
     m = Machine()
-    _build_patcher(m, _build_target(m))
+    target = _build_target(m)
+    _build_patcher(m, target)
+    decoded = m.image.decoded
     assert _run_sequence(m) == (111, 111, 7, 222, 2, 2, 4, 2)
+    assert decoded[target] == decode(assemble("mov rax, 222", target)[0],
+                                     target)
+    m.cpu.run("patcher", 7)  # stores the same qword again
+    assert target not in decoded, "a guest store left a stale decode"
+    assert m.cpu.run(target).uint_return == 222
 
 
 def test_blockjit_invalidated_by_guest_store_and_matches_interpreter():
@@ -274,3 +287,51 @@ def test_trace_codewrite_exit_every_iteration():
     assert got.perf.as_dict() == want.perf.as_dict()
     stats = engine.stats()
     assert stats["interp_fallbacks"] == 0
+
+
+def _call_heap_slot(machine: Machine, slot: int) -> int:
+    """``caller(n)``: calls the code at ``slot`` n times and returns the
+    sum of what it returned (a loop, so the trace tier can form a trace
+    through the heap code)."""
+    return load_asm(machine, "heapcaller", "\n".join([
+        "xor rbx, rbx",
+        "mov r12, rdi",
+        "loop:",
+        f"call {slot}",
+        "add rbx, rax",
+        "sub r12, 1",
+        "cmp r12, 0",
+        "jne loop",
+        "mov rax, rbx",
+        "ret",
+    ]))
+
+
+@pytest.mark.parametrize("write", ["poke", "guest-store"])
+@pytest.mark.parametrize("tier", ["interp", "blockjit", "tracejit"])
+def test_code_in_heap_runs_its_current_bytes(tier, write):
+    """Code in a non-executable segment (a ``malloc``'d heap slot) runs
+    as before on every tier, but writes there fire no code listener, so
+    no tier may keep a decode or a compiled block of it: after the slot
+    is rewritten, the next call runs the new bytes."""
+    m = Machine()
+    slot = m.image.malloc(32, align=16)
+    caller = _call_heap_slot(m, slot)
+    patcher = load_asm(m, "heappatcher", "mov [rdi], rsi\nret")
+    if tier == "blockjit":
+        m.enable_jit()
+    elif tier == "tracejit":
+        m.enable_jit(trace=True, hot_threshold=2, min_edge=1)
+    for value in (1, 2, 3):
+        code = assemble(f"mov rax, {value}\nret", slot)[0]
+        if write == "poke":
+            m.image.poke(slot, code)
+        else:  # two organic 8-byte stores cover the 9-byte body
+            padded = code.ljust(16, b"\x00")
+            for off in (0, 8):
+                m.cpu.run(patcher, slot + off,
+                          struct.unpack_from("<Q", padded, off)[0])
+        assert m.cpu.run(caller, 8).uint_return == 8 * value
+    assert slot not in m.image.decoded
+    if tier != "interp":
+        assert slot not in m.jit.cache

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import CompileError, LinkError
@@ -75,6 +77,17 @@ def test_perf_snapshot_and_delta():
     assert delta.cycles == 50 and delta.loads == 2
     # snapshot unaffected
     assert snap.cycles == 100
+
+
+def test_perf_snapshot_and_delta_carry_every_field():
+    """``snapshot`` and ``delta`` name the fields one by one (``CPU.run``
+    calls both on every run); neither may drop or swap a counter."""
+    names = [f.name for f in fields(PerfCounters)]
+    perf = PerfCounters(**{n: 100 * (i + 1) for i, n in enumerate(names)})
+    snap = perf.snapshot()
+    assert snap == perf and snap is not perf
+    later = PerfCounters(**{n: 100 * (i + 1) + i for i, n in enumerate(names)})
+    assert later.delta(snap).as_dict() == {n: i for i, n in enumerate(names)}
 
 
 def test_perf_reset():
