@@ -46,10 +46,6 @@ class CapturedBlock:
     is_compensation: bool = False
     done: bool = False
 
-    @property
-    def size_estimate(self) -> int:
-        return len(self.insns)
-
 
 @dataclass
 class PendingBlock:
@@ -85,9 +81,6 @@ class BlockRegistry:
 
     def variant_count(self, addr: int) -> int:
         return len(self.variants.get(addr, []))
-
-    def variant_labels(self, addr: int) -> list[str]:
-        return self.variants.get(addr, [])
 
     def enqueue(
         self,

@@ -26,11 +26,6 @@ class DebugMap:
 
     entries: dict[int, tuple[int | None, str]] = field(default_factory=dict)
 
-    def origin_of(self, new_addr: int) -> int | None:
-        """The original instruction address behind ``new_addr``."""
-        entry = self.entries.get(new_addr)
-        return entry[0] if entry else None
-
     def role_of(self, new_addr: int) -> str:
         """The provenance role of the code at ``new_addr``."""
         entry = self.entries.get(new_addr)

@@ -173,13 +173,6 @@ class SpecializationManager:
         #: back to the rewrite allocator when it is the latest one.
         self._code_index: dict[str, tuple[int, str]] = {}
         self._listeners: list[Callable[[list[tuple]], None]] = []
-        self.hits = 0
-        self.misses = 0
-        self.fallbacks = 0
-        self.quarantine_hits = 0
-        self.quarantine_retries = 0
-        self.evictions = 0
-        self.code_dedup = 0
         #: Monotone counter bumped on every invalidation; mirrored into
         #: :attr:`epoch_cell` so guard stubs can check it in one compare.
         self.epoch = 1
@@ -251,7 +244,6 @@ class SpecializationManager:
         for k in keys:
             del self._cache[k]
         if keys:
-            self.evictions += len(keys)
             self.metrics.inc("manager.evictions", len(keys))
             for callback in self._listeners:
                 callback(list(keys))
@@ -302,32 +294,25 @@ class SpecializationManager:
             if entry.result.ok:
                 # stale if any depended-on known cell changed content
                 if self._deps_fresh(entry.memory_deps):
-                    self.hits += 1
                     self.metrics.inc("manager.hits")
                     return entry.result
                 self.metrics.inc("manager.miss_stale")
                 self._evict([key])
             elif self.clock() < entry.retry_at:
-                self.hits += 1
-                self.quarantine_hits += 1
-                self.fallbacks += 1
                 self.metrics.inc("manager.hits")
                 self.metrics.inc("manager.quarantine_hits")
                 return entry.result
             else:
-                self.quarantine_retries += 1
                 self.metrics.inc("manager.quarantine_retries")
                 retry_of = entry
         else:
             self.metrics.inc("manager.miss_cold")
-        self.misses += 1
         self.metrics.inc("manager.misses")
         result = self._do_rewrite(conf, fn, *args)
         if result.ok:
             result = self._dedup_code(result)
             self._cache[key] = _Entry(result, self._memory_deps(conf, result))
         else:
-            self.fallbacks += 1
             self.metrics.inc("manager.fallbacks")
             fail_count = (retry_of.fail_count if retry_of else 0) + 1
             self._cache[key] = _Entry(
@@ -363,7 +348,6 @@ class SpecializationManager:
         entry, name = canonical
         if entry == result.entry:
             return result
-        self.code_dedup += 1
         self.metrics.inc("manager.code_dedup")
         image.free_rewrite(result.entry, result.code_size)
         debug = result.debug
@@ -485,18 +469,24 @@ class SpecializationManager:
         entries currently cached, ``cached`` the total cache size;
         ``evictions`` counts entries dropped (staleness plus explicit
         invalidation) and ``code_dedup`` rewrites whose emitted body was
-        byte-identical to an already-cached variant's."""
+        byte-identical to an already-cached variant's.
+
+        The counts are read from the ``manager.*`` counters of
+        :attr:`metrics`, so a registry shared by two managers reports
+        their sums."""
+        value = self.metrics.value
         quarantined = sum(1 for e in self._cache.values() if not e.result.ok)
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "fallbacks": self.fallbacks,
-            "quarantine_hits": self.quarantine_hits,
-            "quarantine_retries": self.quarantine_retries,
+            "hits": value("manager.hits"),
+            "misses": value("manager.misses"),
+            "fallbacks": (value("manager.fallbacks")
+                          + value("manager.quarantine_hits")),
+            "quarantine_hits": value("manager.quarantine_hits"),
+            "quarantine_retries": value("manager.quarantine_retries"),
             "quarantined": quarantined,
             "cached": len(self._cache),
-            "evictions": self.evictions,
-            "code_dedup": self.code_dedup,
+            "evictions": value("manager.evictions"),
+            "code_dedup": value("manager.code_dedup"),
             "epoch": self.epoch,
         }
 

@@ -185,6 +185,32 @@ def _observe(machine, entry: int, args: tuple, max_steps: int) -> _Observation:
     )
 
 
+def _mismatch(machine, want: _Observation, got: _Observation,
+              args: tuple) -> str | None:
+    """The differential comparison the validation gate and shadow
+    sampling share: the first difference between the original's run
+    (``want``) and the variant's (``got``) on ``args`` — int return,
+    float return (NaN equals NaN), then the contents of every segment
+    either run wrote — or ``None`` when they agree."""
+    if got.uint_return != want.uint_return:
+        return (
+            f"int return diverged on {args!r}: "
+            f"0x{got.uint_return:x} != 0x{want.uint_return:x}"
+        )
+    if got.float_return != want.float_return and not (
+        got.float_return != got.float_return
+        and want.float_return != want.float_return
+    ):  # NaN == NaN for comparison purposes
+        return (
+            f"float return diverged on {args!r}: "
+            f"{got.float_return!r} != {want.float_return!r}"
+        )
+    names = _diverged_segments(machine, got.memory, want.memory)
+    if names:
+        return f"memory writes diverged on {args!r} in {names}"
+    return None
+
+
 def validate_variant(
     machine,
     conf: RewriteConfig,
@@ -223,22 +249,9 @@ def validate_variant(
             memory.rollback()
             if got.error is not None:
                 return f"variant faulted on {vec!r}: {got.error}"
-            if got.uint_return != want.uint_return:
-                return (
-                    f"int return diverged on {vec!r}: "
-                    f"0x{got.uint_return:x} != 0x{want.uint_return:x}"
-                )
-            if got.float_return != want.float_return and not (
-                got.float_return != got.float_return
-                and want.float_return != want.float_return
-            ):  # NaN == NaN for comparison purposes
-                return (
-                    f"float return diverged on {vec!r}: "
-                    f"{got.float_return!r} != {want.float_return!r}"
-                )
-            names = _diverged_segments(machine, got.memory, want.memory)
-            if names:
-                return f"memory writes diverged on {vec!r} in {names}"
+            mismatch = _mismatch(machine, want, got, vec)
+            if mismatch is not None:
+                return mismatch
     finally:
         memory.rollback()
         memory.close_journal()
@@ -246,14 +259,27 @@ def validate_variant(
 
 
 # ================================================================ supervisor
+#: The keys of :meth:`RewriteSupervisor.stats`, each read from the
+#: ``supervisor.<key>`` counter.
+_STATS_KEYS = (
+    "rewrites",             # supervised rewrite() calls
+    "attempts",             # individual brew_rewrite attempts
+    "first_try",            # succeeded at rung 0
+    "ladder_recoveries",    # succeeded at rung > 0
+    "validations",          # gate executions
+    "validation_failures",  # variants the gate discarded
+    "fallbacks",            # terminal failures (caller keeps original)
+)
+
+
 class RewriteSupervisor:
     """Wraps ``brew_rewrite`` with the degradation ladder and the
     differential validation gate (module docstring has the full story).
 
-    One supervisor serves one machine and accumulates health counters
-    across calls — ``stats()`` reports attempts, ladder recoveries,
-    validation rejections and terminal fallbacks, which the experiment
-    harness surfaces as fallback rates.
+    One supervisor serves one machine and charges health counters to
+    ``metrics`` across calls — ``stats()`` reports attempts, ladder
+    recoveries, validation rejections and terminal fallbacks, which the
+    experiment harness surfaces as fallback rates.
     """
 
     def __init__(
@@ -277,9 +303,9 @@ class RewriteSupervisor:
         #: set, every ladder attempt is journaled on the ``rewrite``
         #: channel and a terminal fallback captures a full crash bundle.
         self.forensics = forensics
-        #: Shared observability registry: every ``_stats`` bump is
-        #: mirrored as a ``supervisor.*`` counter, and each successful
-        #: rewrite records per-variant block counts and trace sizes.
+        #: Observability registry: holds the ``supervisor.*`` counters
+        #: ``stats()`` reads, and each successful rewrite records
+        #: per-variant block counts and trace sizes.
         self.metrics = metrics if metrics is not None else Metrics()
         self.ladder = tuple(ladder)
         self.validate = validate
@@ -293,20 +319,10 @@ class RewriteSupervisor:
         #: injectable, like :class:`~repro.core.manager.SpecializationManager`'s
         #: quarantine clock, so deadline-expiry tests are deterministic.
         self.clock = clock
-        self._stats = {
-            "rewrites": 0,            # supervised rewrite() calls
-            "attempts": 0,            # individual brew_rewrite attempts
-            "first_try": 0,           # succeeded at rung 0
-            "ladder_recoveries": 0,   # succeeded at rung > 0
-            "validations": 0,         # gate executions
-            "validation_failures": 0, # variants the gate discarded
-            "fallbacks": 0,           # terminal failures (caller keeps original)
-        }
 
     # ------------------------------------------------------------- internal
-    def _charge(self, key: str, n: int = 1) -> None:
-        self._stats[key] += n
-        self.metrics.inc(f"supervisor.{key}", n)
+    def _charge(self, key: str) -> None:
+        self.metrics.inc(f"supervisor.{key}")
 
     def _budgeted(self, conf: RewriteConfig) -> RewriteConfig:
         """A private copy of ``conf`` with the supervisor's per-attempt
@@ -434,14 +450,18 @@ class RewriteSupervisor:
         }
 
     def stats(self) -> dict[str, int]:
-        """A copy of the health counters (see ``__init__`` for keys)."""
-        return dict(self._stats)
+        """The health counters, read from the ``supervisor.*`` counters
+        of :attr:`metrics` (a registry shared by two supervisors reports
+        their sums)."""
+        return {key: self.metrics.value(f"supervisor.{key}")
+                for key in _STATS_KEYS}
 
     @property
     def fallback_rate(self) -> float:
         """Fraction of supervised rewrites that terminally failed."""
-        total = self._stats["rewrites"]
-        return self._stats["fallbacks"] / total if total else 0.0
+        value = self.metrics.value
+        total = value("supervisor.rewrites")
+        return value("supervisor.fallbacks") / total if total else 0.0
 
 
 def supervised_rewrite(machine, conf: RewriteConfig, fn, *args, **options) -> RewriteResult:

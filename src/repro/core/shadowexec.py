@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError, RewriteFailure
 from repro.core.resilience import (
     _Observation,
-    _diverged_segments,
+    _mismatch,
     _observe,
     _writable_state,
 )
@@ -218,25 +218,12 @@ class ShadowSampler:
             self.recorder.record("machine", event, payload)
 
     def _compare(self, want: _Observation, run, args: tuple) -> str | None:
-        """Mismatch description, or None when the variant agreed."""
-        if run.uint_return != want.uint_return:
-            return (
-                f"int return diverged on {args!r}: "
-                f"0x{run.uint_return:x} != 0x{want.uint_return:x}"
-            )
-        if run.float_return != want.float_return and not (
-            run.float_return != run.float_return
-            and want.float_return != want.float_return
-        ):  # NaN == NaN for comparison purposes
-            return (
-                f"float return diverged on {args!r}: "
-                f"{run.float_return!r} != {want.float_return!r}"
-            )
-        names = _diverged_segments(
-            self.machine, _writable_state(self.machine), want.memory)
-        if names:
-            return f"memory writes diverged on {args!r} in {names}"
-        return None
+        """Mismatch description, or None when the variant's live ``run``
+        (its effects still in memory) agreed with the original's."""
+        got = _Observation(uint_return=run.uint_return,
+                           float_return=run.float_return,
+                           memory=_writable_state(self.machine))
+        return _mismatch(self.machine, want, got, args)
 
     def stats(self) -> dict[str, int]:
         """Shadow-sampling health counters."""

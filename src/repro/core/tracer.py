@@ -274,13 +274,6 @@ class Tracer:
                 self._emit_snapshot_store(key, value)
                 self.world.mem[key] = None
 
-    def _flush_snapshots_all(self) -> None:
-        for key in list(self.world.mem):
-            value = self.world.mem[key]
-            if isinstance(value, RegSnapshot):
-                self._emit_snapshot_store(key, value)
-                self.world.mem[key] = None
-
     def _normalize_snapshots(self) -> None:
         """At block boundaries snapshots stay alive across the edge, but
         their generation must be canonical (0) so world digests from
@@ -347,9 +340,6 @@ class Tracer:
         self.block = None
 
     # ================================================== value utilities
-    def reg_val(self, reg: GPR) -> Value:
-        return self.world.regs[reg]
-
     def set_reg(self, reg: GPR, value: Value) -> None:
         self.world.regs[reg] = value
         if reg is GPR.RSP and isinstance(value, StackRel):

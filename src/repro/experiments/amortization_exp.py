@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.experiments.harness import Experiment, Row
 from repro.models.pgas import PgasLab
-from repro.obs import Metrics
 from repro.service import REWRITE_CYCLES_PER_TRACED_INSN, modeled_rewrite_cycles
 
 #: Length of the repeated-config workload (one cold miss + warm hits).
@@ -60,8 +59,8 @@ def ext4_amortization() -> Experiment:
         'Sec. VII "easily amortized" + BAAR-style background rewriting',
     )
     lab = PgasLab(nelems=1024, nnodes=4)
-    metrics = Metrics()
-    service = lab.attach_service(metrics=metrics)
+    service = lab.attach_service()
+    metrics = service.metrics
     machine = lab.machine
     original = machine.symbol("ga_sum_range")
     kernel_args = (lab.ga_addr, 0, 0, machine.symbol("ga_get"))

@@ -50,9 +50,9 @@ its return.  It carries no speed floor; its checks are parity across
 the tiers, iterations actually run inside traces, and zero interpreter
 fallbacks.
 
-The ``jit.trace.*`` metrics snapshot is embedded in the table and
-saved by ``python -m repro.experiments --write`` as
-``BENCH_ext10.json``.
+The tier-2 JITs' counters (:func:`add_jit_counters`) and the torture
+sweep's go into one metrics snapshot, embedded in the table and saved
+by ``python -m repro.experiments --write`` as ``BENCH_ext10.json``.
 """
 
 from __future__ import annotations
@@ -162,17 +162,33 @@ double ga_sum_inline(long block, long localbase, long remotebase,
 """
 
 
-def _enable_tier(machine: Machine, tier: int, metrics=None) -> None:
+#: The point-in-time keys of a JIT's ``stats()``; every other key is a
+#: cumulative counter.
+_POINT_IN_TIME = frozenset(
+    {"cached_blocks", "chain_edges", "trace_versions", "installed_traces"})
+
+
+def add_jit_counters(metrics: Metrics, jits) -> None:
+    """Add the cumulative ``stats()`` counters of ``jits`` to ``metrics``
+    under their ``jit.*`` names (``trace_X`` files as ``jit.trace.X``;
+    docs/MACHINE.md lists them).  Zero counts add no counter."""
+    for jit in jits:
+        for key, value in jit.stats().items():
+            if value and key not in _POINT_IN_TIME:
+                metrics.inc("jit." + key.replace("trace_", "trace.", 1), value)
+
+
+def _enable_tier(machine: Machine, tier: int) -> None:
     if tier:
-        machine.enable_jit(trace=tier == 2, metrics=metrics)
+        machine.enable_jit(trace=tier == 2)
 
 
-def _stencil_machine(tier: int, metrics=None):
+def _stencil_machine(tier: int):
     """A machine with the stencil kernel loaded and ``tier`` enabled,
     plus initialized src/dst matrices."""
     m = Machine()
     m.load(STENCIL_SRC, unit="ext10")
-    _enable_tier(m, tier, metrics)
+    _enable_tier(m, tier)
     src = m.image.malloc(STENCIL_EDGE * STENCIL_EDGE * 8)
     dst = m.image.malloc(STENCIL_EDGE * STENCIL_EDGE * 8)
     for i in range(STENCIL_EDGE * STENCIL_EDGE):
@@ -180,20 +196,20 @@ def _stencil_machine(tier: int, metrics=None):
     return m, src, dst
 
 
-def _pgas_lab(tier: int, nelems: int, metrics=None) -> PgasLab:
+def _pgas_lab(tier: int, nelems: int) -> PgasLab:
     """A PGAS lab with the inlined reduction loaded and ``tier`` on."""
     lab = PgasLab(nelems=nelems, nnodes=4)
     lab.machine.load(PGAS_SRC, unit="ext10")
-    _enable_tier(lab.machine, tier, metrics)
+    _enable_tier(lab.machine, tier)
     return lab
 
 
-def _sweep_lab(tier: int, edge: int, metrics=None):
+def _sweep_lab(tier: int, edge: int):
     """A Section V lab with ``tier`` enabled whose rewrite service has
     published the specialized ``apply``; returns the lab and that
     entry."""
     lab = StencilLab(edge, edge)
-    _enable_tier(lab.machine, tier, metrics)
+    _enable_tier(lab.machine, tier)
     lab.attach_service()
     lab.apply_via_service()  # cold miss: queues the rewrite
     lab.service.drain()
@@ -220,11 +236,8 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
         "tier-2 trace JIT: hot-cycle superblocks with side exits",
         "beyond-paper: profile-guided traces over the block engine",
     )
-    metrics = Metrics()
-
     # ---- stencil sweep: one machine per tier, identical images
-    st = {t: _stencil_machine(t, metrics=metrics if t == 2 else None)
-          for t in (0, 1, 2)}
+    st = {t: _stencil_machine(t) for t in (0, 1, 2)}
     st_times, st_fps = {}, {}
     for tier, (m, src, dst) in st.items():
         run = lambda m=m, src=src, dst=dst: m.call(
@@ -241,8 +254,7 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     st_stats = st[2][0].jit.stats()
 
     # ---- PGAS reduction: local phase then three remote phases
-    pg = {t: _pgas_lab(t, nelems, metrics=metrics if t == 2 else None)
-          for t in (0, 1, 2)}
+    pg = {t: _pgas_lab(t, nelems) for t in (0, 1, 2)}
     pg_times, pg_fps = {}, {}
     for tier, lab in pg.items():
         run = lambda lab=lab: lab.machine.call(
@@ -258,8 +270,7 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     pg_stats = pg[2].machine.jit.stats()
 
     # ---- Sec. V sweep: specialized apply through a function pointer
-    sw = {t: _sweep_lab(t, edge, metrics=metrics if t == 2 else None)
-          for t in (0, 1, 2)}
+    sw = {t: _sweep_lab(t, edge) for t in (0, 1, 2)}
     sw_times, sw_fps = {}, {}
     for tier, (lab, entry) in sw.items():
         run = lambda lab=lab, entry=entry: lab.machine.call(
@@ -274,6 +285,7 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     sw_stats = sw[2][0].machine.jit.stats()
 
     # ---- trace-tier torture: hair-trigger thresholds, full contract
+    metrics = Metrics()
     report = run_torture(EXT10_SEED, images, metrics=metrics,
                          trace_tier=True)
 
@@ -387,5 +399,7 @@ def ext10_tracejit(*, reduced: bool = False) -> Experiment:
     health.update({f"sweep.{k}": v for k, v in sw_stats.items()
                    if "trace" in k or k == "interp_fallbacks"})
     exp.health = health
+    add_jit_counters(metrics, (st[2][0].jit, pg[2].machine.jit,
+                               sw[2][0].machine.jit))
     exp.listing = "metrics " + metrics.snapshot_json()
     return exp

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.isa.opcodes import Op, OpClass, OpInfo, TERMINATORS, op_info
+from repro.isa.opcodes import Op, OpClass, OpInfo, op_info
 from repro.isa.operands import FReg, Imm, Label, Mem, Operand, Reg
 
 #: One-letter operand-kind tags attached at construction time so hot
@@ -55,10 +55,6 @@ class Instruction:
     @property
     def opclass(self) -> OpClass:
         return self.info.opclass
-
-    @property
-    def is_terminator(self) -> bool:
-        return self.op in TERMINATORS
 
     @property
     def writes_flags(self) -> bool:

@@ -222,9 +222,3 @@ SETCC_FOR_COND: dict[Cond, Op] = {
 def op_info(op: Op) -> OpInfo:
     """Metadata for ``op`` (raises ``KeyError`` for an unknown opcode)."""
     return _INFO[op]
-
-
-#: Opcodes that terminate a basic block.
-TERMINATORS = frozenset(
-    op for op in Op if _INFO[op].opclass in (OpClass.JMP, OpClass.JCC, OpClass.RET, OpClass.HLT)
-)

@@ -836,9 +836,8 @@ class BlockJIT:
     cache can never serve a block whose bytes were re-poked.
     """
 
-    def __init__(self, cpu: CPU, metrics=None) -> None:
+    def __init__(self, cpu: CPU) -> None:
         self.cpu = cpu
-        self.metrics = metrics
         self.cache: dict[int, CompiledBlock] = {}
         #: ``(filename, source)`` -> ``compile()`` output, shared by both
         #: tiers (see :meth:`_code`).
@@ -879,13 +878,14 @@ class BlockJIT:
                 blk.links.clear()
         self.gen += 1
         self.invalidations += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.invalidations")
 
     def _on_code_write(self, addr: int, length: int) -> None:
         self.invalidate_range(addr, addr + max(length, 1))
 
     def stats(self) -> dict:
+        """The JIT's counters, the only record of them: cumulative since
+        it was attached, except the point-in-time ``cached_blocks`` and
+        ``chain_edges``."""
         return {
             "compiles": self.compiles,
             "hits": self.hits,
@@ -976,8 +976,6 @@ class BlockJIT:
             blk = self._fallback_block(addr)
         self.cache[addr] = blk
         self.compiles += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.compiles")
         return blk
 
     def _fallback_block(self, addr: int) -> CompiledBlock:
@@ -996,8 +994,6 @@ class BlockJIT:
             return c.pc
 
         self.interp_fallbacks += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.interp_fallbacks")
         return CompiledBlock(addr, addr + (insn.size or 1), run, [insn],
                              "# interpreter fallback\n")
 
@@ -1065,20 +1061,11 @@ class BlockJIT:
         finally:
             self.hits += hits
             self.chain_follows += follows
-            if self.metrics is not None:
-                if hits:
-                    self.metrics.inc("jit.hits", hits)
-                if follows:
-                    self.metrics.inc("jit.chain_follows", follows)
-                if hits or follows:
-                    self.metrics.inc("jit.reuses", hits + follows)
 
 
-def enable_blockjit(machine, metrics=None) -> BlockJIT:
+def enable_blockjit(machine) -> BlockJIT:
     """Attach a :class:`BlockJIT` to ``machine`` (idempotent)."""
     jit = machine.cpu.jit
     if jit is None:
-        jit = BlockJIT(machine.cpu, metrics=metrics)
-    elif metrics is not None and jit.metrics is None:
-        jit.metrics = metrics
+        jit = BlockJIT(machine.cpu)
     return jit

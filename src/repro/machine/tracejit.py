@@ -183,14 +183,13 @@ _FLAGS = ("ZF", "SF", "CF", "OF")
 
 
 class TraceVersion:
-    """One compiled trace for (head, signature): the function, its spans
-    of compiled code bytes, and its lifetime execution counts."""
+    """One compiled trace for (head, signature): the function and its
+    spans of compiled code bytes."""
 
     __slots__ = ("head", "sig", "run", "n_insns", "n_blocks", "spans",
-                 "source", "counts")
+                 "source")
 
-    def __init__(self, head, sig, run, n_insns, n_blocks, spans, source,
-                 counts):
+    def __init__(self, head, sig, run, n_insns, n_blocks, spans, source):
         self.head = head
         self.sig = sig
         self.run = run
@@ -202,9 +201,6 @@ class TraceVersion:
         #: checks each span, not one interval.
         self.spans = spans
         self.source = source
-        #: ``[entries, side_exits, iterations]`` — incremented by the
-        #: generated code itself (bound as the ``VC`` global).
-        self.counts = counts
 
 
 class TraceEntry:
@@ -645,10 +641,10 @@ class TraceJIT(BlockJIT):
     remaining step budget.
     """
 
-    def __init__(self, cpu: CPU, metrics=None, *,
+    def __init__(self, cpu: CPU, *,
                  hot_threshold: int = HOT_THRESHOLD,
                  min_edge: int = MIN_EDGE) -> None:
-        super().__init__(cpu, metrics=metrics)
+        super().__init__(cpu)
         self.hot_threshold = hot_threshold
         self.min_edge = min_edge
         #: Back-edge counts per target pc (the promotion profile).
@@ -662,9 +658,10 @@ class TraceJIT(BlockJIT):
         self.versions: dict[int, dict[tuple, TraceVersion]] = {}
         #: Currently installed entries by head address.
         self._installed: dict[int, TraceEntry] = {}
-        #: Counts of versions no longer alive (summed into totals).
-        self._retired = [0, 0, 0]
-        self._flushed = (0, 0, 0)
+        #: ``[entries, side_exits, iterations]`` of every version this
+        #: JIT compiled, incremented by the generated code itself (bound
+        #: as each version's ``VC`` global).
+        self._vc = [0, 0, 0]
         self.trace_compiles = 0
         self.trace_installs = 0
         self.trace_deactivations = 0
@@ -762,13 +759,12 @@ class TraceJIT(BlockJIT):
             source = compiler.gen_trace()
         except _Unsupported:
             return None
-        counts = [0, 0, 0]
         ns = dict(self._globals)
-        ns["VC"] = counts
+        ns["VC"] = self._vc
         exec(self._code(source, f"<trace:0x{head:x}>"), ns)
         spans = [(addr, end) for addr, _, end, _ in path]
         return TraceVersion(head, sig, ns["_trace"], len(compiler.insns),
-                            len(path), spans, source, counts)
+                            len(path), spans, source)
 
     def _promote(self, head: int):
         """Form + compile + install a trace at ``head``; returns the
@@ -776,8 +772,6 @@ class TraceJIT(BlockJIT):
         formed, why = self._form_trace(head)
         if formed is None:
             self.trace_aborts += 1
-            if self.metrics is not None:
-                self.metrics.inc("jit.trace.aborts")
             if why == "structural":
                 self._no_trace.add(head)
             return None
@@ -789,17 +783,13 @@ class TraceJIT(BlockJIT):
             if ver is None:
                 self.trace_aborts += 1
                 self._no_trace.add(head)
-                if self.metrics is not None:
-                    self.metrics.inc("jit.trace.aborts")
                 return None
             if len(table) >= MAX_VERSIONS:
                 # evict the oldest version (tables keep insertion
                 # order); none is installed while the head is promoting
-                self._retire(table.pop(next(iter(table))))
+                del table[next(iter(table))]
             table[sig] = ver
             self.trace_compiles += 1
-            if self.metrics is not None:
-                self.metrics.inc("jit.trace.compiles")
         return self._install(ver)
 
     def _install(self, ver: TraceVersion) -> TraceEntry:
@@ -814,8 +804,6 @@ class TraceJIT(BlockJIT):
             if blk is not entry and blk.links:
                 blk.links.pop(head, None)
         self.trace_installs += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.trace.installs")
         return entry
 
     def _deactivate(self, entry: TraceEntry) -> None:
@@ -836,16 +824,8 @@ class TraceJIT(BlockJIT):
                 blk.links.pop(head, None)
         self._hot[head] = 0
         self.trace_deactivations += 1
-        if self.metrics is not None:
-            self.metrics.inc("jit.trace.deactivations")
 
     # -------------------------------------------------------- invalidation
-    def _retire(self, ver: TraceVersion) -> None:
-        r = self._retired
-        r[0] += ver.counts[0]
-        r[1] += ver.counts[1]
-        r[2] += ver.counts[2]
-
     def invalidate_range(self, start: int, end: int) -> None:
         """Sever every trace whose compiled bytes overlap
         ``[start, end)``, then the tier-1 blocks."""
@@ -857,7 +837,6 @@ class TraceJIT(BlockJIT):
             for sig in list(table):
                 ver = table[sig]
                 if any(s < end and e > start for s, e in ver.spans):
-                    self._retire(ver)
                     del table[sig]
                     hit += 1
             if not table:
@@ -874,29 +853,18 @@ class TraceJIT(BlockJIT):
                 del self._installed[head]
                 if self.cache.get(head) is entry:
                     del self.cache[head]
-        if hit:
-            self.trace_invalidations += hit
-            if self.metrics is not None:
-                self.metrics.inc("jit.trace.invalidations", hit)
+        self.trace_invalidations += hit
         self._hot.clear()
         self._no_trace.clear()
         super().invalidate_range(start, end)
 
     # --------------------------------------------------------------- stats
-    def _totals(self):
-        e, x, i = self._retired
-        for table in self.versions.values():
-            for ver in table.values():
-                e += ver.counts[0]
-                x += ver.counts[1]
-                i += ver.counts[2]
-        return e, x, i
-
     def stats(self) -> dict:
-        """Tier-1 stats plus the ``trace_*`` counters (the ``jit.trace.*``
-        metric schema, point-in-time)."""
+        """Tier-1 stats plus the cumulative ``trace_*`` counters and the
+        point-in-time ``trace_versions`` (live compiled versions) and
+        ``installed_traces``."""
         s = super().stats()
-        entries, exits, iters = self._totals()
+        entries, exits, iters = self._vc
         s.update({
             "trace_compiles": self.trace_compiles,
             "trace_installs": self.trace_installs,
@@ -1008,35 +976,17 @@ class TraceJIT(BlockJIT):
         finally:
             self.hits += hits
             self.chain_follows += follows
-            if self.metrics is not None:
-                if hits:
-                    self.metrics.inc("jit.hits", hits)
-                if follows:
-                    self.metrics.inc("jit.chain_follows", follows)
-                if hits or follows:
-                    self.metrics.inc("jit.reuses", hits + follows)
-                entries, exits, iters = self._totals()
-                f = self._flushed
-                if entries - f[0]:
-                    self.metrics.inc("jit.trace.entries", entries - f[0])
-                if exits - f[1]:
-                    self.metrics.inc("jit.trace.side_exits", exits - f[1])
-                if iters - f[2]:
-                    self.metrics.inc("jit.trace.iterations", iters - f[2])
-                self._flushed = (entries, exits, iters)
 
 
-def enable_tracejit(machine, metrics=None, **tuning) -> TraceJIT:
+def enable_tracejit(machine, **tuning) -> TraceJIT:
     """Attach a :class:`TraceJIT` to ``machine`` (idempotent).
     ``tuning`` forwards threshold overrides (``hot_threshold=4`` makes
     tests and torture sweeps promote aggressively)."""
     jit = machine.cpu.jit
     if jit is None:
-        jit = TraceJIT(machine.cpu, metrics=metrics, **tuning)
+        jit = TraceJIT(machine.cpu, **tuning)
     elif not isinstance(jit, TraceJIT):
         raise RuntimeError(
             "a tier-1 BlockJIT is already attached; enable the trace "
             "tier first (enable_jit(trace=True)) or use a fresh machine")
-    elif metrics is not None and jit.metrics is None:
-        jit.metrics = metrics
     return jit

@@ -39,7 +39,7 @@ class Machine:
         tier-2 trace JIT, which is one), or ``None``."""
         return self.cpu.jit
 
-    def enable_jit(self, metrics=None, trace: bool = False, **tuning):
+    def enable_jit(self, trace: bool = False, **tuning):
         """Attach the tier-1 block-compiling engine (idempotent).  With
         ``trace=True`` attach the tier-2 trace JIT instead — a
         :class:`~repro.machine.tracejit.TraceJIT`, which contains tier 1
@@ -49,10 +49,10 @@ class Machine:
         if trace:
             from repro.machine.tracejit import enable_tracejit
 
-            return enable_tracejit(self, metrics=metrics, **tuning)
+            return enable_tracejit(self, **tuning)
         from repro.machine.blockjit import enable_blockjit
 
-        return enable_blockjit(self, metrics=metrics)
+        return enable_blockjit(self)
 
     def load(self, source: str, opt: int = 2, unit: str = "<unit>"):
         """Compile minic ``source`` at optimization level ``opt`` and link

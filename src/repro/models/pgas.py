@@ -38,6 +38,7 @@ from repro.core.rewriter import RewriteResult
 from repro.isa.costs import CostModel
 from repro.machine.cpu import RunResult
 from repro.machine.vm import Machine
+from repro.models.lab import ServiceLab
 
 PGAS_SOURCE = r"""
 // the global-array descriptor ("pattern" in DASH terms)
@@ -97,7 +98,7 @@ _GA_FIELDS = ("nelems", "nnodes", "block", "myrank", "localbase",
               "remotebase", "remotestride")
 
 
-class PgasLab:
+class PgasLab(ServiceLab):
     """A simulated node-0 view of a block-distributed global array."""
 
     def __init__(
@@ -142,51 +143,7 @@ class PgasLab:
         #: Optional unreliable-interconnect model for bulk transfers
         #: (see :meth:`attach_interconnect`); None means a perfect network.
         self.transfers = None
-        #: Optional background rewrite service (see :meth:`attach_service`).
-        self.service = None
         self.fill()
-
-    def attach_service(self, *, mode: str = "step", metrics=None, **options):
-        """Opt this lab into background specialization: rewrites run off
-        the callers' critical path through a
-        :class:`~repro.service.RewriteService` whose manager routes every
-        rewrite through this lab's supervisor (ladder + validation gate).
-        Continuous-assurance options pass straight through — e.g.
-        ``shadow_interval=8`` samples warm dispatches made via
-        :meth:`sum_via_service`, ``max_queue_depth=``/``retry_budget=``
-        bound the queue.  Stored on ``self.service`` and returned."""
-        from repro.core.manager import SpecializationManager
-        from repro.obs import Metrics
-        from repro.service import RewriteService
-
-        metrics = metrics if metrics is not None else Metrics()
-        self.supervisor.metrics = metrics
-        manager = SpecializationManager(
-            self.machine, rewrite_fn=self.supervisor.rewrite, metrics=metrics
-        )
-        self.service = RewriteService(
-            self.machine, manager=manager, mode=mode, metrics=metrics, **options
-        )
-        return self.service
-
-    def accessor_via_service(self, passes: tuple[str, ...] = ()) -> int:
-        """``ga_get``'s current best entry from the service: original on
-        a cold miss (rewrite queued), specialized once published."""
-        conf = brew_init_conf()
-        brew_setpar(conf, 1, BREW_PTR_TO_KNOWN)
-        conf.passes = passes
-        return self.service.request(conf, "ga_get", self.ga_addr, 0)
-
-    def kernel_via_service(self, passes: tuple[str, ...] = ()) -> int:
-        """The reduction kernel's current best entry from the service."""
-        conf = brew_init_conf()
-        brew_setpar(conf, 1, BREW_PTR_TO_KNOWN)
-        brew_setpar(conf, 4, BREW_KNOWN)
-        conf.passes = passes
-        return self.service.request(
-            conf, "ga_sum_range",
-            self.ga_addr, 0, 0, self.machine.symbol("ga_get"),
-        )
 
     def sum_via_service(self, lo: int, hi: int, passes: tuple[str, ...] = ()):
         """The reduction over ``[lo, hi)``, dispatched *and executed*

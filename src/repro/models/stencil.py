@@ -31,6 +31,7 @@ from repro.core.rewriter import RewriteResult
 from repro.isa.costs import CostModel
 from repro.machine.cpu import RunResult
 from repro.machine.vm import Machine
+from repro.models.lab import ServiceLab
 
 #: Max points per stencil / per group (the array bound in the structs).
 MAX_POINTS = 12
@@ -187,7 +188,7 @@ class StencilSpec:
         return sum(f * grid[(y + dy) * xs + (x + dx)] for f, dx, dy in self.points)
 
 
-class StencilLab:
+class StencilLab(ServiceLab):
     """Machine + matrices + stencil instance for the Section V study."""
 
     def __init__(
@@ -215,31 +216,7 @@ class StencilLab:
         #: attempts degrade down the ladder and successful variants are
         #: differentially validated before being handed out.
         self.supervisor = RewriteSupervisor(self.machine, validation_vectors=1)
-        #: Optional background rewrite service (see :meth:`attach_service`).
-        self.service = None
         self.reset_matrices()
-
-    def attach_service(self, *, mode: str = "step", metrics=None, **options):
-        """Opt this lab into background specialization (mirror of
-        :meth:`repro.models.pgas.PgasLab.attach_service`): a
-        :class:`~repro.service.RewriteService` whose manager routes every
-        rewrite through this lab's supervisor.  Continuous-assurance
-        options pass through — ``shadow_interval=`` samples warm
-        dispatches made via :meth:`apply_cell_via_service`,
-        ``max_queue_depth=``/``retry_budget=`` bound the queue."""
-        from repro.core.manager import SpecializationManager
-        from repro.obs import Metrics
-        from repro.service import RewriteService
-
-        metrics = metrics if metrics is not None else Metrics()
-        self.supervisor.metrics = metrics
-        manager = SpecializationManager(
-            self.machine, rewrite_fn=self.supervisor.rewrite, metrics=metrics
-        )
-        self.service = RewriteService(
-            self.machine, manager=manager, mode=mode, metrics=metrics, **options
-        )
-        return self.service
 
     def apply_via_service(
         self, passes: tuple[str, ...] = (), deferred_spills: bool = True

@@ -30,7 +30,8 @@ def test_cache_hit_on_repeat(setup):
     r1 = mgr.get(conf, "poly", 0, 3)
     r2 = mgr.get(conf, "poly", 0, 3)
     assert r1.ok and r1.entry == r2.entry
-    assert mgr.hits == 1 and mgr.misses == 1 and len(mgr) == 1
+    stats = mgr.stats()
+    assert stats["hits"] == 1 and stats["misses"] == 1 and len(mgr) == 1
 
 
 def test_different_args_are_different_variants(setup):
@@ -75,7 +76,8 @@ def test_fresh_ptr_to_known_config_per_call_hits(setup):
         conf = brew_init_conf()
         brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
         assert mgr.get(conf, "apply_cfg", 0, cfg).ok
-    assert mgr.misses == 1 and mgr.hits == 3 and len(mgr) == 1
+    stats = mgr.stats()
+    assert stats["misses"] == 1 and stats["hits"] == 3 and len(mgr) == 1
 
 
 def test_invalidate_memory_by_range(setup):
@@ -113,7 +115,8 @@ def test_failures_are_cached(setup):
     r1 = mgr.get(conf, "poly", 0, 0)
     r2 = mgr.get(conf, "poly", 0, 0)
     assert not r1.ok and r1 is r2
-    assert mgr.misses == 1 and mgr.hits == 1
+    stats = mgr.stats()
+    assert stats["misses"] == 1 and stats["hits"] == 1
 
 
 class _FlakyRewriter:
@@ -157,7 +160,23 @@ def test_quarantine_refused_before_backoff_expires():
     now[0] += 9.999
     r2 = mgr.get(conf, "poly", 0, 3)
     assert r2 is r1 and flaky.calls == 1
-    assert mgr.quarantine_hits == 1 and mgr.quarantine_retries == 0
+    stats = mgr.stats()
+    assert stats["quarantine_hits"] == 1 and stats["quarantine_retries"] == 0
+
+
+def test_stats_fallbacks_count_quarantine_hits():
+    """``stats()["fallbacks"]`` counts every failed result handed back,
+    cached ones included; the ``manager.fallbacks`` counter counts only
+    fresh failures (cached ones are ``manager.quarantine_hits``)."""
+    m, mgr, flaky, now = _quarantine_setup(backoff=10.0)
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    for _ in range(3):
+        assert not mgr.get(conf, "poly", 0, 3).ok
+    assert flaky.calls == 1
+    assert mgr.stats()["fallbacks"] == 3
+    assert mgr.metrics.value("manager.fallbacks") == 1
+    assert mgr.metrics.value("manager.quarantine_hits") == 2
 
 
 def test_quarantine_retried_after_backoff_and_window_doubles():
@@ -167,18 +186,18 @@ def test_quarantine_retried_after_backoff_and_window_doubles():
     mgr.get(conf, "poly", 0, 3)             # failure #1, window = 10
     now[0] += 10.0
     mgr.get(conf, "poly", 0, 3)             # retried -> failure #2
-    assert flaky.calls == 2 and mgr.quarantine_retries == 1
+    assert flaky.calls == 2 and mgr.stats()["quarantine_retries"] == 1
     # the window doubled to 20: refused at +19.999, retried at +20
     now[0] += 19.999
     mgr.get(conf, "poly", 0, 3)
-    assert flaky.calls == 2 and mgr.quarantine_hits == 1
+    assert flaky.calls == 2 and mgr.stats()["quarantine_hits"] == 1
     now[0] += 0.001
     mgr.get(conf, "poly", 0, 3)             # retried -> failure #3
-    assert flaky.calls == 3 and mgr.quarantine_retries == 2
+    assert flaky.calls == 3 and mgr.stats()["quarantine_retries"] == 2
     # and doubles again (40) from the time of failure #3
     now[0] += 39.999
     mgr.get(conf, "poly", 0, 3)
-    assert flaky.calls == 3 and mgr.quarantine_hits == 2
+    assert flaky.calls == 3 and mgr.stats()["quarantine_hits"] == 2
 
 
 def test_quarantine_readmission_after_recovery():

@@ -14,7 +14,6 @@ from repro.errors import CpuError
 from repro.machine import blockjit
 from repro.machine.blockjit import enable_blockjit
 from repro.machine.vm import Machine
-from repro.obs import Metrics
 
 
 def load(image, name, src, extra=None):
@@ -257,39 +256,34 @@ def test_rewritten_function_runs_under_jit():
     assert outs[0][0] == sum(i * 3 for i in range(10)) & ((1 << 64) - 1)
 
 
-def test_jit_metrics_counters_exported():
-    metrics = Metrics()
+def test_jit_stats_count_compiles_follows_and_invalidations():
     m = Machine()
-    enable_blockjit(m, metrics=metrics)
+    enable_blockjit(m)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 50; i = i + 1) { t = t + 2; } return t; }")
     m.call("main")
-    counters = metrics.counters_with_prefix("jit.")
-    assert counters.get("jit.compiles", 0) > 0
-    assert counters.get("jit.chain_follows", 0) > 0
+    stats = m.jit.stats()
+    assert stats["compiles"] > 0
+    assert stats["chain_follows"] > 0
     main = m.symbol("main")
     m.image.poke(main, m.image.peek(main, 1))  # same byte, still a code write
-    assert metrics.value("jit.invalidations") > 0
+    assert m.jit.stats()["invalidations"] > 0
 
 
 def test_reuses_counts_chain_follows_as_cache_hits():
-    """Regression: ``jit.reuses`` must count *every* cache reuse — both
+    """Regression: ``reuses`` must count *every* cache reuse — both
     dict-probe hits and chained follows.  The old accounting only bumped
-    ``jit.hits``, so a fully-chained hot loop (the common steady state,
+    ``hits``, so a fully-chained hot loop (the common steady state,
     where dispatch never touches the dict) looked like a cold cache."""
-    metrics = Metrics()
     m = Machine()
-    enable_blockjit(m, metrics=metrics)
+    enable_blockjit(m)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 80; i = i + 1) { t = t + i; } return t; }")
     m.call("main")
-    counters = metrics.counters_with_prefix("jit.")
-    assert counters.get("jit.reuses", 0) == (
-        counters.get("jit.hits", 0) + counters.get("jit.chain_follows", 0))
-    # the loop back-edge chains, so reuses must exceed bare dict hits
-    assert counters["jit.reuses"] > counters.get("jit.hits", 0)
     stats = m.jit.stats()
     assert stats["reuses"] == stats["hits"] + stats["chain_follows"]
+    # the loop back-edge chains, so reuses must exceed bare dict hits
+    assert stats["reuses"] > stats["hits"]
 
 
 def test_chain_graph_exposes_edge_frequencies():

@@ -129,7 +129,7 @@ def test_snapshot_round_trip_after_a_reclaim(tmp_path):
     r1 = mgr.get(conf, "scaled", 0, cfg)
     r2 = mgr.get(dup, "scaled", 0, cfg)
     r3 = mgr.get(known, "shifted", 0, 5)
-    assert r1.ok and r2.ok and r3.ok and mgr.code_dedup == 1
+    assert r1.ok and r2.ok and r3.ok and mgr.stats()["code_dedup"] == 1
     assert r2.entry == r1.entry
     assert r3.entry == (r1.entry + r1.code_size + 15) & ~15  # the freed span
     path = save_manager(mgr, tmp_path / "spec.snap")

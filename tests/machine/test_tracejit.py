@@ -19,6 +19,7 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.errors import CpuError
+from repro.experiments.tracejit_exp import add_jit_counters
 from repro.isa.registers import GPR
 from repro.machine import blockjit, tracejit
 from repro.machine.tracejit import TraceJIT, enable_tracejit
@@ -366,20 +367,70 @@ def test_reserve_rewrite_drops_overlapping_traces():
     assert m.call("hot2").int_return == sum(range(150))
 
 
-def test_trace_metrics_exported():
-    metrics = Metrics()
+def test_trace_stats_count_compiles_installs_and_iterations():
     m = Machine()
     m.load("long main() { long t; long i; t = 0;"
            " for (i = 0; i < 300; i = i + 1) { t = t + i; } return t; }")
-    enable_tracejit(m, metrics=metrics, **HOT)
+    enable_tracejit(m, **HOT)
     m.call("main")
-    counters = metrics.counters_with_prefix("jit.trace.")
-    assert counters.get("jit.trace.compiles", 0) > 0
-    assert counters.get("jit.trace.installs", 0) > 0
-    assert counters.get("jit.trace.entries", 0) > 0
-    assert counters.get("jit.trace.iterations", 0) > 0
-    # the point-in-time stats and the cumulative metrics agree
-    assert counters["jit.trace.iterations"] == m.jit.stats()["trace_iterations"]
+    stats = m.jit.stats()
+    assert stats["trace_compiles"] > 0
+    assert stats["trace_installs"] > 0
+    assert stats["trace_entries"] > 0
+    assert stats["trace_iterations"] > 0
+    # a code write drops the version; its counts stay in the totals
+    head = next(iter(m.jit.versions))
+    m.image.poke(head, m.image.peek(head, 1))
+    after = m.jit.stats()
+    assert after["trace_versions"] == 0 and after["trace_invalidations"] == 1
+    for key in ("trace_entries", "trace_side_exits", "trace_iterations"):
+        assert after[key] == stats[key], key
+
+
+#: docs/MACHINE.md's ``jit.*`` names for the cumulative ``stats()`` keys.
+JIT_COUNTER_NAMES = {
+    "compiles": "jit.compiles",
+    "hits": "jit.hits",
+    "chain_follows": "jit.chain_follows",
+    "reuses": "jit.reuses",
+    "invalidations": "jit.invalidations",
+    "interp_fallbacks": "jit.interp_fallbacks",
+    "trace_compiles": "jit.trace.compiles",
+    "trace_installs": "jit.trace.installs",
+    "trace_deactivations": "jit.trace.deactivations",
+    "trace_aborts": "jit.trace.aborts",
+    "trace_invalidations": "jit.trace.invalidations",
+    "trace_entries": "jit.trace.entries",
+    "trace_side_exits": "jit.trace.side_exits",
+    "trace_iterations": "jit.trace.iterations",
+}
+
+
+def test_ext10_exports_nonzero_cumulative_stats_under_schema_names():
+    jits = []
+    for n in (300, 40):
+        m = Machine()
+        m.load("long main() { long t; long i; t = 0;"
+               f" for (i = 0; i < {n}; i = i + 1) {{ t = t + i; }} return t; }}")
+        enable_tracejit(m, **HOT)
+        m.call("main")
+        jits.append(m.jit)
+    head = next(iter(m.jit.versions))
+    m.image.poke(head, m.image.peek(head, 1))  # invalidates one JIT's trace
+    metrics = Metrics()
+    add_jit_counters(metrics, jits)
+    want = {}
+    for jit in jits:
+        stats = jit.stats()
+        assert set(stats) - set(JIT_COUNTER_NAMES) == {
+            "cached_blocks", "chain_edges", "trace_versions",
+            "installed_traces"}
+        for key, name in JIT_COUNTER_NAMES.items():
+            if stats[key]:
+                want[name] = want.get(name, 0) + stats[key]
+    assert "jit.trace.invalidations" in want  # nonzero on one JIT only
+    assert "jit.interp_fallbacks" not in want  # zero on every JIT
+    assert metrics.as_dict()["counters"] == dict(sorted(want.items()))
 
 
 def test_stats_schema_superset_of_tier1():
