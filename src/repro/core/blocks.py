@@ -122,7 +122,3 @@ class BlockRegistry:
             if pending.label not in self.blocks:
                 return pending
         return None
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(len(b.insns) for b in self.blocks.values())

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.core.config import FunctionConfig, Knownness, RewriteConfig
+from repro.core.config import Knownness, RewriteConfig
 from repro.core.rewriter import RewriteResult, rewrite
 from repro.errors import RewriteFailure
 from repro.obs import Metrics
@@ -46,22 +46,33 @@ MAX_BACKOFF_SECONDS = 60.0
 
 
 def _config_fingerprint(conf: RewriteConfig) -> tuple:
-    """A hashable digest of everything that changes rewrite output."""
-    def fn_key(cfg: FunctionConfig) -> tuple:
-        return (
-            tuple(sorted((k, v.value) for k, v in cfg.params.items())),
-            cfg.inline, cfg.force_unknown_results, cfg.conditionals_unknown,
-        )
+    """A hashable digest of everything that changes rewrite output.
 
+    Every request derives it (``key_for``), so it is built with plain
+    loops; configs are mutated in place, so it is never cached."""
+    functions = []
+    for addr, cfg in conf.functions.items():
+        # ``_value_`` is what ``Knownness.value`` returns, without the
+        # enum property's call
+        params = [(index, knownness._value_)
+                  for index, knownness in cfg.params.items()]
+        params.sort()
+        functions.append((str(addr), (
+            tuple(params),
+            cfg.inline, cfg.force_unknown_results, cfg.conditionals_unknown,
+        )))
+    functions.sort()
+    known, markers, cells = (
+        conf.known_memory, conf.dynamic_markers, conf.dynamic_cells)
     return (
-        tuple(sorted((str(k), fn_key(v)) for k, v in conf.functions.items())),
-        tuple(sorted(conf.known_memory)),
+        tuple(functions),
+        tuple(sorted(known)) if known else (),
         conf.variant_threshold,
         conf.deferred_spills,
         conf.inline_default,
         conf.passes,
-        tuple(sorted(conf.dynamic_markers)),
-        tuple(sorted(conf.dynamic_cells)),
+        tuple(sorted(markers)) if markers else (),
+        tuple(sorted(cells)) if cells else (),
     )
 
 
@@ -94,12 +105,15 @@ def _relevant_args(conf: RewriteConfig, args: tuple) -> tuple:
     rather than disappearing.  Anything that is not a plain int/float
     (bools, lists...) is kept verbatim: those are rejected by the
     rewriter as ``bad-argument`` and the failure is cached per-value."""
-    entry_cfg = conf.function(None)
+    entry = conf.functions.get(conf.ENTRY)
+    declared = entry.params if entry is not None else {}
+    unknown = Knownness.UNKNOWN
     out = []
-    for position, arg in enumerate(args, start=1):
-        knownness = entry_cfg.params.get(position, Knownness.UNKNOWN)
-        if knownness is Knownness.UNKNOWN and type(arg) in (int, float):
-            out.append(("?", type(arg).__name__))
+    for position, arg in enumerate(args, 1):
+        kind = type(arg)
+        if ((kind is int or kind is float)
+                and declared.get(position, unknown) is unknown):
+            out.append(("?", kind.__name__))
         else:
             out.append(arg)
     return tuple(out)

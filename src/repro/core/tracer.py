@@ -140,6 +140,10 @@ class Tracer:
         self.reg_gens: dict = {}
         #: Declared-known cells consumed by this trace (see TraceOutput).
         self.known_reads: dict[int, int] = {}
+        #: Instructions in compensation blocks so far.  Every other
+        #: captured instruction counts in ``stats.emitted_instructions``;
+        #: the two sum to what ``max_output_instructions`` bounds.
+        self.compensation_instructions = 0
 
     # ====================================================== driving loop
     def run(self, entry_world: World) -> TraceOutput:
@@ -177,7 +181,8 @@ class Tracer:
     def _step(self) -> None:
         if self.stats.traced_instructions >= self.config.max_trace_steps:
             raise RewriteFailure("trace-limit", "max_trace_steps exceeded")
-        if self.registry.total_instructions >= self.config.max_output_instructions:
+        if (self.stats.emitted_instructions + self.compensation_instructions
+                >= self.config.max_output_instructions):
             raise RewriteFailure("buffer-full", "max_output_instructions exceeded")
         if (
             self.deadline is not None
@@ -321,9 +326,7 @@ class Tracer:
             "compensation", "flush", "spill", "demote", "hook",
             "call-window", "store-known",
         ):
-            from dataclasses import replace as _replace
-
-            insn = _replace(insn, origin=self.pc)
+            insn = insn.with_origin(self.pc)
         self.block.insns.append(insn)
         self.stats.emitted_instructions += 1
 
@@ -1338,6 +1341,7 @@ class Tracer:
                 insns=comp, final_target=label, successors=[label],
             )
             self.registry.add_compensation_block(edge)
+            self.compensation_instructions += len(comp)
             return edge.label
         if not usable:
             # threshold hit but no same-shadow variant: just enqueue
@@ -1368,6 +1372,7 @@ class Tracer:
             insns=comp, final_target=target, successors=[target],
         )
         self.registry.add_compensation_block(edge)
+        self.compensation_instructions += len(comp)
         return edge.label
 
     def _do_jmp(self, insn: Instruction, next_pc: int) -> None:

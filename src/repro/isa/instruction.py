@@ -68,6 +68,17 @@ class Instruction:
     def with_note(self, note: str) -> "Instruction":
         return replace(self, note=note)
 
+    def with_origin(self, origin: int) -> "Instruction":
+        """A copy stamped with ``origin``.  It shares ``info`` and
+        ``kinds`` instead of re-deriving them (``replace`` would rerun
+        ``__init__`` and ``__post_init__``), and ``self`` is left as it
+        was: a decode cache may hold it."""
+        copy = object.__new__(type(self))
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["origin"] = origin
+        return copy
+
     def __str__(self) -> str:
         if not self.operands:
             return str(self.op)

@@ -109,6 +109,7 @@ from repro.machine.blockjit import (
 )
 from repro.machine.cpu import CPU
 from repro.machine.image import LAYOUT
+from repro.machine.memory import Perm
 
 #: Back-edge executions of one target pc before trace formation runs.
 HOT_THRESHOLD = 24
@@ -706,6 +707,13 @@ class TraceJIT(BlockJIT):
                 succ = rets.pop()  # the matching call's return site
             elif blk.links:
                 succ = max(blk.links, key=lambda pc: (blk.links[pc][1], -pc))
+            elif last.op is Op.CALL and not self._executable(
+                    last.operands[0].value):
+                # the callee runs uncached, one step at a time, so this
+                # call never gets a link: no trace can pass this block,
+                # and none can start at it either
+                self._no_trace.add(addr)
+                return None, "structural"
             else:
                 return None, "transient"
             link = blk.links.get(succ)
@@ -752,6 +760,11 @@ class TraceJIT(BlockJIT):
                 return None, "structural"  # inner cycle not through head
             seen.add(key)
             addr = succ
+
+    def _executable(self, addr: int) -> bool:
+        """Whether ``addr`` lies in an executable segment."""
+        return any(s.contains(addr) and Perm.X in s.perms
+                   for s in self.cpu.image.memory.segments)
 
     def _compile_trace(self, head, path, sig):
         try:

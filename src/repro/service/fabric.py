@@ -85,6 +85,10 @@ REQUEST_BYTES = 128
 #: link models latency and fault exposure, not content placement).
 STAGE_BYTES = 4096
 
+#: Entries of the router's route memo (``(fn, key)`` -> ``(digest,
+#: owner)``, see :meth:`RewriteFabric.request`); the oldest goes first.
+ROUTE_MEMO_SIZE = 2048
+
 
 def _digest(fn, key: tuple) -> str:
     """The routing digest of a manager key (see ``route_digest``)."""
@@ -285,6 +289,11 @@ class RewriteFabric:
         self.forensics = forensics
         #: ``(shard, cause, reason)`` rows, one per declared death.
         self.failover_log: list[tuple[int, str, str]] = []
+        #: The route memo: ``(fn, manager key)`` -> ``(digest, owner)``.
+        #: A route depends only on ``str(fn)`` and ``key[1:]`` (the
+        #: digest) and on the live-shard set, which changes only in
+        #: :meth:`_declare_dead`, and that clears the memo.
+        self._routes: dict[tuple, tuple[str, RewriteShard | None]] = {}
         self._ticks = 0
         self._rr_offset = 0
         self._closed = False
@@ -356,8 +365,14 @@ class RewriteFabric:
         self.metrics.inc("fabric.requests")
         self.metrics.inc(f"fabric.tenant.{tenant}.requests")
         key = self._key_for(conf, fn, args)
-        digest = _digest(fn, key)
-        owner = self._owner_for(digest)
+        routes = self._routes
+        route = routes.get((fn, key))
+        if route is None:
+            if len(routes) >= ROUTE_MEMO_SIZE:
+                del routes[next(iter(routes))]  # oldest first
+            digest = _digest(fn, key)
+            route = routes[fn, key] = (digest, self._owner_for(digest))
+        digest, owner = route
         if owner is None:
             # every shard is dead: total fabric outage, serve originals
             failure = RewriteFailure(
@@ -593,6 +608,7 @@ class RewriteFabric:
         if shard.state == SHARD_DEAD:
             return
         shard.state = SHARD_DEAD
+        self._routes.clear()  # the live set changed: every route is stale
         failure = RewriteFailure(
             "shard-dead", f"shard {shard.index} declared dead ({cause})"
         )

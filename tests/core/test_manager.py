@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
-from repro.core.manager import SpecializationManager
+from repro.core.config import FunctionConfig, Knownness, RewriteConfig
+from repro.core.manager import (
+    SpecializationManager, _config_fingerprint, _relevant_args,
+)
 from repro.core.rewriter import RewriteResult, rewrite
 from repro.machine.vm import Machine
 
@@ -263,3 +267,82 @@ def test_stats_keys_complete(setup):
     assert mgr.invalidate_function("poly") == 1
     assert mgr.stats()["evictions"] == 1
     assert mgr.stats()["cached"] == 0
+
+
+# ------------------------------------------- key derivation equivalence
+def _reference_config_fingerprint(conf) -> tuple:
+    """``_config_fingerprint`` as it was first written (generator
+    expressions and ``sorted``), kept to pin the keys it produced."""
+    def fn_key(cfg) -> tuple:
+        return (
+            tuple(sorted((k, v.value) for k, v in cfg.params.items())),
+            cfg.inline, cfg.force_unknown_results, cfg.conditionals_unknown,
+        )
+
+    return (
+        tuple(sorted((str(k), fn_key(v)) for k, v in conf.functions.items())),
+        tuple(sorted(conf.known_memory)),
+        conf.variant_threshold,
+        conf.deferred_spills,
+        conf.inline_default,
+        conf.passes,
+        tuple(sorted(conf.dynamic_markers)),
+        tuple(sorted(conf.dynamic_cells)),
+    )
+
+
+def _reference_relevant_args(conf, args: tuple) -> tuple:
+    """``_relevant_args`` as it was first written."""
+    entry_cfg = conf.function(None)
+    out = []
+    for position, arg in enumerate(args, start=1):
+        knownness = entry_cfg.params.get(position, Knownness.UNKNOWN)
+        if knownness is Knownness.UNKNOWN and type(arg) in (int, float):
+            out.append(("?", type(arg).__name__))
+        else:
+            out.append(arg)
+    return tuple(out)
+
+
+_addrs = st.integers(0, 1 << 40)
+_function_configs = st.builds(
+    FunctionConfig,
+    params=st.dictionaries(st.integers(1, 8), st.sampled_from(Knownness),
+                           max_size=6),
+    inline=st.booleans(),
+    force_unknown_results=st.booleans(),
+    conditionals_unknown=st.booleans(),
+)
+_configs = st.builds(
+    RewriteConfig,
+    functions=st.dictionaries(
+        st.one_of(st.just(RewriteConfig.ENTRY), _addrs), _function_configs,
+        max_size=4),
+    known_memory=st.lists(st.tuples(_addrs, _addrs), max_size=4),
+    variant_threshold=st.integers(1, 64),
+    inline_default=st.booleans(),
+    dynamic_markers=st.sets(_addrs, max_size=4),
+    dynamic_cells=st.sets(_addrs, max_size=4),
+    passes=st.lists(st.sampled_from(("dce", "copyprop", "peephole")),
+                    max_size=3).map(tuple),
+    deferred_spills=st.booleans(),
+)
+_args = st.lists(st.one_of(
+    st.integers(-(1 << 63), (1 << 64) - 1), st.floats(), st.booleans(),
+    st.lists(st.integers(), max_size=3)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conf=_configs, args=_args)
+def test_key_parts_equal_the_reference_derivation(conf, args):
+    """The loop-built key parts are the very tuples the reference built:
+    equal, and equal in ``repr``, which is what the fabric's route
+    digest hashes (an int 1 and a float 1.0 compare equal but print
+    differently)."""
+    fingerprint = _config_fingerprint(conf)
+    assert fingerprint == _reference_config_fingerprint(conf)
+    assert repr(fingerprint) == repr(_reference_config_fingerprint(conf))
+    relevant = _relevant_args(conf, tuple(args))
+    reference = _reference_relevant_args(conf, tuple(args))
+    assert repr(relevant) == repr(reference)
+    assert [type(a) for a in relevant] == [type(a) for a in reference]

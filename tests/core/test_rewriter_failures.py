@@ -8,7 +8,9 @@ import pytest
 
 from repro.asm.assembler import assemble
 from repro.core import brew_init_conf, brew_rewrite, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
+from repro.core import rewriter
 from repro.machine.vm import Machine
+from repro.models.stencil import StencilLab
 from repro.testing import EXPECTED_REASON, inject_fault
 
 
@@ -66,6 +68,91 @@ def test_buffer_full(machine):
     brew_setpar(conf, 1, BREW_KNOWN)
     conf.max_output_instructions = 4
     check_failure(machine, brew_rewrite(machine, conf, "f", 1000), "buffer-full")
+
+
+#: A loop whose induction variable survives ``makeDynamic`` at -O2, so
+#: with a variant threshold of 4 the trace migrates (compensation code).
+COUNT_SRC = """
+noinline long makeDynamic(long x) { return x; }
+noinline long count(long n) {
+    long total = 0;
+    for (long i = makeDynamic(0); i < n; i++)
+        total += i * 2;
+    return total;
+}
+"""
+LOOP_SRC = """
+noinline long f(long n) {
+    long t = 0;
+    for (long i = 0; i < n; i++) t += i;
+    return t;
+}
+"""
+#: A generated program whose third migration lands on a variant that
+#: already exists, so its compensation edge goes straight there.
+MERGE_SRC = """
+noinline long fuzzed(long p0, long p1) {
+long acc = p0;
+for (long t1 = 0; t1 < 4; t1++) { acc = ((-(p1)) == acc); }
+for (long t3 = 0; t3 < 5; t3++) { for (long t2 = 0; t2 < 3; t2++) { p0 = ((acc * p1) ^ (p0 < p0)); } }
+for (long t4 = 0; t4 < 1; t4++) { if ((p0 + p1)) { p0 = (0 * acc); } }
+acc = acc;
+long t5 = ((p1 - acc) + p1);
+return acc + ((5 / ((-3) | 1)) >= (t5 >= acc));
+}
+"""
+
+
+def _buffer_full_case(case: str, limit: int):
+    """``(machine, conf, fn, args)`` of one ``buffer-full`` pin."""
+    conf = brew_init_conf()
+    conf.max_output_instructions = limit
+    if case == "apply":
+        lab = StencilLab(16, 16)
+        brew_setpar(conf, 2, BREW_KNOWN)
+        brew_setpar(conf, 3, BREW_PTR_TO_KNOWN)
+        return lab.machine, conf, "apply", (lab.m1 + 8 * 17, 16, lab.s_addr)
+    m = Machine()
+    brew_setpar(conf, 1, BREW_KNOWN)
+    if case == "merge":
+        m.load(MERGE_SRC)
+        conf.variant_threshold = 4
+        return m, conf, "fuzzed", (0, 0)
+    if case == "count":
+        m.load(COUNT_SRC, opt=2)
+        conf.dynamic_markers.add(m.symbol("makeDynamic"))
+        conf.variant_threshold = 4
+        return m, conf, "count", (1000,)
+    m.load(LOOP_SRC, opt=1)
+    return m, conf, "f", (30,)
+
+
+@pytest.mark.parametrize("case,limit,traced", [
+    # nothing emitted yet: the first migration's compensation block alone
+    # fills the buffer
+    ("loop", 1, 206), ("loop", 9, 211),
+    ("count", 64, 108), ("count", 79, 123),
+    ("merge", 81, 187), ("merge", 90, 198),
+    # the second output instruction is a deferred spill's store
+    ("apply", 2, 8), ("apply", 3, 30), ("apply", 26, 123),
+])
+def test_buffer_full_fires_at_a_pinned_traced_instruction(
+        monkeypatch, case, limit, traced):
+    """The output budget counts every instruction a captured block
+    holds, compensation blocks and spill stores included, so
+    ``buffer-full`` fires at the same traced instruction as when the
+    check re-summed every block at each step (the pinned counts)."""
+    tracers = []
+
+    class Recording(rewriter.Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr(rewriter, "Tracer", Recording)
+    m, conf, fn, args = _buffer_full_case(case, limit)
+    check_failure(m, brew_rewrite(m, conf, fn, *args), "buffer-full")
+    assert tracers[-1].stats.traced_instructions == traced
 
 
 def test_trace_limit(machine):

@@ -25,6 +25,7 @@ from repro.machine import blockjit, tracejit
 from repro.machine.tracejit import TraceJIT, enable_tracejit
 from repro.machine.vm import Machine
 from repro.obs import Metrics
+from tests.machine.test_selfmodify import _call_heap_slot
 
 #: Aggressive promotion thresholds for test-sized loops.
 HOT = dict(hot_threshold=4, min_edge=1)
@@ -590,3 +591,43 @@ def test_poking_the_callee_severs_the_trace(where):
         assert r.uint_return == 350
         fps.append(fingerprint(m, r))
     assert fps[0] == fps[1]
+
+
+def test_direct_call_into_heap_code_aborts_formation_once():
+    """A direct call into a non-executable heap slot never gets a chain
+    link (the callee runs uncached, one step at a time), so no trace can
+    pass it.  Formation says so once, structurally, instead of forming
+    and aborting each time the loop gets hot (166 aborts over this loop
+    when the call read as transient)."""
+    m = Machine()
+    slot = m.image.malloc(32, align=16)
+    m.image.poke(slot, assemble("mov rax, 3\nret", slot)[0])
+    caller = _call_heap_slot(m, slot)
+    jit = m.enable_jit(trace=True)
+    assert m.cpu.run(caller, 2000).uint_return == 2000 * 3
+    stats = jit.stats()
+    assert stats["trace_aborts"] <= 1, stats
+    assert stats["interp_fallbacks"] == 2000 * 2
+    assert stats["trace_installs"] == 0
+
+
+def test_indirect_call_into_heap_code_stays_transient(monkeypatch):
+    """A ``calli`` without links may still gain one (its target can
+    change), so formation keeps calling that transient."""
+    m = Machine()
+    m.load(POINTER_SRC)
+    slot = m.image.malloc(32, align=16)
+    m.image.poke(slot, assemble("mov rax, 3\nret", slot)[0])
+    jit = m.enable_jit(trace=True)
+    verdicts = []
+    form = jit._form_trace
+
+    def recording(head):
+        formed, why = form(head)
+        verdicts.append(why)
+        return formed, why
+
+    monkeypatch.setattr(jit, "_form_trace", recording)
+    assert m.call("run", slot, 2000).int_return == 2000 * 3
+    assert verdicts and set(verdicts) == {"transient"}, verdicts
+    assert not jit._no_trace

@@ -10,6 +10,8 @@ from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN
 from repro.service import (
     RewriteFabric, SHARD_DEAD, SHARD_HEALTHY, SHARD_SUSPECT,
 )
+from repro.service import fabric as fabric_module
+from repro.service.fabric import ROUTE_MEMO_SIZE
 from repro.testing import EXPECTED_REASON, FaultInjector
 
 SOURCE = """
@@ -60,6 +62,65 @@ def test_digest_ignores_unknown_args_and_keys_on_known_ones():
         d2 = fabric.route_digest(conf, "poly", (999, 3))
         d3 = fabric.route_digest(conf, "poly", (0, 4))
         assert d1 == d2 and d1 != d3
+
+
+# ------------------------------------------------------------ route memo
+def _routed(fabric: RewriteFabric, fn, k: int) -> int:
+    """The shard ``route_digest`` and rendezvous hashing pick for
+    ``fn(x, k)``."""
+    return fabric._owner_for(fabric.route_digest(_conf(), fn, (0, k))).index
+
+
+def test_route_memo_forgets_routes_when_an_owner_dies(monkeypatch):
+    """Keys routed (and memoized) before their owner dies route to the
+    survivors' rendezvous choice afterwards."""
+    digests = []
+    digest = fabric_module._digest
+    monkeypatch.setattr(fabric_module, "_digest",
+                        lambda fn, key: digests.append(key) or digest(fn, key))
+    with RewriteFabric(SOURCE, shards=3, seed=5) as fabric:
+        ks = _keys_owned_by(fabric, 1, 3)
+        digests.clear()
+        for _ in range(2):  # the second pass is served from the memo
+            shards = [fabric.request("alice", _conf(), "poly", 0, k).shard
+                      for k in ks]
+            assert shards == [1, 1, 1]
+        assert len(digests) == len(ks) == len(fabric._routes)
+        fabric.crash_shard(1)
+        after = [fabric.request("alice", _conf(), "poly", 0, k).shard
+                 for k in ks]
+        assert after == [_routed(fabric, "poly", k) for k in ks]
+        assert 1 not in after
+
+
+def test_route_memo_routes_names_and_addresses_as_route_digest_says():
+    """``fn`` by name and by address share a manager key but not a
+    digest (it hashes ``str(fn)``): each form routes as ``route_digest``
+    says, from the memo too."""
+    with RewriteFabric(SOURCE, shards=4, seed=11) as fabric:
+        addr = fabric.shards[0].machine.image.symbol("poly")
+        ks = range(3, 23)
+        assert any(_routed(fabric, "poly", k) != _routed(fabric, addr, k)
+                   for k in ks)
+        for _ in range(2):
+            for k in ks:
+                for fn in ("poly", addr):
+                    route = fabric.request("alice", _conf(), fn, 0, k)
+                    assert route.shard == _routed(fabric, fn, k), (fn, k)
+
+
+def test_route_memo_stays_within_its_bound():
+    """The memo drops its oldest route at ``ROUTE_MEMO_SIZE``; a key
+    whose route was dropped routes exactly as before."""
+    with RewriteFabric(SOURCE, shards=2, seed=3) as fabric:
+        ks = range(3, 3 + ROUTE_MEMO_SIZE + 16)
+        for k in ks:
+            fabric.request("alice", _conf(), "mix", 0, k)
+            assert len(fabric._routes) <= ROUTE_MEMO_SIZE
+        assert len(fabric._routes) == ROUTE_MEMO_SIZE
+        for k in ks[:20]:
+            route = fabric.request("alice", _conf(), "mix", 0, k)
+            assert route.shard == _routed(fabric, "mix", k)
 
 
 # ------------------------------------------------------ request lifecycle
