@@ -30,6 +30,7 @@ trigger a new specialization whenever the domain map is changed").
 from __future__ import annotations
 
 import hashlib
+import struct
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -43,6 +44,8 @@ from repro.obs import Metrics
 DEFAULT_BACKOFF_SECONDS = 0.25
 #: Ceiling for the exponential backoff window.
 MAX_BACKOFF_SECONDS = 60.0
+
+_F64 = struct.Struct("<d")
 
 
 def _config_fingerprint(conf: RewriteConfig) -> tuple:
@@ -102,9 +105,18 @@ def _relevant_args(conf: RewriteConfig, args: tuple) -> tuple:
     same specialized body and must share one cache slot.  The argument's
     *type* still matters (int vs. float changes register assignment), so
     unknown positions collapse to a ``("?", typename)`` placeholder
-    rather than disappearing.  Anything that is not a plain int/float
-    (bools, lists...) is kept verbatim: those are rejected by the
-    rewriter as ``bad-argument`` and the failure is cached per-value."""
+    rather than disappearing.
+
+    Every other argument keys exactly what the rewrite sees.  An exact
+    ``int`` stays verbatim, so int keys, route digests and replays are
+    unchanged.  A float becomes ``("float", IEEE-754 bits)``: 3 and 3.0,
+    or 0.0 and -0.0, get different keys, equal NaNs share one, and
+    ``inf`` survives a snapshot's ``ast.literal_eval``.  Any other
+    hashable value becomes ``(typename, value)``, so ``True`` is not 1.
+    An unhashable one (a list passed by mistake) stays verbatim:
+    :func:`_args_fingerprint` keys it by type and repr, as it always
+    did.  The rewriter rejects all of these as ``bad-argument``, and the
+    failure is cached per value."""
     entry = conf.functions.get(conf.ENTRY)
     declared = entry.params if entry is not None else {}
     unknown = Knownness.UNKNOWN
@@ -114,8 +126,14 @@ def _relevant_args(conf: RewriteConfig, args: tuple) -> tuple:
         if ((kind is int or kind is float)
                 and declared.get(position, unknown) is unknown):
             out.append(("?", kind.__name__))
-        else:
+        elif kind is int:
             out.append(arg)
+        elif kind is float:
+            out.append(("float", int.from_bytes(_F64.pack(arg), "little")))
+        elif kind.__hash__ is None:
+            out.append(arg)
+        else:
+            out.append((kind.__name__, arg))
     return tuple(out)
 
 

@@ -129,7 +129,9 @@ class Memory:
         for seg in self.segments:
             pre = self.journal.get(seg.name)
             if pre is not None:
-                seg.data[:] = pre
+                # an equal-size copy into the buffer; a bytearray slice
+                # assignment takes about twice as long
+                memoryview(seg.data)[:] = pre
 
     def close_journal(self) -> None:
         """Drop the journal (if any) and unwatch all but executable

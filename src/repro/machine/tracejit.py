@@ -28,7 +28,16 @@ ONE Python function with
   **deferred** (the operands, not the four flags) so loop-exit guards
   compare values directly,
 * segment-TLB fields cached in locals (base/end/data/surcharge), so the
-  per-access fast path is two integer compares against locals,
+  per-access fast path is two integer compares against locals; each
+  site keeps the segment it resolved last across entries, so its first
+  access in an entry re-reads that segment's fields (``watched``
+  included) instead of walking the segment list,
+* **hoisted loads**: a load from a constant address in a segment with
+  no write permission and no surcharge (a literal-pool cell, such as a
+  known coefficient) reads a local the preamble filled; every store
+  that lands in that segment reads its cells again, and a host poke
+  between calls is read at the next entry, so the local always holds
+  the memory's value,
 * **guarded side exits**: every on-trace conditional branch checks the
   observed direction and, on disagreement, writes back all live state,
   charges the *exact* interpreter-equivalent perf counters for the
@@ -53,9 +62,11 @@ state-access methods of :class:`~repro.machine.blockjit._BlockCompiler`:
 ``reg``/``lane``/``flag`` name Python locals (``r3``, ``x8_0``, ``zf_``)
 and record which registers and lanes the trace touches, ``signed`` is
 inline arithmetic, and ``divide`` is inline truncating division.  Memory
-accessors get per-site TLB slots.  Exits are recorded during the walk
-and rendered last, once the per-iteration counter totals, the touched
-registers and the TLB sites of the whole trace are known.
+accessors get per-site TLB slots or hoisted cells.  Exits, and the
+re-reads of hoisted cells after each store, are recorded during the
+walk and rendered last, once the per-iteration counter totals, the
+touched registers, the TLB sites and the hoisted cells of the whole
+trace are known.
 
 Multi-version traces: each head keeps up to :data:`MAX_VERSIONS`
 compiled traces keyed by the **signature** of the path: the
@@ -94,12 +105,14 @@ budget, and the loop hands the tail to the interpreter.
 
 from __future__ import annotations
 
+from repro.errors import SegmentationFault
 from repro.isa.flags import Cond
 from repro.isa.opcodes import Op, OpClass
 from repro.isa.operands import FReg, Mem, Reg
 from repro.machine.blockjit import (
     _BLOCK_ENDERS,
     _COND_EXPR,
+    _NOSEG,
     _RAX,
     _RDX,
     _RSP,
@@ -109,7 +122,7 @@ from repro.machine.blockjit import (
 )
 from repro.machine.cpu import CPU
 from repro.machine.image import LAYOUT
-from repro.machine.memory import Perm
+from repro.machine.memory import Perm, Segment
 
 #: Back-edge executions of one target pc before trace formation runs.
 HOT_THRESHOLD = 24
@@ -242,19 +255,21 @@ class _TraceCompiler(_BlockCompiler):
 
     Tier 1's per-instruction translators emit the body; this class
     supplies their state-access methods over Python locals, per-site
-    TLB memory accessors, the deferred CMP/TEST protocol, and the
-    guards and exits.  Exits are kept in :attr:`lines` as tuples and
-    rendered by :meth:`render` once the walk has fixed the
-    per-iteration totals.
+    TLB memory accessors, hoisted read-only loads, the deferred
+    CMP/TEST protocol, and the guards and exits.  Exits are kept in
+    :attr:`lines` as tuples, and each store site's re-read of hoisted
+    cells as the site's number; :meth:`render` renders both once the
+    walk has fixed the per-iteration totals and the hoisted cells.
     """
 
-    def __init__(self, path, costs):
+    def __init__(self, path, costs, memory):
         # path: [(addr, insns, end, recorded), ...] where ``recorded`` is
         # the branch direction of a JCC block, the callee of a CALL
         # block, the return site of a RET block, else None
         all_insns = [i for _, insns, _, _ in path for i in insns]
         super().__init__(all_insns, path[0][0], costs)
         self.path = path
+        self._memory = memory
         self.head = path[0][0]
         #: Deferred flag state: None (flag locals are current), or
         #: "cmp"/"test" (arch flags are a function of ``_ga``/``_gb``).
@@ -276,6 +291,12 @@ class _TraceCompiler(_BlockCompiler):
         #: single-entry TLB into a ``segment_for`` walk per access.
         self._load_slots: list[int] = []
         self._store_slots: list[int] = []
+        #: Hoisted loads: ``(address, fmt)`` of a hoisted cell -> the
+        #: local (``c{k}_{i}``) holding it; and per segment holding such
+        #: cells (bound as ``HS{k}``, its data in ``hd{k}_``) the
+        #: statements that read them.
+        self._cells: dict[tuple[int, str], str] = {}
+        self._hoisted: list[tuple[Segment, list[str]]] = []
         #: GPRs and xmm lanes the trace touches: loaded into locals on
         #: entry and written back at every exit.
         self._regs: set[int] = set()
@@ -317,32 +338,74 @@ class _TraceCompiler(_BlockCompiler):
 
     # ------------------------------------------------- memory fast path
     def _site_refill(self, j, t):
-        """Refill site ``j``'s segment locals on a bounds miss."""
+        """Refill site ``j``'s segment locals on a bounds miss: from the
+        segment the site resolved last (``SL[j]``, kept across entries)
+        when it holds the address, else from a segment-list walk.  The
+        ``watched`` flag is read afresh either way, so a journal opened
+        between entries still journals."""
         e = self.emit
-        e(f"    seg_ = segfor({t}, 8); cpu._seg_cache = seg_")
-        e(f"    sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8; "
-          f"sd{j}_ = seg_.data; sx{j}_ = seg_.extra_cost; "
-          f"sw{j}_ = seg_.watched")
+        e(f"    seg_ = SL[{j}]; sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8")
+        e(f"    if not sb{j}_ <= {t} <= sm{j}_:")
+        e(f"        seg_ = SL[{j}] = segfor({t}, 8); "
+          f"sb{j}_ = seg_.base; sm{j}_ = seg_.end - 8")
+        e(f"    cpu._seg_cache = seg_; sd{j}_ = seg_.data; "
+          f"sx{j}_ = seg_.extra_cost; sw{j}_ = seg_.watched")
+
+    def _cell(self, ea_expr, fmt):
+        """The local holding the cell a load at a constant address
+        reads, when the cell lies in a segment without ``Perm.W`` or a
+        surcharge; else None.  Such a cell changes only by a store (no
+        permission check stops a guest store) or a host poke (between
+        entries), so the preamble reads it and every store site that
+        resolves its segment reads it again (:meth:`_reread_lines`)."""
+        if not ea_expr.isdigit():  # ``ea`` renders constants as literals
+            return None
+        addr = int(ea_expr)
+        name = self._cells.get((addr, fmt))
+        if name is not None:
+            return name
+        try:
+            seg = self._memory.segment_for(addr, 8)
+        except SegmentationFault:
+            return None  # the load's site raises the interpreter's fault
+        if Perm.W in seg.perms or seg.extra_cost:
+            return None
+        for k, (held, reads) in enumerate(self._hoisted):
+            if held is seg:
+                break
+        else:
+            k, reads = len(self._hoisted), []
+            self._hoisted.append((seg, reads))
+        name = self._cells[addr, fmt] = f"c{k}_{len(reads)}"
+        fn = "UQF" if fmt == "Q" else "UDF"
+        reads.append(f"{name} = {fn}(hd{k}_, {addr - seg.base})[0]")
+        return name
 
     def load(self, ea_expr, var, fmt="Q", count_inline=False):
-        """Inline a guest load through this site's private TLB slot."""
-        j = len(self._load_slots) + len(self._store_slots)
-        self._load_slots.append(j)
-        t = self.tmp()
+        """Inline a guest load through this site's private TLB slot, or
+        from the local of a hoisted read-only cell (:meth:`_cell`)."""
         e = self.emit
-        e(f"{t} = {ea_expr}")
-        e(f"if not sb{j}_ <= {t} <= sm{j}_:")
-        self._site_refill(j, t)
-        e(f"if sx{j}_:")
-        e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
-          "perf.remote_accesses += 1")
-        fn = "UQF" if fmt == "Q" else "UDF"
-        e(f"{var} = {fn}(sd{j}_, {t} - sb{j}_)[0]")
+        cell = self._cell(ea_expr, fmt)
+        if cell is not None:
+            e(f"{var} = {cell}")
+            t = ea_expr
+        else:
+            j = len(self._load_slots) + len(self._store_slots)
+            self._load_slots.append(j)
+            t = self.tmp()
+            e(f"{t} = {ea_expr}")
+            e(f"if not sb{j}_ <= {t} <= sm{j}_:")
+            self._site_refill(j, t)
+            e(f"if sx{j}_:")
+            e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
+              "perf.remote_accesses += 1")
+            fn = "UQF" if fmt == "Q" else "UDF"
+            e(f"{var} = {fn}(sd{j}_, {t} - sb{j}_)[0]")
+            self.needs.add("mem")
         if count_inline:
             e("perf.loads += 1")
         else:
             self.n_loads += 1
-        self.needs.add("mem")
         return t
 
     def store(self, ea_expr, value_expr, fmt="Q", count_inline=False):
@@ -365,6 +428,25 @@ class _TraceCompiler(_BlockCompiler):
             f"sw{j}_ and (sw{j}_ := "
             f"cpu.memory.before_write(segfor({t}, 8)))",
             f"{fn}(sd{j}_, {t} - sb{j}_, {value_expr})", t, count_inline)
+        # the re-read of hoisted cells, rendered once all are known
+        self.lines.append(j)
+
+    def _reread_lines(self, j):
+        """After store site ``j``: read again the hoisted cells of the
+        segment it stored into, if any."""
+        out = []
+        for k, (_, reads) in enumerate(self._hoisted):
+            out.append(f"{_BODY_IND}if sd{j}_ is hd{k}_:")
+            out.append(_EXIT_IND + "; ".join(reads))
+        return out
+
+    def bind(self, ns):
+        """Bind the globals the source names besides tier 1's: ``SL``,
+        the segment each access site resolved last (kept across
+        entries), and ``HS{k}``, the segments holding hoisted cells."""
+        ns["SL"] = [_NOSEG] * (len(self._load_slots) + len(self._store_slots))
+        for k, (seg, _) in enumerate(self._hoisted):
+            ns[f"HS{k}"] = seg
 
     # ------------------------------------------------------ translation
     def gen_insn(self, insn, flags_needed):
@@ -589,9 +671,10 @@ class _TraceCompiler(_BlockCompiler):
 
     # -------------------------------------------------------------- render
     def render(self):
-        """The trace function: preamble (state into locals, poisoned
-        TLB slots), then the iteration loop with every recorded exit
-        rendered against the final per-iteration totals."""
+        """The trace function: preamble (state and hoisted cells into
+        locals, poisoned TLB slots), then the iteration loop with every
+        recorded exit rendered against the final per-iteration totals
+        and every store site followed by its re-read of hoisted cells."""
         regs = sorted(self._regs)
         lanes = sorted(self._lanes)
         writeback = "; ".join(
@@ -616,6 +699,9 @@ class _TraceCompiler(_BlockCompiler):
             pre.append("    cw_ = False")
         if "call" in self.needs:
             pre.append("    hooks = cpu.call_hooks; hostfns = cpu.host_functions")
+        for k, (_, reads) in enumerate(self._hoisted):
+            pre.append(f"    hd{k}_ = HS{k}.data")
+            pre.append("    " + "; ".join(reads))
         pre += [f"    r{i} = regs[{i}]" for i in regs]
         pre += [f"    x{a}_{b} = xmm[{a}][{b}]" for a, b in lanes]
         pre.append("    zf_ = flags[ZF]; sf_ = flags[SF]; "
@@ -627,6 +713,8 @@ class _TraceCompiler(_BlockCompiler):
         for line in self.lines:
             if type(line) is str:
                 body.append(line)
+            elif type(line) is int:  # after store site ``line``
+                body.extend(self._reread_lines(line))
             else:
                 body.extend(self._exit_lines(writeback, *line))
         return "\n".join(pre + body) + "\n"
@@ -768,12 +856,13 @@ class TraceJIT(BlockJIT):
 
     def _compile_trace(self, head, path, sig):
         try:
-            compiler = _TraceCompiler(path, self.cpu.costs)
+            compiler = _TraceCompiler(path, self.cpu.costs, self.cpu.memory)
             source = compiler.gen_trace()
         except _Unsupported:
             return None
         ns = dict(self._globals)
         ns["VC"] = self._vc
+        compiler.bind(ns)
         exec(self._code(source, f"<trace:0x{head:x}>"), ns)
         spans = [(addr, end) for addr, _, end, _ in path]
         return TraceVersion(head, sig, ns["_trace"], len(compiler.insns),

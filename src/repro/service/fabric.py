@@ -480,10 +480,13 @@ class RewriteFabric:
             self.metrics.inc("fabric.ticks")
             now = self.clock.tick()
             self.transfers.advance_epoch()
+            beats = 0
             for shard in self.shards:
                 if shard.state != SHARD_DEAD:
                     shard.heartbeat(now)
-                    self.metrics.inc("fabric.heartbeats")
+                    beats += 1
+            if beats:  # no beat, no counter: the snapshot keeps its keys
+                self.metrics.inc("fabric.heartbeats", beats)
             if self.forensics is not None:
                 # the per-tick picture the death-replay state machine
                 # consumes: recorded after heartbeats, before the
@@ -534,11 +537,11 @@ class RewriteFabric:
         tenants (rotation advances every tick so no tenant owns the
         front slot), letting each take up to its weight per pass, until
         the per-tick work budget is spent or the queues are empty."""
+        if not any(shard.pending.values()):
+            return 0  # an idle tick: every tenant queue is empty
         budget = self.work_per_tick
         performed = 0
         tenants = sorted(shard.pending)
-        if not tenants:
-            return 0
         start = self._rr_offset % len(tenants)
         progress = True
         while budget > 0 and progress:

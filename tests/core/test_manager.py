@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from repro.core.config import FunctionConfig, Knownness, RewriteConfig
 from repro.core.manager import (
     SpecializationManager, _config_fingerprint, _relevant_args,
 )
+from repro.core.persist import load_manager, save_manager
 from repro.core.rewriter import RewriteResult, rewrite
 from repro.machine.vm import Machine
 
@@ -269,6 +273,78 @@ def test_stats_keys_complete(setup):
     assert mgr.stats()["cached"] == 0
 
 
+# ------------------------------------------- known arguments by exact value
+#: ``scale(-2.0, -0.0)`` is +0.0, but a variant specialized for k = +0.0
+#: multiplies by +0.0 and returns -0.0.
+SCALE_SOURCE = "noinline double scale(double x, double k) { return x * k; }"
+
+
+@pytest.fixture()
+def scale_setup():
+    m = Machine()
+    m.load(SCALE_SOURCE)
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    return m, SpecializationManager(m), conf
+
+
+def _nan(bits: int) -> float:
+    """A fresh float object holding the NaN with these bits."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def test_known_int_and_equal_float_get_their_own_keys(setup):
+    m, mgr = setup
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    assert mgr.key_for("poly", conf, (5, 3)) != mgr.key_for("poly", conf, (5, 3.0))
+
+
+def test_known_bool_is_not_served_the_int_variant(setup):
+    m, mgr = setup
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_KNOWN)
+    assert mgr.key_for("poly", conf, (5, 1)) != mgr.key_for("poly", conf, (5, True))
+    assert mgr.get(conf, "poly", 5, 1).ok
+    refused = mgr.get(conf, "poly", 5, True)
+    assert not refused.ok and refused.reason == "bad-argument"
+    assert len(mgr) == 2
+
+
+def test_signed_zeros_get_their_own_variants(scale_setup):
+    m, mgr, conf = scale_setup
+    plus = mgr.get(conf, "scale", 2.0, 0.0)
+    minus = mgr.get(conf, "scale", 2.0, -0.0)
+    assert plus.ok and minus.ok and plus.entry != minus.entry
+    for variant, k in ((plus, 0.0), (minus, -0.0)):
+        want = m.call("scale", -2.0, k).float_return
+        got = m.call(variant.entry, -2.0, k).float_return
+        assert struct.pack("<d", got) == struct.pack("<d", want), k
+    assert math.copysign(1.0, m.call(minus.entry, -2.0, -0.0).float_return) == 1.0
+
+
+def test_equal_nan_bits_share_one_variant(scale_setup):
+    m, mgr, conf = scale_setup
+    for _ in range(4):
+        assert mgr.get(conf, "scale", 2.0, _nan(0x7FF8000000000001)).ok
+    stats = mgr.stats()
+    assert (stats["misses"], stats["hits"], len(mgr)) == (1, 3, 1)
+    mgr.get(conf, "scale", 2.0, _nan(0x7FF8000000000002))
+    assert len(mgr) == 2  # other NaN bits, another variant
+
+
+def test_snapshot_round_trips_a_key_with_a_known_inf(scale_setup, tmp_path):
+    m, mgr, conf = scale_setup
+    assert mgr.get(conf, "scale", 2.0, math.inf).ok
+    path = save_manager(mgr, tmp_path / "spec.snap")
+    restored = SpecializationManager(m)
+    report = load_manager(restored, path)
+    assert report.rejected == [] and len(report.restored_ok) == 1
+    assert report.restored_ok == [mgr.key_for("scale", conf, (2.0, math.inf))]
+    restored.get(conf, "scale", 2.0, math.inf)
+    assert restored.stats()["hits"] == 1
+
+
 # ------------------------------------------- key derivation equivalence
 def _reference_config_fingerprint(conf) -> tuple:
     """``_config_fingerprint`` as it was first written (generator
@@ -332,17 +408,34 @@ _args = st.lists(st.one_of(
     st.lists(st.integers(), max_size=3)), max_size=8)
 
 
+def _tagged(arg):
+    """The key part of a non-int argument the reference kept verbatim:
+    a float by its IEEE-754 bits, an unhashable value as it is (the key
+    fingerprints it by type and repr), anything else by type and
+    value."""
+    if type(arg) is float:
+        return ("float", struct.unpack("<Q", struct.pack("<d", arg))[0])
+    if type(arg).__hash__ is None:
+        return arg
+    return (type(arg).__name__, arg)
+
+
 @settings(max_examples=300, deadline=None)
 @given(conf=_configs, args=_args)
 def test_key_parts_equal_the_reference_derivation(conf, args):
-    """The loop-built key parts are the very tuples the reference built:
+    """The loop-built key parts are the tuples the reference built:
     equal, and equal in ``repr``, which is what the fabric's route
-    digest hashes (an int 1 and a float 1.0 compare equal but print
-    differently)."""
+    digest hashes.  An exact int, an unhashable value, and every
+    unknown int or float position, is pinned to the reference; any
+    other argument the reference kept verbatim is tagged (its float 1.0
+    compared equal to an int 1 and to ``True``)."""
     fingerprint = _config_fingerprint(conf)
     assert fingerprint == _reference_config_fingerprint(conf)
     assert repr(fingerprint) == repr(_reference_config_fingerprint(conf))
     relevant = _relevant_args(conf, tuple(args))
     reference = _reference_relevant_args(conf, tuple(args))
-    assert repr(relevant) == repr(reference)
-    assert [type(a) for a in relevant] == [type(a) for a in reference]
+    expected = tuple(
+        ref if ref is not arg or type(arg) is int else _tagged(arg)
+        for arg, ref in zip(args, reference))
+    assert repr(relevant) == repr(expected)
+    assert [type(a) for a in relevant] == [type(a) for a in expected]

@@ -7,9 +7,11 @@ loop.  Its generators cover every instruction class the block compiler
 translates (``_BlockCompiler.gen_insn``): integer ALU, shift, multiply,
 MOV and LEA; CMP/TEST feeding each of the 12 SETcc/Jcc conditions;
 scalar and packed FP; PUSH/POP; DIV; loads and stores; and parts of the
-body run inside helpers reached by ``call`` or ``calli``.  Bodies never
-fault: memory operands stay inside one scratch buffer, PUSH/POP come in
-balanced pairs and every divisor is a nonzero immediate.  With
+body run inside helpers reached by ``call`` or ``calli``.  Loads from,
+and stores into, two read-only cells at constant addresses exercise the
+trace tier's hoisted loads.  Bodies never fault: memory operands stay
+inside one scratch buffer or those cells, PUSH/POP come in balanced
+pairs and every divisor is a nonzero immediate.  With
 hair-trigger thresholds the loop promotes to a trace within a few
 iterations, so forward branches inside the body exercise guards and
 side exits.  Random operands rarely sit on a flag boundary, so a
@@ -33,7 +35,8 @@ specialized that ``+`` yet, so the payload varies between calls even on
 one tier.  Lanes and FP buffer slots therefore compare every NaN as
 equal, and the generators keep NaN bits from reaching integer state:
 no ``movq reg, xmm``, ``xorpd`` only clears a register, and FP stores
-write a buffer half that integer instructions never read.
+write a buffer half, or a read-only cell, that integer instructions
+never read.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.experiments.harness import result_fingerprint
 from repro.isa.opcodes import OpClass
 from repro.machine.blockjit import _BLOCK_ENDERS
 from repro.machine.cpu import CallFrameInfo
+from repro.machine.image import LAYOUT
 from repro.machine.vm import Machine
 from repro.models.pgas import PgasLab
 from repro.models.stencil import StencilLab
@@ -69,6 +73,13 @@ CONDS = ("e", "ne", "l", "ge", "le", "g", "b", "ae", "be", "a", "s", "ns")
 BUF_QWORDS = 32
 FP_BYTES = 128
 ITERS = 12
+#: Two read-only cells at constant addresses, the first rodata of a
+#: bare machine: integer instructions use ``RO_INT``, FP ones ``RO_FP``.
+#: The trace tier hoists their loads; guest stores into them are
+#: allowed (and not journaled, so only the plain property test makes
+#: them).
+RO_INT = LAYOUT.rodata_base
+RO_FP = RO_INT + 8
 
 
 def load_asm(machine: Machine, name: str, src: str) -> int:
@@ -109,6 +120,7 @@ def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
     result = machine.call(fn, buf)
     fp_half = struct.unpack(f"<{FP_BYTES // 8}d",
                             machine.image.peek(buf, FP_BYTES))
+    ro_int, ro_fp = struct.unpack("<Qd", machine.image.peek(RO_INT, 16))
     return (
         result.uint_return,
         _fp_bits([result.float_return]),
@@ -121,6 +133,8 @@ def run_fingerprint(machine: Machine, fn: int, buf: int) -> tuple:
         [(f.target, f.return_addr) for f in cpu.call_stack],
         _fp_bits(fp_half),
         machine.image.peek(buf + FP_BYTES, BUF_QWORDS * 8 - FP_BYTES),
+        ro_int,
+        _fp_bits([ro_fp]),
     )
 
 
@@ -487,6 +501,16 @@ SIMPLE = {
 }
 _simple = st.one_of(*SIMPLE.values())
 
+#: Loads from, a read-modify-write of, and stores into the read-only
+#: cells.
+_RODATA_ITEM = st.one_of(
+    st.builds(lambda line, r: [line.format(r)], st.sampled_from((
+        f"mov {{}}, [{RO_INT}]", f"add {{}}, [{RO_INT}]",
+        f"add [{RO_INT}], {{}}", f"mov [{RO_INT}], {{}}")), _reg),
+    st.builds(lambda line, x: [line.format(x)], st.sampled_from((
+        f"movsd {{}}, [{RO_FP}]", f"mulsd {{}}, [{RO_FP}]",
+        f"movsd [{RO_FP}], {{}}")), _xmm))
+
 
 def _pushpop(src, middle, dst):
     return [f"push {src}", *middle, f"pop {dst}"]
@@ -584,8 +608,13 @@ def test_generators_cover_every_body_class():
 def tier_machines():
     """One machine per tier, shared by the cases: each case loads its
     own function and buffer, and every call starts from reset registers
-    and flags."""
-    return [machine_at(tier, **HOT) for tier in (0, 1, 2)]
+    and flags.  The read-only cells carry over from case to case, the
+    same on every tier."""
+    machines = [machine_at(tier, **HOT) for tier in (0, 1, 2)]
+    for m in machines:
+        assert m.image.add_rodata(None, struct.pack("<q", 7)) == RO_INT
+        assert m.image.add_rodata(None, struct.pack("<d", 1.25)) == RO_FP
+    return machines
 
 
 def assert_tiers_agree(machines, items, init) -> None:
@@ -644,7 +673,8 @@ def test_every_condition_after_compare(tier_machines, cond, compare, reader):
 # and shrinking one through three machines per step takes many minutes.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
-@given(items=st.lists(_ITEM, min_size=2, max_size=12),
+@given(items=st.lists(st.one_of(_ITEM, _RODATA_ITEM), min_size=2,
+                     max_size=12),
        init=st.lists(_qword, min_size=BUF_QWORDS, max_size=BUF_QWORDS))
 def test_random_loop_bodies_match_across_tiers(tier_machines, items, init):
     assert_tiers_agree(tier_machines, items, init)

@@ -1,9 +1,10 @@
 """Tier-2 trace JIT tests: differential equality against the
 interpreter with traces actually formed, exact side-exit accounting,
 multi-version promotion under a shifting branch profile, step-limit
-parity, invalidation severing installed traces, and the guards of a
-trace that inlines a call (call hooks, host functions, code writes into
-the callee).
+parity, invalidation severing installed traces, the guards of a trace
+that inlines a call (call hooks, host functions, code writes into the
+callee), and the memory state a trace keeps between entries (hoisted
+read-only cells, per-site segment slots).
 
 Every machine here uses hair-trigger thresholds (``hot_threshold=4,
 min_edge=1``) so small test loops promote; the assertions on
@@ -631,3 +632,120 @@ def test_indirect_call_into_heap_code_stays_transient(monkeypatch):
     assert m.call("run", slot, 2000).int_return == 2000 * 3
     assert verdicts and set(verdicts) == {"transient"}, verdicts
     assert not jit._no_trace
+
+
+# ------------------------------------------------ hoisted loads, site slots
+def _load_fn(m: Machine, src: str) -> int:
+    size = len(assemble(src, 0)[0])
+    fn = m.image.add_function(f"f{len(m.image.symbols)}", b"\x00" * size)
+    _asm_at(m, fn, src)
+    return fn
+
+
+def _tier_runs(program, calls, between=lambda m, i: None):
+    """Call ``program(m)``'s function with each argument tuple of
+    ``calls`` on fresh machines at tiers 0 and 2, running
+    ``between(m, i)`` before call ``i``.  Results, architectural state,
+    perf counters and the bytes of the program's cell must agree;
+    returns the tier-2 machine and the cell's address."""
+    runs = []
+    for tier in (0, 2):
+        m = machine_at(tier)
+        src, cell = program(m)
+        fn = _load_fn(m, src)
+        out = []
+        for i, args in enumerate(calls):
+            between(m, i)
+            r = m.call(fn, *args)
+            out.append((fingerprint(m, r), m.image.peek(cell, 8)))
+        runs.append(out)
+    assert runs[0] == runs[1]
+    return m, cell
+
+
+def _sum_back(m):
+    """Adds a float literal cell to a running sum and stores the sum
+    back into the cell, every iteration."""
+    lit = m.image.float_literal(1.5)
+    return (f"mov rcx, rdi\nxorpd xmm0, xmm0\ntop:\nmovsd xmm1, [{lit}]\n"
+            f"addsd xmm0, xmm1\nmovsd [{lit}], xmm0\nsub rcx, 1\njne top\n"
+            "ret"), lit
+
+
+def test_hoisted_cell_is_read_again_after_a_store_into_it():
+    """A load from a read-only cell at a constant address reads it in
+    the trace's preamble, and the store into the same cell reads it
+    again: each iteration sees the previous iteration's sum."""
+    m, lit = _tier_runs(_sum_back, [(40,), (40,)])
+    assert m.jit.stats()["trace_iterations"] > 0
+    (table,) = m.jit.versions.values()
+    (ver,) = table.values()
+    pre, loop = ver.source.split("    for it_ in range(mx_):\n")
+    off = lit - m.memory.segment_for(lit).base
+    assert f"c0_0 = UDF(hd0_, {off})[0]" in pre
+    assert "UDF(sd" not in loop  # no load site reads the cell
+
+
+def _sum_of(m):
+    """Adds a float literal cell to a running sum, every iteration."""
+    lit = m.image.float_literal(0.5)
+    return (f"mov rcx, rdi\nxorpd xmm0, xmm0\ntop:\naddsd xmm0, [{lit}]\n"
+            "sub rcx, 1\njne top\nret"), lit
+
+
+def test_host_poke_of_a_hoisted_cell_is_seen_at_the_next_entry():
+    """The second call re-enters the same trace version, whose preamble
+    reads the cell the host poked in between."""
+    def poke(m, i):
+        if i:
+            m.image.poke(m.image.float_literal(0.5), struct.pack("<d", 4.0))
+
+    m, _ = _tier_runs(_sum_of, [(60,), (60,)], poke)
+    stats = m.jit.stats()
+    assert stats["trace_compiles"] == 1 and stats["trace_entries"] >= 2
+
+
+def test_journal_opened_between_entries_journals_the_trace_stores():
+    """A warm trace's store site keeps its heap segment across entries,
+    but reads ``watched`` afresh: the first store of the next call, made
+    by the trace, journals the heap, and the rollback restores it."""
+    m = machine_at(2)
+    buf = m.image.malloc(64 * 8)
+    # ``jmp top`` makes the trace, installed at ``top``, do every store
+    fn = _load_fn(m, "mov rcx, rsi\njmp top\ntop:\nmov rax, rcx\n"
+                     "add rax, rdx\nmov [rdi + rcx*8 - 8], rax\nsub rcx, 1\n"
+                     "jne top\nret")
+    m.call(fn, buf, 64, 0)
+    assert m.jit.stats()["installed_traces"] == 1
+    heap = m.memory.segment_by_name("heap")
+    before, entries = bytes(heap.data), m.jit.stats()["trace_entries"]
+    m.memory.open_journal()
+    try:
+        m.call(fn, buf, 64, 1000)
+        assert m.jit.stats()["trace_entries"] > entries
+        assert "heap" in m.memory.journal
+        m.memory.rollback()
+    finally:
+        m.memory.close_journal()
+    assert bytes(heap.data) == before
+
+
+def test_site_moving_to_a_remote_segment_is_charged_its_surcharge():
+    """A site whose slot holds the heap resolves the remote segment when
+    its pointer moves there, and charges the same remote cycles as the
+    interpreter."""
+    runs = []
+    for tier in (0, 2):
+        m = machine_at(tier)
+        remote = m.image.map_remote_node(0, 0x1000, 40).base
+        m.image.poke(remote, struct.pack("<16Q", *range(16)))
+        buf = m.image.malloc(16 * 8)
+        m.image.poke(buf, struct.pack("<16Q", *range(100, 116)))
+        fn = _load_fn(m, "mov rcx, rsi\nmov rax, 0\ntop:\n"
+                         "add rax, [rdi + rcx*8 - 8]\nsub rcx, 1\njne top\nret")
+        runs.append([fingerprint(m, m.call(fn, ptr, 16))
+                     for ptr in (buf, remote)])
+    assert runs[0] == runs[1]
+    perf = dict(runs[1][1][3])
+    assert perf["remote_accesses"] == 16 and perf["remote_cycles"] == 16 * 40
+    assert m.jit.stats()["trace_entries"] >= 2

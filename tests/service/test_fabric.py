@@ -264,6 +264,22 @@ def test_all_shards_dead_is_an_outage_not_an_exception():
         assert route.run.int_return == 4 * 3 + 3
 
 
+def test_heartbeats_count_live_shards_and_no_beat_makes_no_counter():
+    """Each tick charges one heartbeat per live shard; an all-dead
+    fabric's tick charges none, so it creates no counter."""
+    with RewriteFabric(SOURCE, shards=3, seed=5) as fabric:
+        fabric.crash_shard(0)
+        fabric.pump(4)
+        assert fabric.metrics.value("fabric.heartbeats") == 2 * 4
+    with RewriteFabric(SOURCE, shards=2, seed=5) as fabric:
+        fabric.crash_shard(0)
+        fabric.crash_shard(1)
+        fabric.pump(3)
+        counters = fabric.metrics.as_dict()["counters"]
+        assert counters["fabric.ticks"] == 3
+        assert "fabric.heartbeats" not in counters
+
+
 def test_partition_degrades_then_heals_through_the_breaker():
     with RewriteFabric(SOURCE, shards=2, seed=5) as fabric:
         k = _keys_owned_by(fabric, 1, 1)[0]
