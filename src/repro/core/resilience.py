@@ -286,7 +286,6 @@ class RewriteSupervisor:
         self,
         machine,
         *,
-        ladder: tuple[LadderRung, ...] = DEFAULT_LADDER,
         validate: bool = True,
         validation_vectors: int = DEFAULT_VALIDATION_VECTORS,
         validation_seed: int = 0,
@@ -307,7 +306,9 @@ class RewriteSupervisor:
         #: ``stats()`` reads, and each successful rewrite records
         #: per-variant block counts and trace sizes.
         self.metrics = metrics if metrics is not None else Metrics()
-        self.ladder = tuple(ladder)
+        #: The rungs tried after the base attempt, always
+        #: :data:`DEFAULT_LADDER`.
+        self.ladder = DEFAULT_LADDER
         self.validate = validate
         self.validation_vectors = validation_vectors
         self.validation_seed = validation_seed

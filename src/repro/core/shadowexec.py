@@ -15,8 +15,8 @@ published variants *supervised*:
 
 * a sampled call runs the **original first** under a write journal
   (:meth:`repro.machine.memory.Memory.open_journal`: the first write to
-  each writable segment copies that segment's pre-image), rolls back
-  the segments it wrote, then runs the published variant for real;
+  each non-executable segment copies that segment's pre-image), rolls
+  back the segments it wrote, then runs the published variant for real;
   return registers and every non-stack segment either run wrote are
   compared exactly as in :func:`repro.core.resilience.validate_variant`.
   A sample thus copies what its runs write (in practice the stack), not

@@ -7,11 +7,12 @@ little-endian; doubles are IEEE-754 binary64.
 
 Every store path tests one per-segment flag, :attr:`Segment.watched`,
 and takes the slow path :meth:`Memory.before_write` only when it is
-set: on executable segments (code listeners), and on writable ones not
+set: on executable segments (code listeners), and on the others not
 yet written under an open **write journal**, whose pre-images
-:meth:`Memory.rollback` writes back.  The snapshots of shadow sampling
-and the validation gate are such journals, so they copy only the
-segments a run writes.
+:meth:`Memory.rollback` writes back.  Read-only segments are journaled
+too, because guest stores are not permission-checked.  The snapshots
+of shadow sampling and the validation gate are such journals, so they
+copy only the segments a run writes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Segment:
             raise ValueError("backing buffer size mismatch")
         #: The one flag every store path tests; its slow path is
         #: :meth:`Memory.before_write`.  Set for executable segments, and
-        #: for writable ones not yet journaled while a journal is open.
+        #: for the others not yet journaled while a journal is open.
         self.watched = Perm.X in self.perms
 
     @property
@@ -101,26 +102,26 @@ class Memory:
 
     # -- write journal -----------------------------------------------------
     def open_journal(self) -> None:
-        """Watch every writable segment until its first write (one
-        journal at a time)."""
+        """Watch every non-executable segment until its first write (one
+        journal at a time).  Read-only ones count: guest stores are not
+        permission-checked, so a run can write one."""
         if self.journal is not None:
             raise MemoryError_("a write journal is already open")
         self.journal = {}
         for seg in self.segments:
-            if Perm.W in seg.perms:
-                seg.watched = True
+            seg.watched = True
 
     def before_write(self, seg: Segment) -> bool:
         """Slow path of the write barrier, run before the bytes of a
-        watched segment change.  A writable segment's first write under
-        the open journal saves its pre-image and unwatches it unless it
-        is executable.  Returns the flag afterwards, which is then set
-        exactly on executable segments: the caller stores, then
-        notifies the code listeners if it is true."""
+        watched segment change.  A non-executable segment's first write
+        under the open journal saves its pre-image and unwatches it.
+        Returns the flag afterwards, which is then set exactly on
+        executable segments: the caller stores, then notifies the code
+        listeners if it is true."""
         journal = self.journal
-        if journal is not None and seg.name not in journal and Perm.W in seg.perms:
+        if journal is not None and seg.name not in journal and Perm.X not in seg.perms:
             journal[seg.name] = bytes(seg.data)
-            seg.watched = Perm.X in seg.perms
+            seg.watched = False
         return seg.watched
 
     def rollback(self) -> None:

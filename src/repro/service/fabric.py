@@ -222,12 +222,13 @@ class RewriteFabric:
     ``source`` is the minic program every shard loads (identical
     deterministic images make cache keys and snapshot layouts portable
     across shards, which is what makes warm-start failover sound).
-    ``quotas`` maps tenant name to its per-shard pending-queue quota
-    (``default_quota`` otherwise); ``weights`` maps tenant name to its
-    dequeue weight (``1`` otherwise).  ``faults`` shapes the
-    interconnect; ``snapshot_dir`` enables periodic checkpoints and
-    warm-start failover.  Everything is seeded and tick-driven — two
-    fabrics built with the same arguments replay bit-for-bit.
+    Every tenant may have ``default_quota`` requests pending on each
+    shard; ``weights`` maps tenant name to its dequeue weight (``1``
+    otherwise).  ``faults`` shapes the interconnect, whose links draw
+    their fates from ``seed`` too; ``snapshot_dir`` enables periodic
+    checkpoints and warm-start failover.  Everything is seeded and
+    tick-driven — two fabrics built with the same arguments replay
+    bit-for-bit.
     """
 
     def __init__(
@@ -236,7 +237,6 @@ class RewriteFabric:
         *,
         shards: int = 4,
         seed: int = 0,
-        quotas: dict[str, int] | None = None,
         default_quota: int = 8,
         weights: dict[str, int] | None = None,
         work_per_tick: int = 4,
@@ -246,14 +246,12 @@ class RewriteFabric:
         snapshot_dir: str | Path | None = None,
         shadow_interval: int = 7,
         faults: FaultProfile | None = None,
-        link_seed: int | None = None,
         forensics=None,
     ) -> None:
         if shards < 1:
             raise ValueError("a fabric needs at least one shard")
         self.source = source
         self.seed = seed
-        self.quotas = dict(quotas or {})
         self.default_quota = default_quota
         self.weights = dict(weights or {})
         self.work_per_tick = work_per_tick
@@ -276,11 +274,7 @@ class RewriteFabric:
         self.router = Machine()
         self._stage_src = self.router.image.malloc(STAGE_BYTES)
         self._stage_dst = self.router.image.malloc(STAGE_BYTES)
-        self.transfers = TransferManager(
-            self.router,
-            faults=faults,
-            seed=seed if link_seed is None else link_seed,
-        )
+        self.transfers = TransferManager(self.router, faults=faults, seed=seed)
         #: Optional :class:`~repro.core.forensics.ForensicsHub`: every
         #: tick journals the heartbeat/state picture on the ``fabric``
         #: channel and every declared death captures a crash bundle
@@ -335,9 +329,8 @@ class RewriteFabric:
         reason.  Deterministic — the decision depends only on the
         tenant's current pending depth on its home shard (the
         ``tenant-flood`` injection seam)."""
-        quota = self.quotas.get(tenant, self.default_quota)
-        if shard.queue_depth(tenant) >= quota:
-            return f"tenant {tenant!r} quota full (quota {quota})"
+        if shard.queue_depth(tenant) >= self.default_quota:
+            return f"tenant {tenant!r} quota full (quota {self.default_quota})"
         return None
 
     def _weight(self, tenant: str) -> int:

@@ -26,8 +26,8 @@ from repro.errors import FAILURE_REASONS
 from repro.machine.vm import Machine
 from repro.profiling.value_profile import FunctionProfile
 from repro.testing import (
-    EXPECTED_REASON, FAULT_KINDS, TORTURE_FAULT_KINDS, inject_fault,
-    plan_faults,
+    ALL_FAULT_KINDS, EXPECTED_REASON, FAULT_KINDS, SEAMS, TORTURE_FAULT_KINDS,
+    FaultInjector, plan_faults,
 )
 
 
@@ -80,7 +80,7 @@ def test_injected_fault_surfaces_as_tagged_result(machine, kind):
     """Every fault class becomes ok=False with its documented reason —
     no exception escapes ``brew_rewrite``."""
     conf = known2_conf(passes=("dce",) if kind == "pass" else ())
-    with inject_fault(kind, nth=1) as injector:
+    with FaultInjector(kind, nth=1) as injector:
         result = brew_rewrite(machine, conf, "mul2", 5, 7)
     assert injector.fired
     assert not result.ok
@@ -95,7 +95,7 @@ def test_machine_still_rewrites_after_injection(machine, kind):
     """The patched seam is restored: the same rewrite succeeds right
     after the injection context exits, and the variant runs."""
     conf = known2_conf(passes=("dce",) if kind == "pass" else ())
-    with inject_fault(kind, nth=1):
+    with FaultInjector(kind, nth=1):
         brew_rewrite(machine, conf, "mul2", 5, 7)
     result = brew_rewrite(machine, known2_conf(), "mul2", 5, 7)
     assert result.ok, result.message
@@ -122,7 +122,7 @@ def test_transient_fault_recovers_at_next_rung(machine):
     next rung runs clean and the supervisor hands out a validated
     variant, recording the failed attempt."""
     supervisor = RewriteSupervisor(machine)
-    with inject_fault("decode", nth=1) as injector:
+    with FaultInjector("decode", nth=1) as injector:
         result = supervisor.rewrite(known2_conf(), "mul2", 5, 7)
     assert injector.fired
     assert result.ok, result.message
@@ -130,6 +130,24 @@ def test_transient_fault_recovers_at_next_rung(machine):
     assert result.ladder_attempts == (("base", "decode-error"),)
     assert result.validated
     assert machine.cpu.run(result.entry, 6, 7).uint_return == 42
+
+
+@pytest.mark.parametrize("kind", ALL_FAULT_KINDS)
+def test_every_seam_row_restores(kind):
+    """Each row's target resolves; entering its injector replaces the
+    attribute, and leaving restores the identical object, on a clean
+    exit and on an escaping exception alike."""
+    owner, attr = SEAMS[kind].resolve()
+    real = getattr(owner, attr)
+    injector = FaultInjector(kind)
+    with injector:
+        assert getattr(owner, attr) is not real
+    assert getattr(owner, attr) is real
+    with pytest.raises(KeyError), injector:
+        assert getattr(owner, attr) is not real
+        raise KeyError(kind)
+    assert getattr(owner, attr) is real
+    assert not injector.fired
 
 
 # =========================================================== ladder recovery
@@ -277,7 +295,7 @@ def test_quarantined_failure_served_then_retried_after_backoff(machine):
     def flaky_rewrite(conf, fn, *args):
         calls["rewrites"] += 1
         if calls["rewrites"] == 1:  # one-shot fault on the first attempt
-            with inject_fault("decode", nth=1):
+            with FaultInjector("decode", nth=1):
                 return brew_rewrite(machine, conf, fn, *args)
         return brew_rewrite(machine, conf, fn, *args)
 
@@ -428,7 +446,7 @@ def test_adversarial_fault_surfaces_as_tagged_result(machine, kind):
     name, src = TORTURE_KIND_GUESTS[kind]
     if src is not None:
         load_asm(machine, name, src)
-    with inject_fault(kind, nth=1) as injector:
+    with FaultInjector(kind, nth=1) as injector:
         result = brew_rewrite(machine, known2_conf(), name, 5, 7)
     assert injector.fired
     assert not result.ok
@@ -444,7 +462,7 @@ def test_adversarial_seam_is_restored_after_injection(machine, kind):
     name, src = TORTURE_KIND_GUESTS[kind]
     if src is not None:
         load_asm(machine, name, src)
-    with inject_fault(kind, nth=1):
+    with FaultInjector(kind, nth=1):
         brew_rewrite(machine, known2_conf(), name, 5, 7)
     result = brew_rewrite(machine, known2_conf(), name, 5, 7)
     assert result.ok, result.message

@@ -11,7 +11,7 @@ from repro.core import brew_init_conf, brew_rewrite, brew_setpar, BREW_KNOWN, BR
 from repro.core import rewriter
 from repro.machine.vm import Machine
 from repro.models.stencil import StencilLab
-from repro.testing import EXPECTED_REASON, inject_fault
+from repro.testing import EXPECTED_REASON, FaultInjector
 
 
 def load_asm(machine: Machine, name: str, src: str) -> int:
@@ -270,7 +270,7 @@ def test_decode_seams_fire_on_a_warm_cache(machine, kind, nth):
     assert brew_rewrite(machine, _known2_conf(), "mul2", 5, 7).ok
     addrs = _insn_addrs(machine, "mul2", 3)
     assert all(a in machine.image.decoded for a in addrs)
-    with inject_fault(kind, nth=nth) as injector:
+    with FaultInjector(kind, nth=nth) as injector:
         result = brew_rewrite(machine, _known2_conf(), "mul2", 5, 7)
     assert injector.fired and injector.calls == nth
     check_failure(machine, result, EXPECTED_REASON[kind])

@@ -23,8 +23,9 @@ nested helpers, rewritten return slots and self-modifying callees.  The
 models' call-heavy generic kernels (the Sec. V sweep calling ``apply``
 through a pointer, the PGAS reduction calling ``ga_get`` per element)
 run on all three tiers too.
-The same random bodies, extended with stores into the data, stack and a
-remote segment, also run under an open write journal on every tier: a
+The same random bodies, with loads from and stores into the read-only
+cells and extended with stores into the data, stack and a remote
+segment, also run under an open write journal on every tier: a
 rollback must leave every segment byte-identical to a full copy, even
 after a host function writes mid-run or the guest faults mid-trace.
 
@@ -76,10 +77,16 @@ ITERS = 12
 #: Two read-only cells at constant addresses, the first rodata of a
 #: bare machine: integer instructions use ``RO_INT``, FP ones ``RO_FP``.
 #: The trace tier hoists their loads; guest stores into them are
-#: allowed (and not journaled, so only the plain property test makes
-#: them).
+#: allowed, and an open write journal takes rodata's pre-image like any
+#: other segment's.
 RO_INT = LAYOUT.rodata_base
 RO_FP = RO_INT + 8
+
+
+def add_ro_cells(machine: Machine) -> None:
+    """Store 7 and 1.25 in the read-only cells of a bare machine."""
+    assert machine.image.add_rodata(None, struct.pack("<q", 7)) == RO_INT
+    assert machine.image.add_rodata(None, struct.pack("<d", 1.25)) == RO_FP
 
 
 def load_asm(machine: Machine, name: str, src: str) -> int:
@@ -612,8 +619,7 @@ def tier_machines():
     same on every tier."""
     machines = [machine_at(tier, **HOT) for tier in (0, 1, 2)]
     for m in machines:
-        assert m.image.add_rodata(None, struct.pack("<q", 7)) == RO_INT
-        assert m.image.add_rodata(None, struct.pack("<d", 1.25)) == RO_FP
+        add_ro_cells(m)
     return machines
 
 
@@ -689,8 +695,16 @@ REMOTE = 0x1_0000_0000
 
 def journal_machine(tier: int) -> Machine:
     m = machine_at(tier, **HOT)
+    add_ro_cells(m)
     m.image.map_remote_node(0, 0x1000, 40)
     return m
+
+
+def stores_into_rodata(items) -> bool:
+    """Whether a body stores into a read-only cell: a store drawn from
+    ``_RODATA_ITEM`` names the cell as its first operand."""
+    return any(isinstance(line, str) and line.partition(" ")[2].startswith(
+        (f"[{RO_INT}]", f"[{RO_FP}]")) for item in items for line in item)
 
 
 def full_copy(machine: Machine) -> list:
@@ -729,7 +743,8 @@ def journal_machines():
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
-@given(items=st.lists(_ITEM, min_size=2, max_size=8),
+@given(items=st.lists(st.one_of(_ITEM, _RODATA_ITEM), min_size=2,
+                     max_size=8),
        init=st.lists(_qword, min_size=BUF_QWORDS, max_size=BUF_QWORDS))
 def test_journaled_rollback_is_exact_across_tiers(journal_machines, items,
                                                   init):
@@ -740,6 +755,7 @@ def test_journaled_rollback_is_exact_across_tiers(journal_machines, items,
     stores = [f"mov [r14 + {BUF_QWORDS * 8 - 8}], r15", f"mov [{data}], r15",
               f"mov r12, {REMOTE}", "mov [r12], rax", "push r15", "pop r12"]
     src = render_loop(items + [stores])
+    expect = JOURNALED | ({"rodata"} if stores_into_rodata(items) else set())
     traced = journal_machines[2].jit
     fps = []
     for m in journal_machines:
@@ -752,7 +768,7 @@ def test_journaled_rollback_is_exact_across_tiers(journal_machines, items,
         entries = traced.stats()["trace_entries"]
         journaled, written = run_journaled(
             m, lambda: run_fingerprint(m, fn, buf))
-        assert written == JOURNALED, src
+        assert written == expect, src
         if m is journal_machines[2]:
             assert traced.stats()["trace_entries"] > entries, src
         assert run_fingerprint(m, fn, buf) == journaled, src
@@ -842,3 +858,32 @@ def test_journaled_rollback_survives_host_writes_and_faults(case):
         if tier == 2:
             assert m.jit.stats()["trace_entries"] > 0
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+#: Stores ``rdi`` into the read-only int cell in a hot loop and sums
+#: what it reads back from there.
+RODATA_STORE = f"""
+        mov r15, 12
+    top:
+        mov [{RO_INT}], rdi
+        add rax, [{RO_INT}]
+        sub r15, 1
+        jne top
+        ret
+"""
+
+
+@pytest.mark.parametrize("tier", (0, 1, 2))
+def test_rollback_undoes_a_guest_store_into_rodata(tier):
+    """Guest stores are not permission-checked, so a run can write a
+    read-only segment; its rollback must restore the cell's pre-image."""
+    m = journal_machine(tier)
+    fn = load_asm(m, "f", RODATA_STORE)
+    assert m.call(fn, 1).uint_return == 12  # warm-up: installs the trace
+    entries = m.jit.stats()["trace_entries"] if tier == 2 else 0
+    outcome, written = run_journaled(m, lambda: m.call(fn, 7))
+    assert outcome.uint_return == 84
+    assert "rodata" in written
+    assert m.memory.read_u64(RO_INT) == 1
+    if tier == 2:
+        assert m.jit.stats()["trace_entries"] > entries

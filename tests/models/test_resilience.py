@@ -18,7 +18,7 @@ from repro.machine.link import BREAKER_OPEN, FaultProfile
 from repro.models.distributed_stencil import DistributedStencilLab
 from repro.models.pgas import PgasLab
 from repro.models.rdma import RdmaPrefetcher
-from repro.testing import EXPECTED_REASON, NETWORK_FAULT_KINDS, inject_fault
+from repro.testing import EXPECTED_REASON, NETWORK_FAULT_KINDS, FaultInjector
 
 
 def _rdma_setup(faults=None, seed=0, **options):
@@ -172,7 +172,7 @@ def test_injected_network_fault_terminal_reason_is_documented(kind):
     surfaces as the documented ``link-*`` reason on the fallback path."""
     lab, pre, lo, hi = _rdma_setup(max_attempts=1)
     ref = lab.reference_sum(lo, hi)
-    with inject_fault(kind, nth=1) as injector:
+    with FaultInjector(kind, nth=1) as injector:
         rr = pre.run_resilient(lo, hi)
     assert injector.fired
     assert rr.path == "remote-fallback"
@@ -187,7 +187,7 @@ def test_injected_network_fault_is_retried_through(kind):
     the transfer recovers on a later attempt and promotion goes through.
     (A partition latches, so give retries room to outlast it.)"""
     lab, pre, lo, hi = _rdma_setup(max_attempts=8)
-    with inject_fault(kind, nth=1) as injector:
+    with FaultInjector(kind, nth=1) as injector:
         rr = pre.run_resilient(lo, hi)
     assert injector.fired
     assert rr.path == "redirected"
@@ -199,7 +199,7 @@ def test_injected_network_fault_is_retried_through(kind):
 def test_injected_network_fault_on_stencil_never_escapes(kind):
     lab = _stencil_setup(max_attempts=1)
     oracle = lab.reference_out()
-    with inject_fault(kind, nth=1) as injector:
+    with FaultInjector(kind, nth=1) as injector:
         ep = lab.run_resilient()
     assert injector.fired
     assert ep.path == "remote-fallback"
