@@ -152,9 +152,7 @@ class DispatchTable:
     The rewrite service's callers look up a key (the manager cache key)
     and jump to whatever entry is published — the original function
     until a background rewrite lands, the specialized body afterwards.
-    Publication is a single dict assignment, which is atomic under the
-    interpreter lock, so a concurrent reader sees either the old entry
-    or the new one, never a torn state; the same holds for withdrawal.
+    Publication and withdrawal are single dict operations.
 
     An entry may additionally be **on probation** — published but not
     yet trusted.  Snapshot-restored variants start this way: the shadow

@@ -57,6 +57,13 @@ BUNDLE_KINDS = (
     "rewrite-failure", "shadow-divergence", "torture", "fabric-shard-death",
 )
 
+#: Captured bundles a hub keeps on :attr:`ForensicsHub.bundles`; the
+#: oldest goes first.
+KEEP_BUNDLES = 64
+
+#: Newest flight-recorder records copied into each bundle's journal.
+JOURNAL_TAIL = 128
+
 
 def _jsonable(value):
     """Recursively coerce tuples to lists (canonical JSON has no tuples)."""
@@ -458,8 +465,8 @@ class ForensicsHub:
     disabled) and call a ``capture_*`` method at the moment a tagged
     failure fires.  Every capture seals a :class:`CrashBundle`
     (fingerprint included), files it on :attr:`bundles` (bounded by
-    ``keep``), charges ``forensics.*`` counters, and — when ``out_dir``
-    is set — persists it via :func:`save_bundle`.
+    ``KEEP_BUNDLES``), charges ``forensics.*`` counters, and — when
+    ``out_dir`` is set — persists it via :func:`save_bundle`.
 
     The hub is strictly opt-in: every wired layer takes
     ``forensics=None`` and behaves exactly as before when none is given,
@@ -472,15 +479,11 @@ class ForensicsHub:
         recorder: FlightRecorder | None = None,
         out_dir: str | Path | None = None,
         metrics: Metrics | None = None,
-        keep: int = 64,
-        journal_tail: int = 128,
     ) -> None:
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.metrics = metrics if metrics is not None else Metrics()
-        self.keep = keep
-        self.journal_tail = journal_tail
-        #: Captured bundles, oldest first (bounded by ``keep``).
+        #: Captured bundles, oldest first (bounded by ``KEEP_BUNDLES``).
         self.bundles: list[CrashBundle] = []
         #: Paths of bundles persisted to ``out_dir``, oldest first.
         self.saved: list[Path] = []
@@ -496,11 +499,11 @@ class ForensicsHub:
 
     # ------------------------------------------------------------- capture
     def _file(self, bundle: CrashBundle) -> CrashBundle:
-        bundle.journal = self.recorder.tail(limit=self.journal_tail)
+        bundle.journal = self.recorder.tail(limit=JOURNAL_TAIL)
         bundle.seal()
         self._captured += 1
         self.bundles.append(bundle)
-        if len(self.bundles) > self.keep:
+        if len(self.bundles) > KEEP_BUNDLES:
             self.bundles.pop(0)
         self.metrics.inc("forensics.captures")
         self.metrics.inc(f"forensics.captures.{bundle.kind}")

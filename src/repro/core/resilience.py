@@ -286,7 +286,6 @@ class RewriteSupervisor:
         self,
         machine,
         *,
-        validate: bool = True,
         validation_vectors: int = DEFAULT_VALIDATION_VECTORS,
         validation_seed: int = 0,
         validation_max_steps: int = DEFAULT_VALIDATION_MAX_STEPS,
@@ -309,7 +308,6 @@ class RewriteSupervisor:
         #: The rungs tried after the base attempt, always
         #: :data:`DEFAULT_LADDER`.
         self.ladder = DEFAULT_LADDER
-        self.validate = validate
         self.validation_vectors = validation_vectors
         self.validation_seed = validation_seed
         self.validation_max_steps = validation_max_steps
@@ -344,8 +342,6 @@ class RewriteSupervisor:
         return out
 
     def _gate(self, conf: RewriteConfig, result: RewriteResult, args: tuple) -> str | None:
-        if not self.validate:
-            return None
         self._charge("validations")
         try:
             mismatch = validate_variant(
@@ -403,7 +399,7 @@ class RewriteSupervisor:
                         result,
                         ladder_rung=rung_index,
                         ladder_attempts=tuple(attempts),
-                        validated=self.validate,
+                        validated=True,
                     )
                 # a diverging variant is discarded and — since divergence
                 # often comes from over-aggressive specialization — the
@@ -442,7 +438,6 @@ class RewriteSupervisor:
         budgets cannot replay deterministically, so replay supervisors
         run unbounded in host time and bounded in trace/output budgets."""
         return {
-            "validate": self.validate,
             "validation_vectors": self.validation_vectors,
             "validation_seed": self.validation_seed,
             "validation_max_steps": self.validation_max_steps,

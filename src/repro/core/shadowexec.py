@@ -15,8 +15,8 @@ published variants *supervised*:
 
 * a sampled call runs the **original first** under a write journal
   (:meth:`repro.machine.memory.Memory.open_journal`: the first write to
-  each non-executable segment copies that segment's pre-image), rolls
-  back the segments it wrote, then runs the published variant for real;
+  each segment copies that segment's pre-image), rolls back the
+  segments it wrote, then runs the published variant for real;
   return registers and every non-stack segment either run wrote are
   compared exactly as in :func:`repro.core.resilience.validate_variant`.
   A sample thus copies what its runs write (in practice the stack), not
@@ -59,7 +59,9 @@ from repro.obs import Metrics
 #: window" the EXT-5 soak bounds its detection latency by.
 DEFAULT_SHADOW_INTERVAL = 8
 
-#: Step budget for each shadowed execution (original and variant alike).
+#: Step budget for each shadowed execution (original and variant
+#: alike) when the caller of :meth:`ShadowSampler.run_shadowed` names
+#: none.
 DEFAULT_SHADOW_MAX_STEPS = 2_000_000
 
 
@@ -119,7 +121,6 @@ class ShadowSampler:
         *,
         interval: int = DEFAULT_SHADOW_INTERVAL,
         seed: int = 0,
-        max_steps: int = DEFAULT_SHADOW_MAX_STEPS,
         metrics: Metrics | None = None,
         recorder=None,
     ) -> None:
@@ -128,7 +129,6 @@ class ShadowSampler:
         self.machine = machine
         self.interval = interval
         self.seed = seed
-        self.max_steps = max_steps
         self.metrics = metrics if metrics is not None else Metrics()
         #: Optional :class:`~repro.obs.flightrec.FlightRecorder`: sampled
         #: executions and divergences are journaled on the ``machine``
@@ -167,7 +167,8 @@ class ShadowSampler:
         rolled back and the original is re-run (journal closed) so the
         caller observes exactly what an unspecialized program would
         have.  The journal is closed even when an exception escapes."""
-        max_steps = max_steps if max_steps is not None else self.max_steps
+        if max_steps is None:
+            max_steps = DEFAULT_SHADOW_MAX_STEPS
         machine = self.machine
         memory = machine.image.memory
         self.metrics.inc("shadow.samples")

@@ -87,11 +87,13 @@ class Image:
         self.decoded: dict[int, Instruction] = {}
         #: Callbacks ``(addr, length)`` fired by :meth:`notify_code_write`
         #: whenever bytes land in an executable segment (``poke``, guest
-        #: stores) or a rewrite range is pinned (``reserve_rewrite``).
+        #: stores, a journal's rollback) or a rewrite range is pinned
+        #: (``reserve_rewrite``).
         #: This is the only invalidation path: the decode cache (first)
         #: and both JIT tiers drop exactly the decoded or compiled code
         #: overlapping the range, and nothing else flushes them.
         self.code_listeners: list = [self._drop_decoded]
+        self.memory.on_code_write = self.notify_code_write
 
     # -- symbols -----------------------------------------------------------
     def define_symbol(self, name: str, addr: int) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RewriteFailure
 
@@ -47,6 +47,29 @@ LINK_STATUSES = ("ok", "drop", "corrupt", "delay", "partition")
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
+
+# The interconnect's cost model and reliability policy.  Code reads
+# these at call time, so a test can patch one on this module.
+
+#: Fixed cost of one bulk-copy attempt, in cycles.
+STARTUP_CYCLES = 600
+#: Cost per 8-byte element of a delivered attempt, in cycles.
+PER_ELEMENT_CYCLES = 2
+#: Cycles a sender waits for a completion that never comes (drop,
+#: delay, partition).
+TIMEOUT_CYCLES = 2400
+#: Wire-level attempts per managed transfer (1 = no retries).
+MAX_ATTEMPTS = 4
+#: Backoff before the first retry, in cycles; each later retry waits
+#: ``BACKOFF_FACTOR`` times longer, plus up to ``BACKOFF_JITTER`` of
+#: that drawn from the manager's seeded stream.
+BACKOFF_BASE_CYCLES = 300
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+#: Consecutive terminal failures that open a link's breaker.
+BREAKER_THRESHOLD = 3
+#: Epochs an open breaker waits before it half-opens for a probe.
+BREAKER_COOLDOWN_EPOCHS = 2
 
 
 @dataclass(frozen=True)
@@ -91,12 +114,14 @@ class Link:
     """One simulated one-sided channel between node 0 and a peer.
 
     ``transfer`` models a single bulk-copy attempt.  A clean delivery
-    costs ``startup_cycles + per-element`` (the same RDMA cost shape the
-    models already used); a drop/delay/partition costs the full
-    ``timeout_cycles`` (the sender waited for a completion that never
-    came); a corrupt delivery costs normal latency but arrives damaged.
-    All fault decisions come from a per-link seeded RNG stream, so a
-    campaign is replayable by seed.
+    costs ``STARTUP_CYCLES`` plus ``PER_ELEMENT_CYCLES`` per element
+    (the same RDMA cost shape the models already used); a
+    drop/delay/partition costs the full ``TIMEOUT_CYCLES`` (the sender
+    waited for a completion that never came); a corrupt delivery costs
+    normal latency but arrives damaged.  All fault decisions come from a
+    per-link seeded RNG stream, so a campaign is replayable by seed.
+    The link keeps no counters: :meth:`TransferManager.stats` counts
+    every attempt.
     """
 
     def __init__(
@@ -105,30 +130,18 @@ class Link:
         *,
         faults: FaultProfile | None = None,
         seed: int = 0,
-        startup_cycles: int = 600,
-        per_element_cycles: int = 2,
-        timeout_cycles: int = 2400,
     ) -> None:
         self.node_id = node_id
         self.faults = faults or FaultProfile()
         self.rng = random.Random((seed << 16) ^ (node_id * 0x9E3779B1))
-        self.startup_cycles = startup_cycles
-        self.per_element_cycles = per_element_cycles
-        self.timeout_cycles = timeout_cycles
         #: Attempts remaining in a latched partition (0 = link up).
         self._partition_left = 0
-        # -- per-link accounting -------------------------------------------
-        self.attempts = 0
-        self.delivered = 0
-        self.cycles = 0
-        self.fault_counts: dict[str, int] = {
-            s: 0 for s in LINK_STATUSES if s != "ok"
-        }
 
     # ---------------------------------------------------------------- model
-    def latency(self, nbytes: int) -> int:
+    @staticmethod
+    def latency(nbytes: int) -> int:
         """Clean-delivery cost of an ``nbytes`` bulk copy, in cycles."""
-        return self.startup_cycles + (nbytes // 8) * self.per_element_cycles
+        return STARTUP_CYCLES + (nbytes // 8) * PER_ELEMENT_CYCLES
 
     @property
     def partitioned(self) -> bool:
@@ -140,9 +153,8 @@ class Link:
         self._partition_left = 0
 
     def _make_fault(self, status: str, payload: bytes) -> TransferAttempt:
-        """Build (and count) one fault outcome.  Partition latching is
-        the caller's job; this only shapes the attempt itself."""
-        self.fault_counts[status] += 1
+        """Build one fault outcome.  Partition latching is the
+        caller's job; this only shapes the attempt itself."""
         if status == "corrupt":
             # corrupt: normal latency, damaged payload (seeded bit flips)
             damaged = bytearray(payload)
@@ -155,7 +167,7 @@ class Link:
         # drop: nothing arrives; delay: arrives after the timeout (too
         # late to use); partition: the link is down.  In all three the
         # sender burns the full timeout waiting for a completion.
-        return TransferAttempt(status, None, self.timeout_cycles)
+        return TransferAttempt(status, None, TIMEOUT_CYCLES)
 
     def _latch_partition(self) -> None:
         """Start a latched partition if one is not already running."""
@@ -164,16 +176,10 @@ class Link:
 
     def transfer(self, payload: bytes) -> TransferAttempt:
         """One wire-level bulk-copy attempt (see class docstring)."""
-        self.attempts += 1
         if self._partition_left > 0:
             self._partition_left -= 1
-            attempt = self._make_fault("partition", payload)
-        else:
-            attempt = self._roll(payload)
-        self.cycles += attempt.cycles
-        if attempt.status == "ok":
-            self.delivered += 1
-        return attempt
+            return self._make_fault("partition", payload)
+        return self._roll(payload)
 
     def _roll(self, payload: bytes) -> TransferAttempt:
         """Roll the fault dice for one attempt, in fixed order."""
@@ -193,32 +199,27 @@ class Link:
     def force_fault(self, payload: bytes, status: str) -> TransferAttempt:
         """Deterministically produce one fault attempt — the seam the
         fault-injection harness drives, with the same side effects as an
-        organic fault (counters move, partitions latch)."""
+        organic fault (partitions latch)."""
         if status not in LINK_STATUSES or status == "ok":
             raise ValueError(f"unknown link fault {status!r}")
-        self.attempts += 1
         if status == "partition":
             self._latch_partition()
             self._partition_left -= 1
-        attempt = self._make_fault(status, payload)
-        self.cycles += attempt.cycles
-        return attempt
+        return self._make_fault(status, payload)
 
 
 @dataclass
 class CircuitBreaker:
     """Per-link three-state breaker, cooled down in *epochs*.
 
-    Closed: transfers flow.  After ``failure_threshold`` consecutive
+    Closed: transfers flow.  After ``BREAKER_THRESHOLD`` consecutive
     terminal transfer failures the breaker opens: transfers to that peer
     fail fast (no retries burned on a dead link).  Once
-    ``cooldown_epochs`` epochs have passed it half-opens: exactly the
-    next transfer goes through as a probe; success closes the breaker,
-    failure re-opens it for another cooldown.
+    ``BREAKER_COOLDOWN_EPOCHS`` epochs have passed it half-opens: exactly
+    the next transfer goes through as a probe; success closes the
+    breaker, failure re-opens it for another cooldown.
     """
 
-    failure_threshold: int = 3
-    cooldown_epochs: int = 2
     state: str = BREAKER_CLOSED
     consecutive_failures: int = 0
     opened_at_epoch: int = 0
@@ -228,7 +229,7 @@ class CircuitBreaker:
         """Whether a transfer may be attempted at ``epoch`` (may move
         an open breaker to half-open when the cooldown has passed)."""
         if self.state == BREAKER_OPEN:
-            if epoch - self.opened_at_epoch >= self.cooldown_epochs:
+            if epoch - self.opened_at_epoch >= BREAKER_COOLDOWN_EPOCHS:
                 self.state = BREAKER_HALF_OPEN
                 return True
             return False
@@ -245,7 +246,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if (
             self.state == BREAKER_HALF_OPEN
-            or self.consecutive_failures >= self.failure_threshold
+            or self.consecutive_failures >= BREAKER_THRESHOLD
         ):
             self.state = BREAKER_OPEN
             self.opened_at_epoch = epoch
@@ -317,28 +318,10 @@ class TransferManager:
         *,
         faults: FaultProfile | None = None,
         seed: int = 0,
-        max_attempts: int = 4,
-        backoff_base_cycles: int = 300,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.25,
-        breaker_threshold: int = 3,
-        breaker_cooldown_epochs: int = 2,
-        startup_cycles: int = 600,
-        per_element_cycles: int = 2,
-        timeout_cycles: int = 2400,
     ) -> None:
         self.machine = machine
         self.faults = faults or FaultProfile()
         self.seed = seed
-        self.max_attempts = max_attempts
-        self.backoff_base_cycles = backoff_base_cycles
-        self.backoff_factor = backoff_factor
-        self.backoff_jitter = backoff_jitter
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_epochs = breaker_cooldown_epochs
-        self.startup_cycles = startup_cycles
-        self.per_element_cycles = per_element_cycles
-        self.timeout_cycles = timeout_cycles
         self.epoch = 0
         self.links: dict[int, Link] = {}
         self.breakers: dict[int, CircuitBreaker] = {}
@@ -362,14 +345,7 @@ class TransferManager:
         """The (lazily created) link to ``node``."""
         link = self.links.get(node)
         if link is None:
-            link = Link(
-                node,
-                faults=self.faults,
-                seed=self.seed,
-                startup_cycles=self.startup_cycles,
-                per_element_cycles=self.per_element_cycles,
-                timeout_cycles=self.timeout_cycles,
-            )
+            link = Link(node, faults=self.faults, seed=self.seed)
             self.links[node] = link
         return link
 
@@ -377,10 +353,7 @@ class TransferManager:
         """The (lazily created) circuit breaker for ``node``."""
         breaker = self.breakers.get(node)
         if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.breaker_threshold,
-                cooldown_epochs=self.breaker_cooldown_epochs,
-            )
+            breaker = CircuitBreaker()
             self.breakers[node] = breaker
         return breaker
 
@@ -398,8 +371,8 @@ class TransferManager:
     def _backoff_cycles(self, retry_index: int) -> int:
         """Backoff before retry ``retry_index`` (1-based): exponential
         with seeded jitter so retries never synchronize across links."""
-        base = self.backoff_base_cycles * (self.backoff_factor ** (retry_index - 1))
-        return int(base * (1.0 + self.backoff_jitter * self._jitter_rng.random()))
+        base = BACKOFF_BASE_CYCLES * (BACKOFF_FACTOR ** (retry_index - 1))
+        return int(base * (1.0 + BACKOFF_JITTER * self._jitter_rng.random()))
 
     def advance_epoch(self) -> int:
         """One model epoch passed (one sweep); cools open breakers."""
@@ -428,7 +401,8 @@ class TransferManager:
         cycles = 0
         statuses: list[str] = []
         trips_before = breaker.trips
-        for attempt_index in range(1, self.max_attempts + 1):
+        max_attempts = MAX_ATTEMPTS
+        for attempt_index in range(1, max_attempts + 1):
             if attempt_index > 1:
                 self._stats["retries"] += 1
                 cycles += self._backoff_cycles(attempt_index - 1)
@@ -463,7 +437,7 @@ class TransferManager:
         failure = _terminal_failure(statuses[-1])
         return TransferReport(
             ok=False, node=node, nbytes=nbytes,
-            attempts=self.max_attempts, cycles=cycles,
+            attempts=max_attempts, cycles=cycles,
             reason=failure.reason, message=str(failure),
             statuses=tuple(statuses),
         )

@@ -9,10 +9,11 @@ Every store path tests one per-segment flag, :attr:`Segment.watched`,
 and takes the slow path :meth:`Memory.before_write` only when it is
 set: on executable segments (code listeners), and on the others not
 yet written under an open **write journal**, whose pre-images
-:meth:`Memory.rollback` writes back.  Read-only segments are journaled
-too, because guest stores are not permission-checked.  The snapshots
-of shadow sampling and the validation gate are such journals, so they
-copy only the segments a run writes.
+:meth:`Memory.rollback` writes back.  Every segment is journaled,
+read-only and executable ones included, because guest stores are not
+permission-checked.  The snapshots of shadow sampling and the
+validation gate are such journals, so they copy only the segments a run
+writes.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class Memory:
         #: The open write journal: segment name -> contents before the
         #: segment's first write since :meth:`open_journal`, or None.
         self.journal: dict[str, bytes] | None = None
+        #: Called as ``(addr, length)`` when :meth:`rollback` changes
+        #: executable bytes; the image hooks its code listeners here.
+        self.on_code_write = None
 
     # -- mapping ----------------------------------------------------------
     def map_segment(self, segment: Segment) -> Segment:
@@ -102,9 +106,10 @@ class Memory:
 
     # -- write journal -----------------------------------------------------
     def open_journal(self) -> None:
-        """Watch every non-executable segment until its first write (one
-        journal at a time).  Read-only ones count: guest stores are not
-        permission-checked, so a run can write one."""
+        """Watch every segment until its first write, executable ones
+        for good (one journal at a time).  Read-only and executable ones
+        count: guest stores are not permission-checked, so a run can
+        write one."""
         if self.journal is not None:
             raise MemoryError_("a write journal is already open")
         self.journal = {}
@@ -113,26 +118,41 @@ class Memory:
 
     def before_write(self, seg: Segment) -> bool:
         """Slow path of the write barrier, run before the bytes of a
-        watched segment change.  A non-executable segment's first write
-        under the open journal saves its pre-image and unwatches it.
-        Returns the flag afterwards, which is then set exactly on
-        executable segments: the caller stores, then notifies the code
-        listeners if it is true."""
+        watched segment change.  A segment's first write under the open
+        journal saves its pre-image and unwatches it, unless it is
+        executable.  Returns the flag afterwards, which is then set
+        exactly on executable segments: the caller stores, then notifies
+        the code listeners if it is true."""
         journal = self.journal
-        if journal is not None and seg.name not in journal and Perm.X not in seg.perms:
+        if journal is not None and seg.name not in journal:
             journal[seg.name] = bytes(seg.data)
-            seg.watched = False
+            seg.watched = Perm.X in seg.perms
         return seg.watched
 
     def rollback(self) -> None:
         """Write every journaled pre-image back; the journal stays open
-        (its pre-images still hold) and the segments stay unwatched."""
+        (its pre-images still hold) and the segments stay as watched as
+        they were.  Executable bytes are written back over the changed
+        span only, which :attr:`on_code_write` then hears about."""
         for seg in self.segments:
             pre = self.journal.get(seg.name)
-            if pre is not None:
+            if pre is None:
+                continue
+            if Perm.X not in seg.perms:
                 # an equal-size copy into the buffer; a bytearray slice
                 # assignment takes about twice as long
                 memoryview(seg.data)[:] = pre
+                continue
+            # the lowest and highest differing bytes bound the span (a
+            # code listener walks its range byte by byte)
+            diff = (int.from_bytes(seg.data, "little")
+                    ^ int.from_bytes(pre, "little"))
+            if diff:
+                lo = ((diff & -diff).bit_length() - 1) // 8
+                hi = (diff.bit_length() + 7) // 8
+                seg.data[lo:hi] = pre[lo:hi]
+                if self.on_code_write is not None:
+                    self.on_code_write(seg.base + lo, hi - lo)
 
     def close_journal(self) -> None:
         """Drop the journal (if any) and unwatch all but executable

@@ -314,18 +314,10 @@ class DistributedStencilLab:
             self.haloavail_addr, struct.pack("<q", 1 if avail else 0)
         )
 
-    def attach_interconnect(
-        self,
-        *,
-        faults=None,
-        seed: int = 0,
-        **options,
-    ) -> TransferManager:
+    def attach_interconnect(self, *, faults=None, seed: int = 0) -> TransferManager:
         """Route halo exchanges through an unreliable interconnect; the
         returned manager is also stored on ``self.transfers``."""
-        self.transfers = TransferManager(
-            self.machine, faults=faults, seed=seed, **options
-        )
+        self.transfers = TransferManager(self.machine, faults=faults, seed=seed)
         return self.transfers
 
     def rewrite_sweep_guarded(self, memory_hook: int | None = None) -> RewriteResult:

@@ -18,10 +18,9 @@ class ServiceLab:
         rewrite through this lab's supervisor (ladder + validation gate).
         The service, its manager and the supervisor charge one registry,
         the supervisor's ``metrics`` (``service.metrics`` names it).
-        Service options pass straight through — e.g. ``mode="thread"``
-        runs rewrites on worker threads, ``shadow_interval=8`` samples
-        warm dispatches made through the lab's ``service.call`` paths
-        (``sum_via_service``, ``apply_cell_via_service``),
+        Service options pass straight through — e.g. ``shadow_interval=8``
+        samples warm dispatches made through the lab's ``service.call``
+        paths (``sum_via_service``, ``apply_cell_via_service``),
         ``max_queue_depth=``/``retry_budget=`` bound the queue.  Stored
         on ``self.service`` and returned."""
         from repro.service import RewriteService

@@ -160,7 +160,7 @@ class PgasLab(ServiceLab):
             self.ga_addr, lo, hi, self.machine.symbol("ga_get"),
         )
 
-    def attach_interconnect(self, *, faults=None, seed: int = 0, **options):
+    def attach_interconnect(self, *, faults=None, seed: int = 0):
         """Route bulk transfers (e.g. :class:`~repro.models.rdma.
         RdmaPrefetcher` preloads) through a seeded *unreliable*
         interconnect: a :class:`~repro.machine.link.TransferManager` with
@@ -168,9 +168,7 @@ class PgasLab(ServiceLab):
         on ``self.transfers`` and returned."""
         from repro.machine.link import TransferManager
 
-        self.transfers = TransferManager(
-            self.machine, faults=faults, seed=seed, **options
-        )
+        self.transfers = TransferManager(self.machine, faults=faults, seed=seed)
         return self.transfers
 
     # ------------------------------------------------------------- data

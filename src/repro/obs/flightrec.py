@@ -50,10 +50,10 @@ class FlightRecorder:
     channel's ring independently.
     """
 
-    def __init__(self, *, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
+    def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity is 1-based")
-        self.enabled = enabled
+        self.enabled = True
         self.capacity = capacity
         self._seq = 0
         self._rings: dict[str, deque] = {

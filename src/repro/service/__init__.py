@@ -10,12 +10,11 @@ background worker specializes, then swap in the specialized version.
 :class:`~repro.service.rewrite_service.RewriteService` implements that
 contract.  ``request()`` never blocks: it returns the published
 specialized entry on a warm hit and the *original* entry on a cold miss,
-queueing the rewrite for a worker.  Workers publish finished variants
-atomically into a :class:`~repro.core.dispatch.DispatchTable`, and
-manager invalidations withdraw them just as atomically.  Two worker
-modes share one code path: deterministic single-thread ``step`` mode
-(tests drive the queue explicitly and runs are bit-for-bit reproducible)
-and ``thread`` mode backed by a real ``ThreadPoolExecutor``.
+queueing the rewrite.  ``step()`` and ``drain()`` run queued rewrites
+on the caller's own thread (the only schedule), so runs are bit-for-bit
+reproducible.  Finished variants are published into a
+:class:`~repro.core.dispatch.DispatchTable`, and manager invalidations
+withdraw them.
 
 PR-4 adds the **continuous assurance** layer: sampled shadow execution
 of published variants (``shadow_interval=`` + the :meth:`call` dispatch

@@ -16,10 +16,9 @@ Architecture
   :class:`~repro.obs.Metrics` registry (surfaced under
   ``fabric.shard<i>.*``), a private
   :class:`~repro.core.manager.SpecializationManager` and a private
-  step-mode ``RewriteService`` with its own dispatch table and
-  quarantine state.  Nothing is shared between shards — a fault in one
-  shard *cannot* touch another's manager or dispatch table, by
-  construction.
+  ``RewriteService`` with its own dispatch table and quarantine state.
+  Nothing is shared between shards — a fault in one shard *cannot*
+  touch another's manager or dispatch table, by construction.
 
 * :class:`RewriteFabric` — the router.  Requests are keyed by the same
   deterministic fingerprint the manager caches under and assigned to a
@@ -63,6 +62,7 @@ from pathlib import Path
 
 from repro.core.manager import SpecializationManager, portable_key
 from repro.errors import RewriteFailure
+from repro.machine import link as interconnect
 from repro.machine.link import FaultProfile, TransferManager
 from repro.machine.vm import Machine
 from repro.obs import Metrics
@@ -88,6 +88,11 @@ STAGE_BYTES = 4096
 #: Entries of the router's route memo (``(fn, key)`` -> ``(digest,
 #: owner)``, see :meth:`RewriteFabric.request`); the oldest goes first.
 ROUTE_MEMO_SIZE = 2048
+
+#: A shard manager's first quarantine backoff and its cap, in fabric
+#: ticks (the manager doubles the backoff per failure up to the cap).
+SHARD_BACKOFF_TICKS = 2.0
+SHARD_MAX_BACKOFF_TICKS = 32.0
 
 
 def _digest(fn, key: tuple) -> str:
@@ -154,8 +159,6 @@ class RewriteShard:
         seed: int = 0,
         clock: FabricClock | None = None,
         shadow_interval: int = 7,
-        backoff_ticks: float = 2.0,
-        max_backoff_ticks: float = 32.0,
     ) -> None:
         self.index = index
         self.state = SHARD_HEALTHY
@@ -167,8 +170,8 @@ class RewriteShard:
         self.manager = SpecializationManager(
             self.machine, metrics=self.metrics,
             clock=clock if clock is not None else FabricClock(),
-            backoff_seconds=backoff_ticks,
-            max_backoff_seconds=max_backoff_ticks,
+            backoff_seconds=SHARD_BACKOFF_TICKS,
+            max_backoff_seconds=SHARD_MAX_BACKOFF_TICKS,
         )
         self.service = RewriteService(
             self.machine, manager=self.manager, metrics=self.metrics,
@@ -224,11 +227,11 @@ class RewriteFabric:
     across shards, which is what makes warm-start failover sound).
     Every tenant may have ``default_quota`` requests pending on each
     shard; ``weights`` maps tenant name to its dequeue weight (``1``
-    otherwise).  ``faults`` shapes the interconnect, whose links draw
-    their fates from ``seed`` too; ``snapshot_dir`` enables periodic
-    checkpoints and warm-start failover.  Everything is seeded and
-    tick-driven — two fabrics built with the same arguments replay
-    bit-for-bit.
+    otherwise).  The interconnect starts clean (``transfers.set_faults``
+    degrades it), and its links draw their fates from ``seed`` too;
+    ``snapshot_dir`` enables periodic checkpoints and warm-start
+    failover.  Everything is seeded and tick-driven — two fabrics built
+    with the same arguments replay bit-for-bit.
     """
 
     def __init__(
@@ -245,7 +248,6 @@ class RewriteFabric:
         checkpoint_interval: int = 16,
         snapshot_dir: str | Path | None = None,
         shadow_interval: int = 7,
-        faults: FaultProfile | None = None,
         forensics=None,
     ) -> None:
         if shards < 1:
@@ -274,7 +276,7 @@ class RewriteFabric:
         self.router = Machine()
         self._stage_src = self.router.image.malloc(STAGE_BYTES)
         self._stage_dst = self.router.image.malloc(STAGE_BYTES)
-        self.transfers = TransferManager(self.router, faults=faults, seed=seed)
+        self.transfers = TransferManager(self.router, seed=seed)
         #: Optional :class:`~repro.core.forensics.ForensicsHub`: every
         #: tick journals the heartbeat/state picture on the ``fabric``
         #: channel and every declared death captures a crash bundle
@@ -387,7 +389,7 @@ class RewriteFabric:
                 "shard-stalled",
                 f"shard {owner.index} suspected stalled (missed heartbeats)",
             )
-            cycles = ROUTE_LOOKUP_CYCLES + self.transfers.timeout_cycles
+            cycles = ROUTE_LOOKUP_CYCLES + interconnect.TIMEOUT_CYCLES
             self.metrics.inc("fabric.degraded")
             self.metrics.inc("fabric.stall_degraded")
             self.metrics.record("fabric.dispatch_cycles", cycles)
@@ -741,10 +743,10 @@ class RewriteFabric:
 
         Idempotent (parity with ``RewriteService.close()``): the first
         call drains nothing further — every shard's private service is
-        closed (which detaches its manager invalidation listener and
-        stops any workers) — and later calls return immediately.  After
-        close the fabric stays deaf: :meth:`request` degrades callers to
-        the original and :meth:`pump` performs no work."""
+        closed (which detaches its manager invalidation listener) — and
+        later calls return immediately.  After close the fabric stays
+        deaf: :meth:`request` degrades callers to the original and
+        :meth:`pump` performs no work."""
         if self._closed:
             return
         self._closed = True

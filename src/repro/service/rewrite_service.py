@@ -11,7 +11,7 @@ whatever the cause.
 
 Determinism
 -----------
-Step mode is part of the differential test surface: with a fixed seed,
+The service is part of the differential test surface: with a fixed seed,
 two runs of the same workload must agree bit-for-bit, including the
 metrics snapshot.  The service therefore never records host time — its
 latency histogram is in *modelled cycles*,
@@ -43,14 +43,12 @@ EXT-5 soak experiment exercises all three end to end):
   ``service-shed``, callers keep the original), ``retry_budget`` caps
   background retries per key, and ``watchdog_max_trace_steps`` clamps
   every queued rewrite's trace budget so a stuck rewrite aborts into
-  the supervisor's degradation ladder instead of wedging a worker.
+  the supervisor's degradation ladder instead of wedging the queue.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from repro.errors import RewriteFailure
@@ -83,14 +81,8 @@ def modeled_rewrite_cycles(result: RewriteResult) -> int:
 class RewriteService:
     """Accepts rewrite requests; never blocks the caller.
 
-    ``mode="step"`` (default) queues work until :meth:`step` or
-    :meth:`drain` runs it on the calling thread — fully deterministic.
-    ``mode="thread"`` submits work to a ``ThreadPoolExecutor``; workers
-    serialize on :attr:`lock` (reentrant — invalidation listeners may
-    fire while a worker already holds it) because the simulated machine
-    is a shared mutable image.  Callers that execute simulated code
-    concurrently with in-flight rewrites must hold the same lock; the
-    benchmarks simply :meth:`drain` first.
+    Work waits in a queue until :meth:`step` or :meth:`drain` runs it on
+    the calling thread, so every run is deterministic.
 
     Pass a ``manager`` (and optionally route its rewrites through a
     :class:`~repro.core.resilience.RewriteSupervisor` via the manager's
@@ -105,8 +97,6 @@ class RewriteService:
         machine,
         *,
         manager: SpecializationManager | None = None,
-        mode: str = "step",
-        max_workers: int = 2,
         metrics: Metrics | None = None,
         rewrite_fn: Callable[..., RewriteResult] | None = None,
         shadow_interval: int | None = None,
@@ -116,10 +106,7 @@ class RewriteService:
         watchdog_max_trace_steps: int | None = None,
         forensics=None,
     ) -> None:
-        if mode not in ("step", "thread"):
-            raise ValueError(f"unknown service mode {mode!r}")
         self.machine = machine
-        self.mode = mode
         if metrics is None:
             metrics = manager.metrics if manager is not None else Metrics()
         self.metrics = metrics
@@ -129,11 +116,6 @@ class RewriteService:
             )
         self.manager = manager
         self.table = DispatchTable()
-        #: Serializes every machine mutation (rewrites, shadow runs,
-        #: snapshot restore) in thread mode.  Reentrant: a manager
-        #: eviction *during* a locked rewrite fires the invalidation
-        #: listener, which takes this lock again on the same thread.
-        self.lock = threading.RLock()
         #: Optional :class:`~repro.core.forensics.ForensicsHub`: state
         #: changes and anomalies (cold miss, shed, publish, failure,
         #: divergence) are journaled on the ``service`` channel and every
@@ -161,12 +143,6 @@ class RewriteService:
         self._retry_counts: dict = {}
         self._queue: deque = deque()
         self._inflight: set = set()
-        self._futures: list[Future] = []
-        self._executor = (
-            ThreadPoolExecutor(max_workers=max_workers)
-            if mode == "thread"
-            else None
-        )
         self._closed = False
         #: keys whose next publication must start on probation (they
         #: were withdrawn for a shadow divergence and must re-validate)
@@ -200,14 +176,6 @@ class RewriteService:
         if key in self._inflight:
             self.metrics.inc("service.coalesced")
             return original
-        if self._executor is not None:
-            # prune completed futures so the list (and pending() scans)
-            # stay bounded between drains; futures that crashed are kept
-            # so drain() still propagates their exception
-            self._futures = [
-                f for f in self._futures
-                if not f.done() or f.exception() is not None
-            ]
         shed_reason = self._admit(key)
         if shed_reason is not None:
             failure = RewriteFailure("service-shed", shed_reason)
@@ -216,13 +184,9 @@ class RewriteService:
             self._journal("shed", {"fn": str(fn), "why": shed_reason})
             return original
         self._inflight.add(key)
-        # the caller may keep mutating its config before the worker
+        # the caller may keep mutating its config before the rewrite
         # runs; snapshot it so the rewrite sees the requested state
-        work = (key, conf.copy(), fn, tuple(args))
-        if self._executor is not None:
-            self._futures.append(self._executor.submit(self._locked_perform, work))
-        else:
-            self._queue.append(work)
+        self._queue.append((key, conf.copy(), fn, tuple(args)))
         self.metrics.set("service.queue_depth", self.pending())
         return original
 
@@ -247,25 +211,20 @@ class RewriteService:
         probation = self.table.on_probation(key)
         if not probation and not self.shadow.decide(key):
             return self.machine.call(entry, *args, **run_kwargs)
-        with self.lock:
-            outcome = self.shadow.run_shadowed(
-                entry, original, tuple(args), max_steps
-            )
-            if outcome.divergence is None:
-                if probation and not outcome.unjudged:
-                    self._admit_from_probation(key)
-                return outcome.run
-            self._handle_divergence(
-                key, tuple(args), entry, original, outcome.divergence,
-                conf=conf, fn=fn,
-            )
+        outcome = self.shadow.run_shadowed(entry, original, tuple(args), max_steps)
+        if outcome.divergence is None:
+            if probation and not outcome.unjudged:
+                self._admit_from_probation(key)
+            return outcome.run
+        self._handle_divergence(
+            key, tuple(args), entry, original, outcome.divergence,
+            conf=conf, fn=fn,
+        )
         return outcome.run
 
     def step(self, limit: int = 1) -> int:
-        """Run up to ``limit`` queued rewrites on the calling thread
-        (step mode only); returns how many were performed."""
-        if self._executor is not None:
-            raise RuntimeError("step() is for step mode; thread mode uses drain()")
+        """Run up to ``limit`` queued rewrites on the calling thread;
+        returns how many were performed."""
         done = 0
         while self._queue and done < limit:
             self._perform(self._queue.popleft())
@@ -274,27 +233,17 @@ class RewriteService:
 
     def drain(self) -> int:
         """Finish all queued work; returns how many rewrites ran."""
-        if self._executor is not None:
-            done = 0
-            while self._futures:
-                future = self._futures.pop()
-                future.result()  # propagate worker crashes to the test
-                done += 1
-            return done
         return self.step(limit=len(self._queue))
 
     def pending(self) -> int:
         """Rewrites accepted but not yet performed."""
-        if self._executor is not None:
-            return sum(1 for f in self._futures if not f.done())
         return len(self._queue)
 
     # -------------------------------------------------------- persistence
     def save_snapshot(self, path) -> None:
         """Persist the manager's cache (crash-safe: temp file + rename);
         see :mod:`repro.core.persist` for the format."""
-        with self.lock:
-            save_manager(self.manager, path)
+        save_manager(self.manager, path)
 
     def restore_snapshot(self, path) -> RestoreReport:
         """Warm-restart path: restore the manager cache from ``path``
@@ -302,14 +251,13 @@ class RewriteService:
         is re-admitted only after one shadow-validated :meth:`call`.
         Corrupt or schema-mismatched records were rejected per entry by
         the loader (``snapshot-corrupt``); the report says which."""
-        with self.lock:
-            report = load_manager(self.manager, path)
-            for key in report.restored_ok:
-                result = self.manager.cached_result(key)
-                if result is None or not result.ok or result.entry is None:
-                    continue
-                self.table.publish(key, result.entry, probation=True)
-                self.metrics.inc("service.restored_publishes")
+        report = load_manager(self.manager, path)
+        for key in report.restored_ok:
+            result = self.manager.cached_result(key)
+            if result is None or not result.ok or result.entry is None:
+                continue
+            self.table.publish(key, result.entry, probation=True)
+            self.metrics.inc("service.restored_publishes")
         return report
 
     # ------------------------------------------------------------- health
@@ -334,24 +282,18 @@ class RewriteService:
         }
 
     def close(self) -> None:
-        """Deterministic shutdown: drain in-flight work, stop thread-mode
-        workers, and detach from the manager.
+        """Deterministic shutdown: drain queued work and detach from the
+        manager.
 
-        Idempotent.  In thread mode the executor is shut down with
-        ``wait=True`` so no worker thread outlives the service (the
-        thread-mode tests used to leak workers across cases).  The
-        manager invalidation listener is removed so a shared manager
-        that keeps living never fires into this service's dead dispatch
-        table."""
+        Idempotent.  The manager invalidation listener is removed so a
+        shared manager that keeps living never fires into this service's
+        dead dispatch table."""
         if self._closed:
             return
         self._closed = True
         try:
             self.drain()
         finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
             self.manager.remove_invalidation_listener(self._on_invalidation)
 
     def __enter__(self) -> "RewriteService":
@@ -371,7 +313,7 @@ class RewriteService:
 
         Deterministic by construction — the decision depends only on
         queue depth and per-key retry history, both of which are
-        replayed identically by a seeded step-mode workload."""
+        replayed identically by a seeded workload."""
         if (
             self.max_queue_depth is not None
             and self.pending() >= self.max_queue_depth
@@ -397,7 +339,7 @@ class RewriteService:
         """Withdraw + quarantine + record: the shadow caught a published
         variant lying.  Quarantining the key evicts the cache entry,
         which fires the invalidation listener and withdraws the
-        published entry — one atomic step under the service lock."""
+        published entry in the same step."""
         cached = self.manager.cached_result(key)
         known_reads = cached.known_reads if cached is not None else ()
         failure = RewriteFailure("shadow-divergence", description)
@@ -419,16 +361,12 @@ class RewriteService:
         self._requalify.add(key)
         self.metrics.inc("service.shadow_withdrawn")
 
-    def _locked_perform(self, work) -> None:
-        with self.lock:
-            self._perform(work)
-
     def _perform(self, work) -> None:
         key, conf, fn, args = work
         if self.watchdog_max_trace_steps is not None:
             # the step-budget watchdog: a stuck rewrite aborts with
             # `trace-limit` (retryable) and degrades down the ladder
-            # instead of wedging the worker
+            # instead of wedging the queue
             conf.max_trace_steps = min(
                 conf.max_trace_steps, self.watchdog_max_trace_steps
             )
@@ -466,7 +404,6 @@ class RewriteService:
         self.metrics.set("service.queue_depth", self.pending())
 
     def _on_invalidation(self, dropped_keys: list) -> None:
-        with self.lock:
-            withdrawn = self.table.withdraw(dropped_keys)
-            if withdrawn:
-                self.metrics.inc("service.withdrawn", withdrawn)
+        withdrawn = self.table.withdraw(dropped_keys)
+        if withdrawn:
+            self.metrics.inc("service.withdrawn", withdrawn)

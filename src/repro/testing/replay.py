@@ -98,7 +98,6 @@ def _supervisor_from_settings(machine, settings: dict) -> RewriteSupervisor:
     (no wall-clock deadline — see that method)."""
     return RewriteSupervisor(
         machine,
-        validate=bool(settings.get("validate", True)),
         validation_vectors=int(settings.get("validation_vectors", 3)),
         validation_seed=int(settings.get("validation_seed", 0)),
         validation_max_steps=int(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BREW_KNOWN, BREW_UNKNOWN, brew_init_conf, brew_setpar
+from repro.core import forensics
 from repro.core.forensics import (
     BUNDLE_MAGIC,
     CrashBundle,
@@ -191,9 +192,10 @@ def test_atomic_write_leaves_no_tmp_file(tmp_path):
 
 
 # ----------------------------------------------------------------- the hub
-def test_hub_charges_capture_counters_and_bounds_retention():
+def test_hub_charges_capture_counters_and_bounds_retention(monkeypatch):
+    monkeypatch.setattr(forensics, "KEEP_BUNDLES", 2)
     metrics = Metrics()
-    hub = ForensicsHub(metrics=metrics, keep=2)
+    hub = ForensicsHub(metrics=metrics)
     for tick in range(3):
         hub.capture_fabric_death(
             shard=tick, cause="crash: test", tick=float(tick), moved=[],
@@ -213,8 +215,9 @@ def test_hub_persists_bundles_to_out_dir(tmp_path):
     assert hub.metrics.value("forensics.saved") == 1
 
 
-def test_capture_embeds_the_flight_recorder_tail():
-    hub = _rewrite_failure_hub(journal_tail=4)
+def test_capture_embeds_the_flight_recorder_tail(monkeypatch):
+    monkeypatch.setattr(forensics, "JOURNAL_TAIL", 4)
+    hub = _rewrite_failure_hub()
     bundle = hub.bundles[0]
     assert 0 < len(bundle.journal) <= 4
     assert all(row["channel"] == "rewrite" for row in bundle.journal)

@@ -181,7 +181,7 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
 
 
 # ------------------------------------------------- epoch forward-ratchet
-def _service_ratchet_scenario(tmp_path, mode):
+def test_older_snapshot_after_newer_is_rejected_step_mode(tmp_path):
     """Restore a newer snapshot, then an older one, through the service
     path: the older restore must be rejected per entry (``snapshot-stale``,
     never a crash) and must not disturb the already-restored state."""
@@ -201,7 +201,7 @@ def _service_ratchet_scenario(tmp_path, mode):
     writer.close()
 
     machine = _machine()
-    svc = RewriteService(machine, mode=mode)
+    svc = RewriteService(machine)
     try:
         newer = svc.restore_snapshot(new_path)
         assert newer.version_ok and len(newer.restored_ok) == 2
@@ -221,14 +221,6 @@ def _service_ratchet_scenario(tmp_path, mode):
         assert machine.call(entry, 5, 3).int_return == 5 * 3 + 3
     finally:
         svc.close()
-
-
-def test_older_snapshot_after_newer_is_rejected_step_mode(tmp_path):
-    _service_ratchet_scenario(tmp_path, "step")
-
-
-def test_older_snapshot_after_newer_is_rejected_thread_mode(tmp_path):
-    _service_ratchet_scenario(tmp_path, "thread")
 
 
 def test_stale_rejection_is_per_entry_not_a_crash(tmp_path):

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from repro.errors import FAILURE_REASONS
+from repro.machine import link as link_module
 from repro.machine.link import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
     CircuitBreaker, FaultProfile, Link, TransferManager,
@@ -30,14 +31,19 @@ def _manager(machine, **kw):
     return TransferManager(machine, **kw)
 
 
+def _patch(monkeypatch, **constants):
+    """Set interconnect constants of ``repro.machine.link`` for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(link_module, name, value)
+
+
 # ------------------------------------------------------------------ Link
 def test_clean_link_delivers_with_latency():
     link = Link(1, seed=0)
     attempt = link.transfer(b"\x01" * 64)
     assert attempt.status == "ok"
     assert attempt.payload == b"\x01" * 64
-    assert attempt.cycles == link.startup_cycles + 8 * link.per_element_cycles
-    assert link.delivered == link.attempts == 1
+    assert attempt.cycles == 616  # 600 startup + 8 elements x 2
 
 
 def test_link_faults_are_seed_deterministic():
@@ -65,7 +71,7 @@ def test_drop_and_delay_burn_the_timeout():
     for status in ("drop", "delay"):
         attempt = link.force_fault(b"abc", status)
         assert attempt.payload is None
-        assert attempt.cycles == link.timeout_cycles
+        assert attempt.cycles == 2400
 
 
 def test_partition_latches_and_heals():
@@ -83,8 +89,9 @@ def test_partition_latches_and_heals():
 
 
 # --------------------------------------------------------- CircuitBreaker
-def test_breaker_three_state_machine():
-    br = CircuitBreaker(failure_threshold=2, cooldown_epochs=3)
+def test_breaker_three_state_machine(monkeypatch):
+    _patch(monkeypatch, BREAKER_THRESHOLD=2, BREAKER_COOLDOWN_EPOCHS=3)
+    br = CircuitBreaker()
     assert br.state == BREAKER_CLOSED and br.allow(0)
     br.record_failure(0)
     assert br.state == BREAKER_CLOSED
@@ -142,27 +149,29 @@ def test_terminal_failure_tags_documented_reason_and_leaves_dst_alone(setup):
     tm = _manager(m, faults=FaultProfile(corrupt=1.0), seed=4)
     report = tm.transfer(1, src, dst, 64)
     assert not report.ok
-    assert report.attempts == tm.max_attempts
+    assert report.attempts == link_module.MAX_ATTEMPTS
     assert report.reason == "link-corrupt"
     assert report.reason in FAILURE_REASONS
     assert m.image.peek(dst, 64) == sentinel, "corrupt bytes must never land"
 
 
-def test_backoff_grows_exponentially(setup):
+def test_backoff_grows_exponentially(setup, monkeypatch):
     m, _, _ = setup
-    tm = _manager(m, backoff_base_cycles=100, backoff_factor=2.0,
-                  backoff_jitter=0.0)
+    _patch(monkeypatch, BACKOFF_BASE_CYCLES=100, BACKOFF_FACTOR=2.0,
+           BACKOFF_JITTER=0.0)
+    tm = _manager(m)
     assert tm._backoff_cycles(1) == 100
     assert tm._backoff_cycles(2) == 200
     assert tm._backoff_cycles(3) == 400
-    jittered = _manager(m, backoff_base_cycles=100, backoff_jitter=0.5)
+    _patch(monkeypatch, BACKOFF_JITTER=0.5)
+    jittered = _manager(m)
     assert 100 <= jittered._backoff_cycles(1) <= 150
 
 
-def test_breaker_opens_fast_fails_then_reprobes(setup):
+def test_breaker_opens_fast_fails_then_reprobes(setup, monkeypatch):
     m, src, dst = setup
-    tm = _manager(m, faults=FaultProfile(drop=1.0), seed=2,
-                  breaker_threshold=2, breaker_cooldown_epochs=2)
+    _patch(monkeypatch, BREAKER_THRESHOLD=2, BREAKER_COOLDOWN_EPOCHS=2)
+    tm = _manager(m, faults=FaultProfile(drop=1.0), seed=2)
     assert not tm.transfer(1, src, dst, 64).ok
     assert not tm.transfer(1, src, dst, 64).ok
     assert tm.breaker_state(1) == BREAKER_OPEN
@@ -191,9 +200,10 @@ def test_managers_with_same_seed_replay_identically(setup):
     assert outcomes[0] == outcomes[1]
 
 
-def test_stats_fault_counts_track_statuses(setup):
+def test_stats_fault_counts_track_statuses(setup, monkeypatch):
     m, src, dst = setup
-    tm = _manager(m, faults=FaultProfile(delay=1.0), seed=0, max_attempts=3)
+    _patch(monkeypatch, MAX_ATTEMPTS=3)
+    tm = _manager(m, faults=FaultProfile(delay=1.0), seed=0)
     report = tm.transfer(2, src, dst, 64)
     assert not report.ok and report.reason == "link-delay"
     stats = tm.stats()

@@ -134,11 +134,44 @@ def test_every_store_path_journals_before_writing():
     for name, pre in memory.journal.items():
         assert pre == before[name], name
     assert not any(seg[n].watched for n in memory.journal)
-    # code is watched for the code listeners, never journaled
+    # code is journaled too, and stays watched for the code listeners
     image.poke(image.seg_code.base, b"\x90")
-    assert "code" not in memory.journal and seg["code"].watched
+    assert memory.journal["code"] == before["code"] and seg["code"].watched
     memory.rollback()
     memory.close_journal()
-    assert {name: bytes(s.data) for name, s in seg.items()} == {
-        **before, "code": b"\x90" + before["code"][1:]}
+    assert {name: bytes(s.data) for name, s in seg.items()} == before
     assert [s.name for s in memory.segments if s.watched] == ["code", "rewrite"]
+
+
+#: ``clobber(victim)`` stores a qword over ``victim``'s first bytes.
+CLOBBER = """
+noinline long victim(long x) { return x + 1; }
+noinline long clobber(long *p) { *p = 0x7777777777777777; return 0; }
+"""
+
+
+@pytest.mark.parametrize("tier", (0, 1, 2))
+def test_rollback_undoes_a_guest_store_into_code(tier):
+    """A guest store into code under an open journal is undone by the
+    rollback, which announces the restored span (and only that) to the
+    code listeners, so no tier runs the clobbered bytes afterwards."""
+    m = Machine()
+    m.load(CLOBBER)
+    if tier:
+        m.enable_jit(trace=tier == 2)
+    victim = m.symbol("victim")
+    assert m.call(victim, 41).int_return == 42  # decoded and compiled
+    before = m.image.peek(victim, 8)
+    heard = []
+    m.image.code_listeners.append(lambda addr, n: heard.append((addr, n)))
+    m.memory.open_journal()
+    m.call("clobber", victim)
+    assert m.image.peek(victim, 8) == b"\x77" * 8
+    assert "code" in m.memory.journal and m.image.seg_code.watched
+    heard.clear()
+    m.memory.rollback()
+    m.memory.close_journal()
+    assert m.image.peek(victim, 8) == before
+    [(addr, length)] = heard
+    assert victim <= addr and addr + length <= victim + 8
+    assert m.call(victim, 41).int_return == 42

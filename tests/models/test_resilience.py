@@ -14,6 +14,7 @@ import math
 import pytest
 
 from repro.errors import FAILURE_REASONS
+from repro.machine import link as link_module
 from repro.machine.link import BREAKER_OPEN, FaultProfile
 from repro.models.distributed_stencil import DistributedStencilLab
 from repro.models.pgas import PgasLab
@@ -21,16 +22,16 @@ from repro.models.rdma import RdmaPrefetcher
 from repro.testing import EXPECTED_REASON, NETWORK_FAULT_KINDS, FaultInjector
 
 
-def _rdma_setup(faults=None, seed=0, **options):
+def _rdma_setup(faults=None, seed=0):
     lab = PgasLab(nelems=512, nnodes=4)
-    lab.attach_interconnect(faults=faults, seed=seed, **options)
+    lab.attach_interconnect(faults=faults, seed=seed)
     pre = RdmaPrefetcher(lab)
     return lab, pre, lab.block, 3 * lab.block
 
 
-def _stencil_setup(faults=None, seed=0, **options):
+def _stencil_setup(faults=None, seed=0):
     lab = DistributedStencilLab(xs=16, rows_per_node=4, nnodes=3)
-    lab.attach_interconnect(faults=faults, seed=seed, **options)
+    lab.attach_interconnect(faults=faults, seed=seed)
     return lab
 
 
@@ -62,11 +63,10 @@ def test_rdma_dead_network_falls_back_with_tagged_reason():
     assert pre.fallbacks == 1 and pre.promotions == 0
 
 
-def test_rdma_repromotes_after_heal_and_breaker_cooldown():
-    lab, pre, lo, hi = _rdma_setup(
-        faults=FaultProfile(drop=1.0), seed=3,
-        breaker_threshold=1, breaker_cooldown_epochs=2,
-    )
+def test_rdma_repromotes_after_heal_and_breaker_cooldown(monkeypatch):
+    monkeypatch.setattr(link_module, "BREAKER_THRESHOLD", 1)
+    monkeypatch.setattr(link_module, "BREAKER_COOLDOWN_EPOCHS", 2)
+    lab, pre, lo, hi = _rdma_setup(faults=FaultProfile(drop=1.0), seed=3)
     ref = lab.reference_sum(lo, hi)
     paths = [pre.run_resilient(lo, hi).path for _ in range(2)]
     assert paths == ["remote-fallback"] * 2
@@ -167,10 +167,12 @@ def test_mid_sweep_invalidation_falls_back_via_guard_compare():
 
 # ------------------------------------------------------ network fault classes
 @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
-def test_injected_network_fault_terminal_reason_is_documented(kind):
+def test_injected_network_fault_terminal_reason_is_documented(kind,
+                                                               monkeypatch):
     """With retries disabled, one injected wire fault is terminal and
     surfaces as the documented ``link-*`` reason on the fallback path."""
-    lab, pre, lo, hi = _rdma_setup(max_attempts=1)
+    monkeypatch.setattr(link_module, "MAX_ATTEMPTS", 1)
+    lab, pre, lo, hi = _rdma_setup()
     ref = lab.reference_sum(lo, hi)
     with FaultInjector(kind, nth=1) as injector:
         rr = pre.run_resilient(lo, hi)
@@ -182,11 +184,12 @@ def test_injected_network_fault_terminal_reason_is_documented(kind):
 
 
 @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
-def test_injected_network_fault_is_retried_through(kind):
+def test_injected_network_fault_is_retried_through(kind, monkeypatch):
     """With the default retry budget a single injected fault is absorbed:
     the transfer recovers on a later attempt and promotion goes through.
     (A partition latches, so give retries room to outlast it.)"""
-    lab, pre, lo, hi = _rdma_setup(max_attempts=8)
+    monkeypatch.setattr(link_module, "MAX_ATTEMPTS", 8)
+    lab, pre, lo, hi = _rdma_setup()
     with FaultInjector(kind, nth=1) as injector:
         rr = pre.run_resilient(lo, hi)
     assert injector.fired
@@ -196,8 +199,9 @@ def test_injected_network_fault_is_retried_through(kind):
 
 
 @pytest.mark.parametrize("kind", NETWORK_FAULT_KINDS)
-def test_injected_network_fault_on_stencil_never_escapes(kind):
-    lab = _stencil_setup(max_attempts=1)
+def test_injected_network_fault_on_stencil_never_escapes(kind, monkeypatch):
+    monkeypatch.setattr(link_module, "MAX_ATTEMPTS", 1)
+    lab = _stencil_setup()
     oracle = lab.reference_out()
     with FaultInjector(kind, nth=1) as injector:
         ep = lab.run_resilient()

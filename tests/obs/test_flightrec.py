@@ -49,7 +49,8 @@ def test_tail_limit_keeps_the_newest_records_after_interleaving():
 
 
 def test_disabled_recorder_journals_nothing_and_returns_minus_one():
-    rec = FlightRecorder(enabled=False)
+    rec = FlightRecorder()
+    rec.enabled = False
     assert rec.record("service", "e", {"x": 1}) == -1
     assert len(rec) == 0
     assert rec.tail() == []

@@ -137,6 +137,28 @@ def test_cold_then_warm_and_both_paths_execute_correctly():
         assert fabric.metrics.value("fabric.published") == 1
 
 
+def test_request_costs_are_pinned_in_absolute_cycles():
+    """The modelled costs EXT-7 reads.  A 128-byte request envelope on
+    a clean link costs the route lookup plus one delivery, 40 + 600 +
+    128 / 8 x 2 = 672 cycles, cold or warm; a request to a stalled owner
+    costs the route lookup plus the link's timeout, 40 + 2 400."""
+    with RewriteFabric(
+        SOURCE, shards=2, seed=5, suspect_after=2.0, dead_after=9.0,
+    ) as fabric:
+        k = _keys_owned_by(fabric, 0, 1)[0]
+        cold = fabric.request("alice", _conf(), "poly", 0, k)
+        fabric.pump()
+        warm = fabric.request("alice", _conf(), "poly", 0, k)
+        assert (cold.outcome, cold.cycles) == ("cold", 672)
+        assert (warm.outcome, warm.cycles) == ("warm", 672)
+        fabric.stall_shard(0)
+        fabric.pump(2)
+        assert fabric.shards[0].state == SHARD_SUSPECT
+        stalled = fabric.request("alice", _conf(), "poly", 0, k)
+        assert (stalled.outcome, stalled.reason) == ("degraded", "shard-stalled")
+        assert stalled.cycles == 2440
+
+
 def test_duplicate_requests_coalesce_at_the_fabric_queue():
     with RewriteFabric(SOURCE, shards=2, seed=5) as fabric:
         first = fabric.request("alice", _conf(), "poly", 0, 3)

@@ -1,10 +1,14 @@
 """RewriteService behaviour: non-blocking misses, publication, coalescing,
-invalidation withdrawal, thread mode, and the DispatchTable itself."""
+invalidation withdrawal, shutdown, and the DispatchTable itself."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
 from repro.core.dispatch import DispatchTable
 from repro.core.manager import SpecializationManager
@@ -47,7 +51,7 @@ def test_dispatch_table_publish_lookup_withdraw():
     assert "k" not in table and len(table) == 1
 
 
-# -------------------------------------------------------------- step mode
+# -------------------------------------------------------------- the queue
 def test_cold_miss_returns_original_and_queues(machine):
     svc = RewriteService(machine)
     original = machine.image.resolve("poly")
@@ -180,14 +184,26 @@ def test_queue_depth_gauge_tracks_pending(machine):
     assert svc.metrics.value("service.queue_depth") == 0
 
 
-def test_rejects_unknown_mode(machine):
-    with pytest.raises(ValueError):
-        RewriteService(machine, mode="fibers")
+def test_the_callers_thread_is_the_only_schedule(machine):
+    """There is no worker pool to configure and no lock to take: queued
+    rewrites run only in ``step``/``drain`` on the caller's thread."""
+    for option in ({"mode": "thread"}, {"max_workers": 2}):
+        with pytest.raises(TypeError):
+            RewriteService(machine, **option)
+    assert not hasattr(RewriteService(machine), "lock")
 
-    svc = RewriteService(machine, mode="thread")
-    with pytest.raises(RuntimeError):
-        svc.step()
-    svc.close()
+
+def test_no_module_under_src_starts_threads():
+    """Why no lock is needed: nothing in the package imports a thread
+    API, so no second thread ever touches a machine."""
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert not imported & {"threading", "_thread", "concurrent.futures"}, path
 
 
 # ------------------------------------------------- satellite regressions
@@ -215,52 +231,6 @@ def test_inflight_released_when_the_worker_crashes(machine):
     assert svc.stats()["coalesced"] == 0
     svc.drain()
     assert svc.request(_poly_conf(), "poly", 0, 3) != original
-
-
-def test_thread_mode_prunes_completed_futures(machine):
-    """The futures list must stay bounded between drains — one live
-    entry per in-flight rewrite, not one per request ever made."""
-    svc = RewriteService(machine, mode="thread", max_workers=1)
-    try:
-        import time
-
-        for k in range(3, 9):
-            svc.request(_poly_conf(), "poly", 0, k)
-            deadline = time.monotonic() + 10
-            while svc.pending() and time.monotonic() < deadline:
-                time.sleep(0.005)
-        # every submitted future completed; the next request compacts
-        svc.request(_poly_conf(), "poly", 0, 99)
-        assert len(svc._futures) == 1, "completed futures must be pruned"
-    finally:
-        svc.close()
-
-
-def test_thread_mode_keeps_crashed_futures_for_drain(machine):
-    """Pruning must not swallow worker crashes: a completed-but-failed
-    future stays queued so drain() still propagates the exception."""
-    svc = RewriteService(machine, mode="thread", max_workers=1)
-    try:
-        import time
-
-        real_get = svc.manager.get
-
-        def crashing_get(conf, fn, *args):
-            raise RuntimeError("injected worker crash")
-
-        svc.manager.get = crashing_get
-        svc.request(_poly_conf(), "poly", 0, 3)
-        deadline = time.monotonic() + 10
-        while svc.pending() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        svc.manager.get = real_get
-        svc.request(_poly_conf(), "poly", 0, 4)  # triggers compaction
-        assert len(svc._futures) == 2, "the crashed future must survive"
-        with pytest.raises(RuntimeError):
-            svc.drain()
-    finally:
-        svc._futures.clear()
-        svc.close()
 
 
 def test_invalidation_racing_a_rewrite_never_publishes_stale(machine):
@@ -301,30 +271,6 @@ def test_invalidation_racing_a_rewrite_never_publishes_stale(machine):
     assert machine.call(fresh, 5, cfg).int_return == 45
 
 
-def test_threaded_publish_withdraw_stress_never_leaves_stale_entries(machine):
-    """Threaded stress of the same race: workers publish while the main
-    thread invalidates.  Invariant after every round: any published key
-    is backed by a live manager cache entry."""
-    svc = RewriteService(machine, mode="thread", max_workers=2)
-    cfg = machine.image.malloc(16)
-    conf = brew_init_conf()
-    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
-    try:
-        for round_no in range(12):
-            machine.memory.write_u64(cfg, 2 + round_no)
-            machine.memory.write_u64(cfg + 8, 10)
-            svc.request(conf.copy(), "apply_cfg", 0, cfg)
-            # invalidate from the main thread while the worker rewrites
-            machine.memory.write_u64(cfg, 99 + round_no)
-            svc.manager.invalidate_memory(cfg, cfg + 8)
-            svc.drain()
-            with svc.lock:
-                stale = [key for key in svc.table._table if key not in svc.manager]
-            assert not stale, f"stale published keys after round {round_no}"
-    finally:
-        svc.close()
-
-
 # ------------------------------------------------------ shutdown contract
 def test_close_is_idempotent_and_detaches_the_listener(machine):
     svc = RewriteService(machine)
@@ -345,18 +291,6 @@ def test_context_manager_closes_and_drains(machine):
     assert svc.stats()["publishes"] == 1
 
 
-def test_thread_mode_close_leaks_no_worker_threads(machine):
-    import threading
-
-    baseline = threading.active_count()
-    with RewriteService(machine, mode="thread", max_workers=3) as svc:
-        for k in (3, 4, 5):
-            svc.request(_poly_conf(), "poly", 0, k)
-    assert svc._executor is None, "the executor must be shut down"
-    assert threading.active_count() == baseline, "worker threads leaked"
-    assert svc.stats()["publishes"] == 3
-
-
 def test_closed_service_does_not_hear_manager_invalidations(machine):
     """A shared manager outliving the service must not fire withdrawals
     into the dead service's dispatch table."""
@@ -375,20 +309,3 @@ def test_closed_service_does_not_hear_manager_invalidations(machine):
     assert svc.manager.invalidate_memory(cfg, cfg + 8) == 1
     assert svc.stats()["withdrawn"] == 0, "a closed service hears nothing"
     assert len(svc.table) == published
-
-
-# ------------------------------------------------------------ thread mode
-def test_thread_mode_publishes_after_drain(machine):
-    svc = RewriteService(machine, mode="thread", max_workers=2)
-    try:
-        original = machine.image.resolve("poly")
-        entries = [svc.request(_poly_conf(), "poly", 0, k) for k in (3, 4, 5)]
-        assert all(e == original for e in entries)
-        svc.drain()
-        for k in (3, 4, 5):
-            warm = svc.request(_poly_conf(), "poly", 0, k)
-            assert warm != original
-            assert machine.call(warm, 5, k).int_return == 5 * k + k
-        assert svc.stats()["publishes"] == 3
-    finally:
-        svc.close()
