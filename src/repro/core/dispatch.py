@@ -21,7 +21,6 @@ from repro.asm.builder import Builder
 from repro.core.api import brew_init_conf, brew_rewrite, brew_setpar
 from repro.core.config import BREW_KNOWN, RewriteConfig
 from repro.core.rewriter import RewriteResult
-from repro.isa.operands import Mem
 
 
 @dataclass
@@ -41,33 +40,18 @@ def build_guard_stub(
     param: int,
     value: int,
     specialized_entry: int,
-    *,
-    epoch_cell: int | None = None,
-    epoch: int | None = None,
 ) -> int:
     """Emit ``if (argN == value) goto specialized else goto original``.
 
     ``param`` is 1-based and must be an integer parameter (the guard
     compares a GPR).  Returns the stub's address.
-
-    With ``epoch_cell``/``epoch`` (from a
-    :class:`~repro.core.manager.SpecializationManager`), the stub first
-    checks the known-memory epoch: ``if ([epoch_cell] != epoch) goto
-    original``.  Invalidation bumps the cell, so a stub guarding a
-    variant whose known data has since mutated falls back to the
-    original in one compare instead of dispatching to stale code.
     """
     image = machine.image
     original = image.resolve(fn)
     if not 1 <= param <= len(INT_ARG_REGS):
         raise RewriteFailure("bad-guard", f"cannot guard parameter {param}")
-    if (epoch_cell is None) != (epoch is None):
-        raise RewriteFailure("bad-guard", "epoch_cell and epoch go together")
     reg = INT_ARG_REGS[param - 1]
     b = Builder()
-    if epoch_cell is not None:
-        b.cmp(Mem(disp=epoch_cell), epoch)
-        b.jne("original")
     b.cmp(reg, value)
     b.jne("original")
     b.jmp("specialized")
@@ -94,7 +78,6 @@ def specialize_hot_param(
     conf: RewriteConfig | None = None,
     example_args: tuple = (),
     supervisor=None,
-    manager=None,
 ) -> GuardedSpecialization | None:
     """Profile-guided guarded specialization of one integer parameter.
 
@@ -106,8 +89,7 @@ def specialize_hot_param(
 
     ``supervisor`` (a :class:`~repro.core.resilience.RewriteSupervisor`)
     routes the rewrite through the degradation ladder and validation
-    gate; ``manager`` (a :class:`~repro.core.manager.SpecializationManager`)
-    adds its known-memory epoch check to the emitted guard stub.
+    gate.
     """
     hot = profile.hot_value(param, min_share)
     if hot is None:
@@ -129,12 +111,7 @@ def specialize_hot_param(
         result = brew_rewrite(machine, conf, original, *args)
     if not result.ok:
         return None
-    epoch_kwargs = {}
-    if manager is not None:
-        epoch_kwargs = {"epoch_cell": manager.epoch_cell, "epoch": manager.epoch}
-    stub = build_guard_stub(
-        machine, original, param, hot, result.entry, **epoch_kwargs
-    )
+    stub = build_guard_stub(machine, original, param, hot, result.entry)
     return GuardedSpecialization(
         entry=stub, guard_param=param, guard_value=hot,
         specialized=result, original=original,

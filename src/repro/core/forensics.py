@@ -461,12 +461,12 @@ def fabric_evidence(
 class ForensicsHub:
     """The capture side of Layer 5: one journal, one bundle store.
 
-    Layers journal through :meth:`journal` (a no-op when the recorder is
-    disabled) and call a ``capture_*`` method at the moment a tagged
-    failure fires.  Every capture seals a :class:`CrashBundle`
-    (fingerprint included), files it on :attr:`bundles` (bounded by
-    ``KEEP_BUNDLES``), charges ``forensics.*`` counters, and — when
-    ``out_dir`` is set — persists it via :func:`save_bundle`.
+    Layers journal through :meth:`journal` and call a ``capture_*``
+    method at the moment a tagged failure fires.  Every capture seals a
+    :class:`CrashBundle` (fingerprint included), files it on
+    :attr:`bundles` (bounded by ``KEEP_BUNDLES``), charges
+    ``forensics.*`` counters, and — when ``out_dir`` is set — persists
+    it via :func:`save_bundle`.
 
     The hub is strictly opt-in: every wired layer takes
     ``forensics=None`` and behaves exactly as before when none is given,
@@ -491,11 +491,8 @@ class ForensicsHub:
 
     # ---------------------------------------------------------- journaling
     def journal(self, channel: str, event: str, payload: dict | None = None) -> None:
-        """Journal one event on the flight recorder (cheap no-op when
-        the recorder is disabled)."""
-        recorder = self.recorder
-        if recorder.enabled:
-            recorder.record(channel, event, payload)
+        """Journal one event on the flight recorder."""
+        self.recorder.record(channel, event, payload)
 
     # ------------------------------------------------------------- capture
     def _file(self, bundle: CrashBundle) -> CrashBundle:

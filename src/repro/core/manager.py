@@ -13,9 +13,9 @@ trigger a new specialization whenever the domain map is changed").
 * ``get`` returns a cached drop-in pointer or rewrites on miss;
 * ``invalidate_memory(start, end)`` drops variants whose known-memory
   ranges overlap a mutated region (the redistribute trigger) and bumps
-  the **known-memory epoch** — a data cell that guard stubs built via
-  :func:`repro.core.dispatch.build_guard_stub` check before dispatching
-  to a variant, so stale stubs fall back to the original in one compare;
+  the **known-memory epoch**, a counter that a persisted snapshot
+  records, so a snapshot taken before an invalidation restores nothing
+  (:mod:`repro.core.persist`);
 * failures are **quarantined with backoff** rather than pinned forever:
   a failed rewrite is served from cache while its backoff window is
   open, then retried; repeated failures back off exponentially.  A
@@ -205,10 +205,9 @@ class SpecializationManager:
         #: back to the rewrite allocator when it is the latest one.
         self._code_index: dict[str, tuple[int, str]] = {}
         self._listeners: list[Callable[[list[tuple]], None]] = []
-        #: Monotone counter bumped on every invalidation; mirrored into
-        #: :attr:`epoch_cell` so guard stubs can check it in one compare.
+        #: Monotone counter bumped on every invalidation; snapshots
+        #: record it, and a restore rejects one from an older epoch.
         self.epoch = 1
-        self._epoch_cell: int | None = None
 
     # ------------------------------------------------------------- internal
     def _do_rewrite(self, conf: RewriteConfig, fn, *args) -> RewriteResult:
@@ -287,25 +286,6 @@ class SpecializationManager:
         )
 
     # ------------------------------------------------------------------ api
-    @property
-    def epoch_cell(self) -> int:
-        """Address of the 8-byte known-memory epoch cell (lazily
-        allocated on the machine's heap and kept equal to ``epoch``)."""
-        if self._epoch_cell is None:
-            self._epoch_cell = self.machine.image.malloc(8)
-            self._write_epoch()
-        return self._epoch_cell
-
-    def _write_epoch(self) -> None:
-        self.machine.image.poke(
-            self._epoch_cell, (self.epoch & 0xFFFFFFFF).to_bytes(8, "little")
-        )
-
-    def _bump_epoch(self) -> None:
-        self.epoch += 1
-        if self._epoch_cell is not None:
-            self._write_epoch()
-
     def get(self, conf: RewriteConfig, fn, *args) -> RewriteResult:
         """A (possibly cached) rewrite of ``fn`` under ``conf``.
 
@@ -473,11 +453,11 @@ class SpecializationManager:
 
     def invalidate_memory(self, start: int, end: int) -> int:
         """Drop every cached variant whose known memory overlaps
-        ``[start, end)`` and bump the epoch (stale guard stubs start
-        falling back to the original); returns how many were dropped."""
+        ``[start, end)`` and bump the epoch; returns how many were
+        dropped."""
         stale = [k for k, e in self._cache.items() if e.overlaps(start, end)]
         self._evict(stale)
-        self._bump_epoch()
+        self.epoch += 1
         self.metrics.inc("manager.invalidations")
         return len(stale)
 
@@ -486,7 +466,7 @@ class SpecializationManager:
         addr = self.machine.image.resolve(fn)
         stale = [k for k in self._cache if k[0] == addr]
         self._evict(stale)
-        self._bump_epoch()
+        self.epoch += 1
         self.metrics.inc("manager.invalidations")
         return len(stale)
 

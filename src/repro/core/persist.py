@@ -277,10 +277,10 @@ def load_manager(manager, path: str | Path) -> RestoreReport:
             continue
         (report.restored_ok if ok else report.restored_failed).append(key)
         metrics.inc("snapshot.restored")
-    # the restored epoch only ratchets forward: guard stubs emitted
-    # against a pre-crash epoch must never match a *smaller* live value
+    # the restored epoch only ratchets forward: a snapshot this manager
+    # could write before a later invalidation must still read as older
+    # than the live epoch (``snapshot-stale``), and ``stats()["epoch"]``
+    # never moves back
     if report.epoch > manager.epoch:
         manager.epoch = report.epoch
-        if manager._epoch_cell is not None:
-            manager._write_epoch()
     return report

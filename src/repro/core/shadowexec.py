@@ -215,7 +215,7 @@ class ShadowSampler:
     def _journal(self, event: str, payload: dict) -> None:
         """Record one anomaly on the ``machine`` channel (no-op without
         a recorder; matches are never journaled, only anomalies)."""
-        if self.recorder is not None and self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record("machine", event, payload)
 
     def _compare(self, want: _Observation, run, args: tuple) -> str | None:

@@ -13,7 +13,7 @@ from repro.machine.memory import Memory, Segment, Perm
 from repro.machine.image import Image, LAYOUT
 from repro.machine.perf import PerfCounters
 from repro.machine.cpu import CPU, CallFrameInfo
-from repro.machine.blockjit import BlockJIT, CompiledBlock, enable_blockjit
+from repro.machine.blockjit import BlockJIT, CompiledBlock
 from repro.machine.link import (
     CircuitBreaker, FaultProfile, Link, TransferManager, TransferReport,
 )
@@ -21,7 +21,7 @@ from repro.machine.link import (
 __all__ = [
     "Memory", "Segment", "Perm", "Image", "LAYOUT", "PerfCounters",
     "CPU", "CallFrameInfo",
-    "BlockJIT", "CompiledBlock", "enable_blockjit",
+    "BlockJIT", "CompiledBlock",
     "CircuitBreaker", "FaultProfile", "Link", "TransferManager",
     "TransferReport",
 ]

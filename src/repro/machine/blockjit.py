@@ -29,9 +29,13 @@ locals and inline arithmetic, so one set of translators serves both.
 Compiled blocks live in a **code cache** keyed by start address and are
 chained: once block A has fallen through or jumped to block B, A
 remembers B and the dispatch loop follows the link without a cache
-lookup.  Architectural results (registers, memory, ``perf`` counters,
-return values) are bit-for-bit identical to the interpreter on every
-run that completes without a fault; EXT-10 and
+lookup.  That loop (:meth:`BlockJIT.loop`) is the only one of both
+tiers: the tier-2 trace JIT (:mod:`.tracejit`) adds its back-edge
+profile and trace entries to it, and tier 1 pays only a flag test per
+block and a threshold test per backward transition for them.
+Architectural results (registers, memory, ``perf`` counters, return
+values) are bit-for-bit identical to the interpreter on every run that
+completes without a fault; EXT-10 and
 ``tests/machine/test_tier_parity.py`` assert this.
 
 Invalidation contract
@@ -96,6 +100,12 @@ MAX_BLOCK_INSNS = 64
 #: ``compile()`` outputs one JIT keeps for reuse (both tiers); the
 #: oldest entry goes first when the memo is full.
 MAX_CODE_MEMO = 512
+
+#: Trace deactivation in the dispatch loop: after this many consecutive
+#: side exits of an installed trace, ...
+DEACT_MIN_EXITS = 8
+#: ... each yielding fewer iterations than this.
+DEACT_ITERS_PER_EXIT = 2
 
 _RSP = int(GPR.RSP)
 _RAX = int(GPR.RAX)
@@ -836,6 +846,11 @@ class BlockJIT:
     cache can never serve a block whose bytes were re-poked.
     """
 
+    #: Chained back-edges into one target before the dispatch loop
+    #: promotes it to a trace; 0 turns profiling off, as tier 1 has no
+    #: trace former (the trace JIT sets its own).
+    hot_threshold = 0
+
     def __init__(self, cpu: CPU) -> None:
         self.cpu = cpu
         self.cache: dict[int, CompiledBlock] = {}
@@ -999,12 +1014,18 @@ class BlockJIT:
 
     # ----------------------------------------------------------------- loop
     def loop(self, max_steps: int) -> int:
-        """Run until halt (same contract as :meth:`CPU._interp_loop`)."""
+        """Run until halt (same contract as :meth:`CPU._interp_loop`).
+
+        The one dispatch loop of both tiers: trace entries
+        (``is_trace``) and back-edge profiling (off while
+        :attr:`hot_threshold` is 0) serve only the trace JIT."""
         cpu = self.cpu
         cache = self.cache
         halt = LAYOUT.halt_addr
         steps = 0
         hits = follows = 0
+        hot_at = self.hot_threshold
+        hot = self._hot if hot_at else None
         try:
             gen = self.gen
             pc = cpu.pc
@@ -1024,16 +1045,44 @@ class BlockJIT:
                         # hand the tail to the interpreter so max_steps
                         # exhaustion faults on exactly the same step
                         return cpu._interp_loop(max_steps, steps)
-                    pc = blk.run(cpu)
-                    ran = cpu._ran_partial
-                    if ran is None:
-                        steps += blk.n_insns
-                    else:
-                        # the block left through its code-write exit
-                        # after `ran` of its instructions (self-
-                        # modification): charge only what executed
+                    if blk.is_trace:
+                        # budget >= n_insns (checked above), so the
+                        # iteration cap is >= 1 and the trace can never
+                        # overstep max_steps; _ran_partial is the exact
+                        # executed instruction count.
+                        pc = blk.run(cpu, max_steps - steps)
+                        ran = cpu._ran_partial
                         steps += ran
                         cpu._ran_partial = None
+                        if not ran:
+                            # Zero progress: a call guard at the head
+                            # failed before the first instruction, and
+                            # re-entering would fail the same way
+                            # forever.  Tier 1 runs the head instead.
+                            self._deactivate(blk)
+                        elif pc != blk.addr:
+                            # Side exit.  A run of DEACT_MIN_EXITS
+                            # consecutive entries each yielding fewer
+                            # than DEACT_ITERS_PER_EXIT iterations means
+                            # the profile has shifted: deactivate and
+                            # let re-profiling pick the new version.
+                            if ran < DEACT_ITERS_PER_EXIT * blk.n_insns:
+                                blk.lowrun += 1
+                                if blk.lowrun >= DEACT_MIN_EXITS:
+                                    self._deactivate(blk)
+                            else:
+                                blk.lowrun = 0
+                    else:
+                        pc = blk.run(cpu)
+                        ran = cpu._ran_partial
+                        if ran is None:
+                            steps += blk.n_insns
+                        else:
+                            # the block left through its code-write exit
+                            # after `ran` of its instructions (self-
+                            # modification): charge only what executed
+                            steps += ran
+                            cpu._ran_partial = None
                     if pc == halt:
                         return steps
                     if self.gen != gen:
@@ -1057,15 +1106,18 @@ class BlockJIT:
                         ent[1] += 1
                         follows += 1
                         nxt = ent[0]
+                    if pc <= blk.addr and hot_at and not nxt.is_trace:
+                        # a back-edge: count it toward promoting its target
+                        n = hot.get(pc, 0) + 1
+                        if n >= hot_at:
+                            hot[pc] = 0
+                            if pc not in self._no_trace:
+                                t = self._promote(pc)
+                                if t is not None:
+                                    nxt = t
+                        else:
+                            hot[pc] = n
                     blk = nxt
         finally:
             self.hits += hits
             self.chain_follows += follows
-
-
-def enable_blockjit(machine) -> BlockJIT:
-    """Attach a :class:`BlockJIT` to ``machine`` (idempotent)."""
-    jit = machine.cpu.jit
-    if jit is None:
-        jit = BlockJIT(machine.cpu)
-    return jit

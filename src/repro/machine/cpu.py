@@ -227,19 +227,14 @@ class CPU:
             else:
                 raise CpuError(f"unsupported argument {arg!r}")
 
-    def run(
-        self,
-        entry: int | str,
-        *args,
-        max_steps: int = 200_000_000,
-        reset_regs: bool = True,
-    ) -> RunResult:
-        """Call the function at ``entry`` with ``args`` and run to return."""
+    def run(self, entry: int | str, *args,
+            max_steps: int = 200_000_000) -> RunResult:
+        """Call the function at ``entry`` with ``args`` and run to return,
+        starting from zeroed registers and flags."""
         entry_addr = self.image.resolve(entry)
-        if reset_regs:
-            self.regs = [0] * 16
-            self.xmm = [[0.0, 0.0] for _ in range(16)]
-            self.flags = dict.fromkeys(_FLAGS, False)
+        self.regs = [0] * 16
+        self.xmm = [[0.0, 0.0] for _ in range(16)]
+        self.flags = dict.fromkeys(_FLAGS, False)
         self.setup_args(tuple(args))
         self.regs[GPR.RSP] = self.image.initial_rsp
         # push the halt sentinel as the return address

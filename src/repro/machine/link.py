@@ -148,6 +148,11 @@ class Link:
         """Whether the link is currently in a latched partition."""
         return self._partition_left > 0
 
+    def partition(self, attempts: int) -> None:
+        """Take the link down for its next ``attempts`` attempts (an
+        operator pulling the cable), leaving its fault profile as it is."""
+        self._partition_left = attempts
+
     def heal(self) -> None:
         """Lift a latched partition (an operator fixing the cable)."""
         self._partition_left = 0

@@ -7,11 +7,14 @@ to the ``regs`` list, flags to the ``flags`` dict) at every block
 boundary.  On a hot loop of three small blocks that boundary tax is most
 of the remaining runtime.
 
-This module adds tier 2.  The dispatch loop counts **back-edges**
-(chained transitions to a lower or equal address) as a lightweight
-profile; when a target crosses ``hot_threshold`` the trace former walks
-the tier-1 chain graph from that head, following the *hottest* observed
-successor edge of each block, until the path closes back on the head.
+This module adds tier 2.  It has no dispatch loop of its own: it runs
+tier 1's (:meth:`BlockJIT.loop <repro.machine.blockjit.BlockJIT.loop>`),
+which for a trace JIT counts **back-edges** (chained transitions to a
+lower or equal address) as a lightweight profile and runs installed
+trace entries.  When a target crosses ``hot_threshold`` the trace
+former walks the tier-1 chain graph from that head, following the
+*hottest* observed successor edge of each block, until the path closes
+back on the head.
 The walk follows guest calls: a CALL/CALLI continues into the callee the
 graph observed, a RET at the return address of the matching call on the
 path, and the path must be call-balanced where it closes (a helper
@@ -72,9 +75,10 @@ Multi-version traces: each head keeps up to :data:`MAX_VERSIONS`
 compiled traces keyed by the **signature** of the path: the
 taken/not-taken decision of every branch and the recorded target of
 every call along it.  When the profile shifts, the installed trace
-starts exiting early; the dispatch loop notices (:data:`DEACT_MIN_EXITS`
-consecutive low-yield exits), deactivates it — the head's tier-1 block,
-kept by the entry, goes back into the cache — re-profiles, and installs
+starts exiting early; the dispatch loop notices
+(:data:`repro.machine.blockjit.DEACT_MIN_EXITS` consecutive low-yield
+exits), deactivates it — the head's tier-1 block, kept by the entry,
+goes back into the cache — re-profiles, and installs
 — or reuses — the version matching the new signature, so a callee
 respecialized at a new address gets a version of its own.  A head whose
 table is full evicts its oldest version to make room; a version rebuilt
@@ -121,7 +125,6 @@ from repro.machine.blockjit import (
     BlockJIT,
 )
 from repro.machine.cpu import CPU
-from repro.machine.image import LAYOUT
 from repro.machine.memory import Perm, Segment
 
 #: Back-edge executions of one target pc before trace formation runs.
@@ -133,10 +136,6 @@ MAX_TRACE_BLOCKS = 16
 MAX_TRACE_INSNS = 384
 #: Compiled versions kept per head address.
 MAX_VERSIONS = 4
-#: Deactivation: after this many consecutive side exits, ...
-DEACT_MIN_EXITS = 8
-#: ... each yielding fewer iterations than this.
-DEACT_ITERS_PER_EXIT = 2
 
 #: Loop-exit guard expressions under a *deferred* CMP (``_ga - _gb``):
 #: each condition over the four flags, rewritten as a direct comparison
@@ -246,7 +245,8 @@ class TraceEntry:
         self.displaced = displaced
         #: Consecutive low-yield side exits (a sliding signal, not an
         #: install-anchored average: a long healthy phase must not mask
-        #: a profile shift — see the deactivation check in ``loop``).
+        #: a profile shift — see the deactivation check in
+        #: :meth:`BlockJIT.loop`).
         self.lowrun = 0
 
 
@@ -721,13 +721,15 @@ class _TraceCompiler(_BlockCompiler):
 
 
 class TraceJIT(BlockJIT):
-    """Tier-1 engine plus back-edge profiling, trace formation,
-    multi-version installation, and trace-aware dispatch.
+    """Tier-1 engine plus trace formation and multi-version
+    installation.
 
     Construction attaches to the cpu exactly like :class:`BlockJIT`
-    (it *is* one); the overridden loop adds a hot-target counter on
-    chained back-edges and dispatches installed traces with the
-    remaining step budget.
+    (it *is* one), and it runs tier 1's dispatch loop
+    (:meth:`BlockJIT.loop`): a ``hot_threshold`` above 0 turns on that
+    loop's back-edge profile, which calls :meth:`_promote`, and the
+    loop runs installed entries with the remaining step budget and
+    calls :meth:`_deactivate` on low-yield ones.
     """
 
     def __init__(self, cpu: CPU, *,
@@ -980,115 +982,3 @@ class TraceJIT(BlockJIT):
             "installed_traces": len(self._installed),
         })
         return s
-
-    # ----------------------------------------------------------------- loop
-    def loop(self, max_steps: int) -> int:
-        """Tier-1 dispatch loop plus: back-edge profiling on chained
-        transitions, promotion at the hot threshold, budgeted trace
-        dispatch, and exit-rate-based deactivation."""
-        cpu = self.cpu
-        cache = self.cache
-        halt = LAYOUT.halt_addr
-        steps = 0
-        hits = follows = 0
-        hot = self._hot
-        hot_at = self.hot_threshold
-        try:
-            gen = self.gen
-            pc = cpu.pc
-            while True:
-                if pc == halt:
-                    return steps
-                if steps >= max_steps:
-                    return cpu._interp_loop(max_steps, steps)
-                blk = cache.get(pc)
-                if blk is None:
-                    blk = self._compile(pc)
-                else:
-                    hits += 1
-                while True:
-                    if steps + blk.n_insns > max_steps:
-                        return cpu._interp_loop(max_steps, steps)
-                    if blk.is_trace:
-                        # budget >= n_insns (checked above), so the
-                        # iteration cap is >= 1 and the trace can never
-                        # overstep max_steps; _ran_partial is the exact
-                        # executed instruction count.
-                        pc = blk.run(cpu, max_steps - steps)
-                        ran = cpu._ran_partial
-                        steps += ran
-                        cpu._ran_partial = None
-                        if not ran:
-                            # Zero progress: a call guard at the head
-                            # failed before the first instruction, and
-                            # re-entering would fail the same way
-                            # forever.  Tier 1 runs the head instead.
-                            self._deactivate(blk)
-                        elif pc != blk.addr:
-                            # Side exit.  A run of DEACT_MIN_EXITS
-                            # consecutive entries each yielding fewer
-                            # than DEACT_ITERS_PER_EXIT iterations means
-                            # the profile has shifted: deactivate and
-                            # let re-profiling pick the new version.
-                            if ran < DEACT_ITERS_PER_EXIT * blk.n_insns:
-                                blk.lowrun += 1
-                                if blk.lowrun >= DEACT_MIN_EXITS:
-                                    self._deactivate(blk)
-                            else:
-                                blk.lowrun = 0
-                    else:
-                        pc = blk.run(cpu)
-                        ran = cpu._ran_partial
-                        if ran is None:
-                            steps += blk.n_insns
-                        else:
-                            steps += ran
-                            cpu._ran_partial = None
-                    if pc == halt:
-                        return steps
-                    if self.gen != gen:
-                        gen = self.gen
-                        break
-                    ent = blk.links.get(pc)
-                    if ent is None:
-                        if steps >= max_steps:
-                            return cpu._interp_loop(max_steps, steps)
-                        nxt = cache.get(pc)
-                        if nxt is None:
-                            nxt = self._compile(pc)
-                        else:
-                            hits += 1
-                        if pc in cache:  # an uncached step gets no link
-                            blk.links[pc] = [nxt, 0]
-                    else:
-                        ent[1] += 1
-                        follows += 1
-                        nxt = ent[0]
-                    if pc <= blk.addr and not nxt.is_trace:
-                        n = hot.get(pc, 0) + 1
-                        if n >= hot_at:
-                            hot[pc] = 0
-                            if pc not in self._no_trace:
-                                t = self._promote(pc)
-                                if t is not None:
-                                    nxt = t
-                        else:
-                            hot[pc] = n
-                    blk = nxt
-        finally:
-            self.hits += hits
-            self.chain_follows += follows
-
-
-def enable_tracejit(machine, **tuning) -> TraceJIT:
-    """Attach a :class:`TraceJIT` to ``machine`` (idempotent).
-    ``tuning`` forwards threshold overrides (``hot_threshold=4`` makes
-    tests and torture sweeps promote aggressively)."""
-    jit = machine.cpu.jit
-    if jit is None:
-        jit = TraceJIT(machine.cpu, **tuning)
-    elif not isinstance(jit, TraceJIT):
-        raise RuntimeError(
-            "a tier-1 BlockJIT is already attached; enable the trace "
-            "tier first (enable_jit(trace=True)) or use a fresh machine")
-    return jit

@@ -23,11 +23,9 @@ from repro.machine.memory import Memory
 class Machine:
     """A complete simulated host: memory image and one CPU."""
 
-    def __init__(self, costs: CostModel | None = None, jit: bool = False) -> None:
+    def __init__(self, costs: CostModel | None = None) -> None:
         self.image = Image(Memory())
         self.cpu = CPU(self.image, costs)
-        if jit:
-            self.enable_jit()
 
     @property
     def memory(self) -> Memory:
@@ -40,19 +38,29 @@ class Machine:
         return self.cpu.jit
 
     def enable_jit(self, trace: bool = False, **tuning):
-        """Attach the tier-1 block-compiling engine (idempotent).  With
-        ``trace=True`` attach the tier-2 trace JIT instead — a
+        """Attach the tier-1 block-compiling engine and return it; the
+        one way to attach an engine.  With ``trace=True`` attach the
+        tier-2 trace JIT instead — a
         :class:`~repro.machine.tracejit.TraceJIT`, which contains tier 1
         and adds hot-cycle superblock traces; ``tuning`` forwards its
-        threshold overrides.  See :mod:`repro.machine.blockjit` and
+        threshold overrides (``hot_threshold=4, min_edge=1`` makes tests
+        and torture sweeps promote aggressively).  Idempotent: an
+        attached engine is returned as it is, except that asking for the
+        trace tier on a machine running tier 1 raises ``RuntimeError``.
+        See :mod:`repro.machine.blockjit` and
         :mod:`repro.machine.tracejit` for the invalidation contract."""
-        if trace:
-            from repro.machine.tracejit import enable_tracejit
+        from repro.machine.blockjit import BlockJIT
+        from repro.machine.tracejit import TraceJIT
 
-            return enable_tracejit(self, **tuning)
-        from repro.machine.blockjit import enable_blockjit
-
-        return enable_blockjit(self)
+        jit = self.cpu.jit
+        if jit is None:
+            return (TraceJIT(self.cpu, **tuning) if trace
+                    else BlockJIT(self.cpu))
+        if trace and not isinstance(jit, TraceJIT):
+            raise RuntimeError(
+                "a tier-1 BlockJIT is already attached; enable the trace "
+                "tier first (enable_jit(trace=True)) or use a fresh machine")
+        return jit
 
     def load(self, source: str, opt: int = 2, unit: str = "<unit>"):
         """Compile minic ``source`` at optimization level ``opt`` and link

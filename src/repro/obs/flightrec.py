@@ -19,11 +19,11 @@ Design constraints, in priority order:
   (``collections.deque(maxlen=...)``); a chatty layer can never grow the
   journal without bound.  Overwritten records are counted, not silently
   forgotten.
-* **Near-zero cost when disabled** — :meth:`FlightRecorder.record`
-  returns after one attribute test.  The hot warm-dispatch path of the
-  rewrite service never records at all (anomalies and state changes are
-  journaled, steady-state hits are not), so the recorder's tax on warm
-  latency is bounded by EXT-9's ≤ 5 % check.
+* **Off the hot path** — the warm-dispatch path of the rewrite service
+  never records at all (anomalies and state changes are journaled,
+  steady-state hits are not), so the recorder's tax on warm latency is
+  bounded by EXT-9's ≤ 5 % check.  A layer without a recorder attached
+  (a service whose ``forensics`` is ``None``) journals nothing.
 
 Payloads must be JSON-able (ints, floats, strings, lists, dicts): they
 are persisted verbatim into ``REPRO-BUNDLE`` records and replayed.
@@ -45,15 +45,12 @@ DEFAULT_CAPACITY = 256
 class FlightRecorder:
     """Per-channel bounded journals with one global sequence counter.
 
-    ``enabled`` gates everything: a disabled recorder's :meth:`record`
-    is a single attribute test and a return.  ``capacity`` bounds each
-    channel's ring independently.
+    ``capacity`` bounds each channel's ring independently.
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity is 1-based")
-        self.enabled = True
         self.capacity = capacity
         self._seq = 0
         self._rings: dict[str, deque] = {
@@ -65,11 +62,9 @@ class FlightRecorder:
 
     # ------------------------------------------------------------ recording
     def record(self, channel: str, event: str, payload: dict | None = None) -> int:
-        """Journal one event; returns its sequence number (-1 when
-        disabled).  ``payload`` must be JSON-able — it is persisted
-        verbatim into crash bundles."""
-        if not self.enabled:
-            return -1
+        """Journal one event; returns its sequence number.  ``payload``
+        must be JSON-able — it is persisted verbatim into crash
+        bundles."""
         ring = self._rings[channel]
         if len(ring) == ring.maxlen:
             self.dropped[channel] += 1

@@ -63,7 +63,7 @@ from pathlib import Path
 from repro.core.manager import SpecializationManager, portable_key
 from repro.errors import RewriteFailure
 from repro.machine import link as interconnect
-from repro.machine.link import FaultProfile, TransferManager
+from repro.machine.link import TransferManager
 from repro.machine.vm import Machine
 from repro.obs import Metrics
 from repro.service.rewrite_service import RewriteService
@@ -198,9 +198,11 @@ class RewriteShard:
         """Run one dequeued rewrite to completion on this shard's
         private service (the ``shard-crash`` injection seam; an
         exception escaping here is *this shard dying*, which the fabric
-        converts into a failover, never into a wrong answer)."""
-        conf, fn, args = work
-        self.service.request(conf, fn, *args)
+        converts into a failover, never into a wrong answer).  ``work``
+        carries the manager key the fabric already derived, so the
+        service dispatches on it instead of deriving it again."""
+        key, conf, fn, args = work
+        self.service._dispatch(key, conf, fn, args)
         self.service.drain()
 
     def queue_depth(self, tenant: str | None = None) -> int:
@@ -563,7 +565,7 @@ class RewriteFabric:
         shard.queued_digests.discard(digest)
         published_before = shard.service.table.lookup(key)
         try:
-            shard.perform((conf, fn, args))
+            shard.perform((key, conf, fn, args))
         except Exception as exc:  # the bulkhead: a crash is contained
             self.metrics.inc("fabric.crashes")
             self._declare_dead(shard, f"crash: {exc}")
@@ -695,11 +697,11 @@ class RewriteFabric:
         self.shards[index].stalled = False
 
     def partition_shard(self, index: int, attempts: int = 6) -> None:
-        """Partition the link to a shard for ``attempts`` transfer
-        attempts (latched, exactly like an organic partition)."""
-        link = self.transfers.link_for(self._node(self.shards[index]))
-        link.faults = FaultProfile(partition_attempts=attempts)
-        link.force_fault(b"", "partition")
+        """Partition the link to a shard for its next ``attempts``
+        transfer attempts (latched, like an organic partition); the
+        link's fault profile stays as it is."""
+        self.transfers.link_for(self._node(self.shards[index])).partition(
+            attempts)
 
     def heal_shard(self, index: int) -> None:
         """Lift a partition on a shard's link."""

@@ -1,5 +1,6 @@
 """Resilience under induced failure: fault injection, the degradation
-ladder, the differential validation gate, quarantine and epoch guards.
+ladder, the differential validation gate, quarantine and guarded
+dispatch.
 
 The contract under test is the paper's Sec. III.G taken seriously: any
 failure anywhere in the rewrite pipeline — including induced ones in
@@ -18,7 +19,7 @@ from repro.asm.assembler import assemble
 from repro.core import (
     BREW_KNOWN, brew_init_conf, brew_rewrite, brew_setpar, validate_variant,
 )
-from repro.core.dispatch import build_guard_stub, specialize_hot_param
+from repro.core.dispatch import specialize_hot_param
 from repro.core.manager import SpecializationManager
 from repro.core.resilience import RewriteSupervisor
 from repro.core.rewriter import RewriteResult
@@ -354,30 +355,7 @@ def test_unhashable_example_args_fail_gracefully(machine):
     assert again is result
 
 
-# ================================================== epoch guards in dispatch
-def test_epoch_guard_falls_back_after_invalidation(machine):
-    """A guard stub carrying the manager's epoch dispatches to the
-    variant while fresh and to the original once known memory was
-    invalidated — even if the stale variant is garbage by then."""
-    manager = SpecializationManager(machine)
-    conf = known2_conf()
-    result = manager.get(conf, "mul2", 5, 7)
-    assert result.ok
-    stub = build_guard_stub(
-        machine, "mul2", 2, 7, result.entry,
-        epoch_cell=manager.epoch_cell, epoch=manager.epoch,
-    )
-    assert machine.cpu.run(stub, 6, 7).uint_return == 42   # via variant
-    assert machine.cpu.run(stub, 6, 8).uint_return == 48   # via original
-
-    # invalidate: epoch bumps; then corrupt the stale variant to prove
-    # the stub no longer reaches it
-    manager.invalidate_memory(0, 2**48)
-    bad, _ = assemble("mov rax, 999\nret", result.entry)
-    machine.image.poke(result.entry, bad)
-    assert machine.cpu.run(stub, 6, 7).uint_return == 42   # via original
-
-
+# ========================================================= guarded dispatch
 def test_specialize_hot_param_pads_to_profile_width(machine):
     """Satellite fix: example args are padded to cover both the guarded
     slot and every profiled parameter, in all branches."""

@@ -12,7 +12,6 @@ from repro.asm.assembler import assemble
 from repro.core import BREW_KNOWN, brew_init_conf, brew_rewrite, brew_setpar
 from repro.errors import CpuError
 from repro.machine import blockjit
-from repro.machine.blockjit import enable_blockjit
 from repro.machine.vm import Machine
 
 
@@ -24,6 +23,14 @@ def load(image, name, src, extra=None):
     code, _ = assemble(src, base_addr=addr, extra_labels=dict(extra or {}, **image.symbols))
     image.poke(addr, code)
     return addr
+
+
+def machine(jit: bool) -> Machine:
+    """A fresh machine, with the tier-1 engine attached when ``jit``."""
+    m = Machine()
+    if jit:
+        m.enable_jit()
+    return m
 
 
 def fingerprint(machine, result):
@@ -75,7 +82,7 @@ def test_differential_bit_for_bit(name):
     src = PROGRAMS[name]
     interp = Machine()
     interp.load(src)
-    jitted = Machine(jit=True)
+    jitted = machine(True)
     jitted.load(src)
     r_i = interp.call("main")
     r_j = jitted.call("main")
@@ -93,7 +100,7 @@ def test_host_function_parity():
 
     machines = []
     for jit in (False, True):
-        m = Machine(jit=jit)
+        m = machine(jit)
         m.register_host_function("triple", host)
         m.load("extern long triple(long x);"
                " long main() { return triple(7) + triple(10); }")
@@ -117,7 +124,7 @@ def test_host_function_sees_exact_counters_mid_call():
     values = []
     for jit in (False, True):
         seen.clear()
-        m = Machine(jit=jit)
+        m = machine(jit)
         m.register_host_function("probe", probe)
         m.load("extern long probe(long x);"
                " long main() { long i; for (i = 0; i < 3; i = i + 1)"
@@ -128,7 +135,7 @@ def test_host_function_sees_exact_counters_mid_call():
 
 
 def test_chaining_and_hit_counters():
-    m = Machine(jit=True)
+    m = machine(True)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 100; i = i + 1) { t = t + i; } return t; }")
     assert m.call("main").int_return == 4950
@@ -145,7 +152,7 @@ def test_stale_block_never_executes_after_inplace_poke():
     """In-place rewrites of executable bytes (Image.poke) must drop the
     covering compiled block — the next run recompiles from the new
     bytes instead of executing the stale translation."""
-    m = Machine(jit=True)
+    m = machine(True)
     addr = load(m.image, "f", "mov rax, 42\nret")
     assert m.call("f").int_return == 42
     assert m.jit.stats()["cached_blocks"] > 0
@@ -160,7 +167,7 @@ def test_retranslation_of_known_bytes_reuses_compiled_code(monkeypatch):
     code from the JIT's ``compile()`` memo, which drops its oldest entry
     when full."""
     monkeypatch.setattr(blockjit, "MAX_CODE_MEMO", 2)
-    m = Machine(jit=True)
+    m = machine(True)
     addr = load(m.image, "f", "mov rax, 42\nret")
     bodies = {42: m.image.peek(addr, m.image.function_sizes[addr])}
     for value in (7, 9):
@@ -211,7 +218,7 @@ def test_interpreter_cost_recomputed_after_inplace_rewrite():
 def test_max_steps_parity_on_nonterminating_loop():
     msgs = []
     for jit in (False, True):
-        m = Machine(jit=jit)
+        m = machine(jit)
         load(m.image, "spin", "top:\nmov rax, 1\nmov rcx, 2\njmp top")
         with pytest.raises(CpuError) as exc:
             m.call("spin", max_steps=1000)
@@ -224,10 +231,10 @@ def test_max_steps_boundary_exact():
     max_steps=N under both tiers and fail with N-1 under both."""
     results = []
     for jit in (False, True):
-        m = Machine(jit=jit)
+        m = machine(jit)
         m.load("long main() { return 1 + 2; }")
         steps = m.call("main").steps
-        m2 = Machine(jit=jit)
+        m2 = machine(jit)
         m2.load("long main() { return 1 + 2; }")
         ok = m2.call("main", max_steps=steps)
         with pytest.raises(CpuError):
@@ -244,7 +251,7 @@ def test_rewritten_function_runs_under_jit():
            " for (i = 0; i < n; i = i + 1) { t = t + i * s; } return t; }")
     outs = []
     for jit in (False, True):
-        m = Machine(jit=jit)
+        m = machine(jit)
         m.load(src)
         conf = brew_init_conf()
         brew_setpar(conf, 1, BREW_KNOWN)
@@ -257,8 +264,7 @@ def test_rewritten_function_runs_under_jit():
 
 
 def test_jit_stats_count_compiles_follows_and_invalidations():
-    m = Machine()
-    enable_blockjit(m)
+    m = machine(True)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 50; i = i + 1) { t = t + 2; } return t; }")
     m.call("main")
@@ -275,8 +281,7 @@ def test_reuses_counts_chain_follows_as_cache_hits():
     dict-probe hits and chained follows.  The old accounting only bumped
     ``hits``, so a fully-chained hot loop (the common steady state,
     where dispatch never touches the dict) looked like a cold cache."""
-    m = Machine()
-    enable_blockjit(m)
+    m = machine(True)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 80; i = i + 1) { t = t + i; } return t; }")
     m.call("main")
@@ -290,7 +295,7 @@ def test_chain_graph_exposes_edge_frequencies():
     """``chain_graph()`` is the introspection view of the dispatch
     loop's edge profile: every cached block with links appears, edge
     counts match observed follows, and invalidation empties it."""
-    m = Machine(jit=True)
+    m = machine(True)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 60; i = i + 1) { t = t + i; } return t; }")
     m.call("main")
@@ -318,7 +323,7 @@ def test_chain_graph_exposes_edge_frequencies():
 
 
 def test_chain_graph_in_stats():
-    m = Machine(jit=True)
+    m = machine(True)
     m.load("long main() { long i; long t; t = 0;"
            " for (i = 0; i < 40; i = i + 1) { t = t + 1; } return t; }")
     m.call("main")
@@ -328,6 +333,22 @@ def test_chain_graph_in_stats():
 
 
 def test_enable_is_idempotent():
-    m = Machine(jit=True)
+    m = machine(True)
     jit = m.jit
     assert m.enable_jit() is jit
+
+
+def test_enable_jit_is_the_one_way_to_attach_an_engine():
+    """No constructor flag attaches an engine and no run keeps the last
+    run's registers; tier 1 shares the dispatch loop with tier 2 but
+    keeps no back-edge profile."""
+    with pytest.raises(TypeError):
+        Machine(jit=True)
+    m = Machine()
+    load(m.image, "f", "mov rax, rbx\nret")
+    with pytest.raises(TypeError):
+        m.cpu.run("f", reset_regs=False)
+    jit = m.enable_jit()
+    assert type(jit) is blockjit.BlockJIT and jit.hot_threshold == 0
+    m.cpu.regs[3] = 5  # rbx: every run starts from zeroed registers
+    assert m.call("f").int_return == 0

@@ -23,7 +23,7 @@ from repro.errors import CpuError
 from repro.experiments.tracejit_exp import add_jit_counters
 from repro.isa.registers import GPR
 from repro.machine import blockjit, tracejit
-from repro.machine.tracejit import TraceJIT, enable_tracejit
+from repro.machine.tracejit import TraceJIT
 from repro.machine.vm import Machine
 from repro.obs import Metrics
 from tests.machine.test_selfmodify import _call_heap_slot
@@ -200,7 +200,7 @@ def test_multi_version_traces_on_phase_shift(monkeypatch):
     interp.load(src)
     traced = Machine()
     traced.load(src)
-    monkeypatch.setattr(tracejit, "DEACT_MIN_EXITS", 2)
+    monkeypatch.setattr(blockjit, "DEACT_MIN_EXITS", 2)
     traced.enable_jit(trace=True, **HOT)
     for n in (400, 400, 400):
         assert fingerprint(interp, interp.call("f", n)) == fingerprint(
@@ -293,7 +293,7 @@ def test_version_reuse_no_recompile_in_steady_state(monkeypatch):
     """
     m = Machine()
     m.load(src)
-    monkeypatch.setattr(tracejit, "DEACT_MIN_EXITS", 2)
+    monkeypatch.setattr(blockjit, "DEACT_MIN_EXITS", 2)
     m.enable_jit(trace=True, **HOT)
     for _ in range(4):
         m.call("f", 300)
@@ -373,7 +373,7 @@ def test_trace_stats_count_compiles_installs_and_iterations():
     m = Machine()
     m.load("long main() { long t; long i; t = 0;"
            " for (i = 0; i < 300; i = i + 1) { t = t + i; } return t; }")
-    enable_tracejit(m, **HOT)
+    m.enable_jit(trace=True, **HOT)
     m.call("main")
     stats = m.jit.stats()
     assert stats["trace_compiles"] > 0
@@ -414,7 +414,7 @@ def test_ext10_exports_nonzero_cumulative_stats_under_schema_names():
         m = Machine()
         m.load("long main() { long t; long i; t = 0;"
                f" for (i = 0; i < {n}; i = i + 1) {{ t = t + i; }} return t; }}")
-        enable_tracejit(m, **HOT)
+        m.enable_jit(trace=True, **HOT)
         m.call("main")
         jits.append(m.jit)
     head = next(iter(m.jit.versions))
@@ -455,10 +455,12 @@ def test_enable_is_idempotent_and_guards_tier_conflict():
     jit = m.enable_jit(trace=True)
     assert isinstance(jit, TraceJIT)
     assert m.enable_jit(trace=True) is jit
-    m2 = Machine(jit=True)  # tier-1 engine attached
+    m2 = Machine()
+    tier1 = m2.enable_jit()
     m2.load("long main() { return 1; }")
     with pytest.raises(RuntimeError):
-        enable_tracejit(m2)
+        m2.enable_jit(trace=True)
+    assert m2.enable_jit() is tier1
 
 
 #: A hot loop calling a helper once per iteration; ``bump`` is compiled

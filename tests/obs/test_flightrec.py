@@ -48,14 +48,6 @@ def test_tail_limit_keeps_the_newest_records_after_interleaving():
     assert [r["event"] for r in rows] == ["e4", "e5"]
 
 
-def test_disabled_recorder_journals_nothing_and_returns_minus_one():
-    rec = FlightRecorder()
-    rec.enabled = False
-    assert rec.record("service", "e", {"x": 1}) == -1
-    assert len(rec) == 0
-    assert rec.tail() == []
-
-
 def test_payload_defaults_to_empty_dict():
     rec = FlightRecorder()
     rec.record("machine", "e")

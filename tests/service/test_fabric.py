@@ -7,11 +7,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN
+from repro.machine.link import FaultProfile
 from repro.service import (
     RewriteFabric, SHARD_DEAD, SHARD_HEALTHY, SHARD_SUSPECT,
 )
 from repro.service import fabric as fabric_module
-from repro.service.fabric import ROUTE_MEMO_SIZE
+from repro.service.fabric import REQUEST_BYTES, ROUTE_MEMO_SIZE
 from repro.testing import EXPECTED_REASON, FaultInjector
 
 SOURCE = """
@@ -313,6 +314,22 @@ def test_partition_degrades_then_heals_through_the_breaker():
         fabric.pump(3)  # epochs pass; the breaker half-opens
         healed = fabric.request("alice", _conf(), "poly", 0, k)
         assert healed.outcome == "cold"
+
+
+def test_partition_latches_exactly_its_attempts_and_keeps_the_profile():
+    """An operator partition takes the link down for exactly the
+    attempts asked for and leaves the link's fault profile alone, so
+    the next attempt meets the faults the interconnect was given."""
+    with RewriteFabric(SOURCE, shards=2, seed=5) as fabric:
+        transfers = fabric.transfers
+        transfers.set_faults(FaultProfile(drop=1.0))
+        fabric.partition_shard(0, attempts=3)
+        links = [transfers.link_for(fabric._node(s)) for s in fabric.shards]
+        assert links[0].faults == links[1].faults
+        report = transfers.transfer(fabric._node(fabric.shards[0]),
+                                    fabric._stage_src, fabric._stage_dst,
+                                    REQUEST_BYTES)
+        assert report.statuses == ("partition",) * 3 + ("drop",)
 
 
 # ------------------------------------------------------- injection seams

@@ -22,6 +22,7 @@ from repro.core.forensics import ForensicsHub
 from repro.core.resilience import RewriteSupervisor
 from repro.core.shadowexec import ShadowSampler
 from repro.machine.link import Link, TransferManager
+from repro.machine.vm import Machine
 from repro.obs.flightrec import FlightRecorder
 from repro.service import RewriteFabric, RewriteService, RewriteShard
 
@@ -31,8 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "bench", "examples")
 
 AUDITED = (
-    RewriteService, RewriteShard, RewriteFabric, TransferManager, Link,
-    ShadowSampler, RewriteSupervisor, ForensicsHub, FlightRecorder,
+    Machine, RewriteService, RewriteShard, RewriteFabric, TransferManager,
+    Link, ShadowSampler, RewriteSupervisor, ForensicsHub, FlightRecorder,
 )
 
 #: Options no call in ``CALLER_DIRS`` passes, kept on purpose.
