@@ -27,9 +27,11 @@ ONE Python function with
   back only on exit),
 * an internal iteration loop, so one call executes up to
   ``budget // n_insns`` guest iterations with zero dispatch between them,
-* flag-liveness elision across block seams, and CMP/TEST results kept
-  **deferred** (the operands, not the four flags) so loop-exit guards
-  compare values directly,
+* flag-liveness elision across block seams, and the results of
+  CMP/TEST, and of ADD/SUB whose flags are live, kept **deferred** (the
+  operands, not the four flags): a guard after a CMP, TEST or SUB
+  compares the operands directly, and exits, other guards, SETcc and
+  the loop seam build the four flags only where they read them,
 * segment-TLB fields cached in locals (base/end/data/surcharge), so the
   per-access fast path is two integer compares against locals; each
   site keeps the segment it resolved last across entries, so its first
@@ -41,6 +43,14 @@ ONE Python function with
   that lands in that segment reads its cells again, and a host poke
   between calls is read at the next entry, so the local always holds
   the memory's value,
+* **stack forwarding**: ``rsp`` is tracked as an anchor plus a constant
+  offset through push, pop, call, ret and ``add``/``sub``/``lea`` by a
+  constant (any other write starts a new anchor).  Within one
+  iteration, a load of an 8-byte stack slot the iteration stored, in
+  the format it was stored in, reads the value the store kept in a
+  local instead of memory; it is still counted as a load and charged
+  the store site's surcharge.  A store through any other address, or
+  one that partly overlaps the slot, cancels the forward,
 * **guarded side exits**: every on-trace conditional branch checks the
   observed direction and, on disagreement, writes back all live state,
   charges the *exact* interpreter-equivalent perf counters for the
@@ -55,9 +65,10 @@ ONE Python function with
   then performs the call exactly as the interpreter does); otherwise it
   pushes the return address through a store site.  A return pops
   through a load site and exits to the popped address when it is not
-  the recorded return site.  Every exit taken inside a callee appends
-  one ``CallFrameInfo`` per open frame, so ``cpu.call_stack`` matches
-  the interpreter's.
+  the recorded return site; a return whose pop is forwarded from its
+  call's push needs no guard.  Every exit taken inside a callee
+  appends one ``CallFrameInfo`` per open frame, so ``cpu.call_stack``
+  matches the interpreter's.
 
 One emitter serves both tiers.  :class:`_TraceCompiler` runs tier 1's
 per-instruction translators unchanged and re-implements only the
@@ -65,7 +76,8 @@ state-access methods of :class:`~repro.machine.blockjit._BlockCompiler`:
 ``reg``/``lane``/``flag`` name Python locals (``r3``, ``x8_0``, ``zf_``)
 and record which registers and lanes the trace touches, ``signed`` is
 inline arithmetic, and ``divide`` is inline truncating division.  Memory
-accessors get per-site TLB slots or hoisted cells.  Exits, and the
+accessors get per-site TLB slots, hoisted cells or forwarded stack
+values.  Exits, and the
 re-reads of hoisted cells after each store, are recorded during the
 walk and rendered last, once the per-iteration counter totals, the
 touched registers, the TLB sites and the hoisted cells of the whole
@@ -112,7 +124,7 @@ from __future__ import annotations
 from repro.errors import SegmentationFault
 from repro.isa.flags import Cond
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.operands import FReg, Mem, Reg
+from repro.isa.operands import FReg, Imm, Mem, Reg
 from repro.machine.blockjit import (
     _BLOCK_ENDERS,
     _COND_EXPR,
@@ -124,7 +136,7 @@ from repro.machine.blockjit import (
     _Unsupported,
     BlockJIT,
 )
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, MASK64
 from repro.machine.memory import Perm, Segment
 
 #: Back-edge executions of one target pc before trace formation runs.
@@ -193,6 +205,8 @@ _EXIT_IND = " " * 12
 _EXIT_COUNTERS = ("instructions", "loads", "stores", "cycles", "branches",
                   "taken_branches", "calls", "rets")
 _FLAGS = ("ZF", "SF", "CF", "OF")
+#: The local holding ``rsp``.
+_SP = f"r{_RSP}"
 
 
 class TraceVersion:
@@ -255,8 +269,9 @@ class _TraceCompiler(_BlockCompiler):
 
     Tier 1's per-instruction translators emit the body; this class
     supplies their state-access methods over Python locals, per-site
-    TLB memory accessors, hoisted read-only loads, the deferred
-    CMP/TEST protocol, and the guards and exits.  Exits are kept in
+    TLB memory accessors, hoisted read-only loads, stack store-to-load
+    forwarding, the deferred CMP/TEST/ADD/SUB protocol, and the guards
+    and exits.  Exits are kept in
     :attr:`lines` as tuples, and each store site's re-read of hoisted
     cells as the site's number; :meth:`render` renders both once the
     walk has fixed the per-iteration totals and the hoisted cells.
@@ -272,7 +287,8 @@ class _TraceCompiler(_BlockCompiler):
         self._memory = memory
         self.head = path[0][0]
         #: Deferred flag state: None (flag locals are current), or
-        #: "cmp"/"test" (arch flags are a function of ``_ga``/``_gb``).
+        #: "cmp"/"test"/"add" (arch flags are a function of
+        #: ``_ga``/``_gb``; a SUB's flags are a CMP's).
         self._defer = None
         self._br = 0   # branches so far this iteration (prefix)
         self._tk = 0   # taken branches so far this iteration
@@ -297,6 +313,18 @@ class _TraceCompiler(_BlockCompiler):
         #: statements that read them.
         self._cells: dict[tuple[int, str], str] = {}
         self._hoisted: list[tuple[Segment, list[str]]] = []
+        #: Stack forwarding, within one iteration of the walk.  ``rsp``
+        #: is ``(anchor, offset)``: push, pop, call, ret and ``add``/
+        #: ``sub``/``lea`` by a constant move the offset, any other
+        #: write starts a new anchor.  ``_slots`` maps each address
+        #: expression known to be ``rsp + c`` (valid until ``rsp`` next
+        #: changes) to its slot ``(anchor, c mod 2**64)``, and ``_fwd``
+        #: each slot an 8-byte store wrote to ``(site, fmt, value)``: the
+        #: store site, and a literal or the local (``sv{site}_``)
+        #: holding the value.
+        self._sp = (0, 0)
+        self._slots: dict[str, tuple[int, int]] = {_SP: self._sp}
+        self._fwd: dict[tuple[int, int], tuple[int, str, str]] = {}
         #: GPRs and xmm lanes the trace touches: loaded into locals on
         #: entry and written back at every exit.
         self._regs: set[int] = set()
@@ -381,12 +409,28 @@ class _TraceCompiler(_BlockCompiler):
         reads.append(f"{name} = {fn}(hd{k}_, {addr - seg.base})[0]")
         return name
 
+    def _surcharge(self, j):
+        """Charge the surcharge of the segment site ``j`` resolved, as
+        the interpreter charges every access to a remote segment."""
+        self.emit(f"if sx{j}_:")
+        self.emit(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
+                  "perf.remote_accesses += 1")
+
     def load(self, ea_expr, var, fmt="Q", count_inline=False):
-        """Inline a guest load through this site's private TLB slot, or
-        from the local of a hoisted read-only cell (:meth:`_cell`)."""
+        """Inline a guest load: from the value this iteration's store
+        into the same stack slot kept (:meth:`_forwarded`), from the
+        local of a hoisted read-only cell (:meth:`_cell`), or through
+        this site's private TLB slot."""
         e = self.emit
-        cell = self._cell(ea_expr, fmt)
-        if cell is not None:
+        slot = self._slots.get(ea_expr)
+        fwd = self._forwarded(slot, fmt)
+        cell = None if fwd else self._cell(ea_expr, fmt)
+        if fwd is not None:
+            j, value = fwd
+            self._surcharge(j)  # the same address, so the same segment
+            e(f"{var} = {value}")
+            t = ea_expr
+        elif cell is not None:
             e(f"{var} = {cell}")
             t = ea_expr
         else:
@@ -396,12 +440,12 @@ class _TraceCompiler(_BlockCompiler):
             e(f"{t} = {ea_expr}")
             e(f"if not sb{j}_ <= {t} <= sm{j}_:")
             self._site_refill(j, t)
-            e(f"if sx{j}_:")
-            e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
-              "perf.remote_accesses += 1")
+            self._surcharge(j)
             fn = "UQF" if fmt == "Q" else "UDF"
             e(f"{var} = {fn}(sd{j}_, {t} - sb{j}_)[0]")
             self.needs.add("mem")
+            if slot is not None:  # a read-modify-write stores through t
+                self._slots[t] = slot
         if count_inline:
             e("perf.loads += 1")
         else:
@@ -412,17 +456,21 @@ class _TraceCompiler(_BlockCompiler):
         """Inline a guest store through this site's private TLB slot,
         behind tier 1's write barrier.  The slow path re-reads the
         site's cached ``sw{j}_`` flag, so after the store that journals
-        a segment the site is back on the fast path."""
+        a segment the site is back on the fast path.  A store into a
+        stack slot keeps its value for later loads of the slot
+        (:meth:`_stored`)."""
         j = len(self._load_slots) + len(self._store_slots)
         self._store_slots.append(j)
-        t = self.tmp()
         e = self.emit
+        slot = self._slots.get(ea_expr)
+        if slot is not None and not value_expr.isdigit():
+            e(f"sv{j}_ = {value_expr}")
+            value_expr = f"sv{j}_"
+        t = self.tmp()
         e(f"{t} = {ea_expr}")
         e(f"if not sb{j}_ <= {t} <= sm{j}_:")
         self._site_refill(j, t)
-        e(f"if sx{j}_:")
-        e(f"    perf.cycles += sx{j}_; perf.remote_cycles += sx{j}_; "
-          "perf.remote_accesses += 1")
+        self._surcharge(j)
         fn = "PQI" if fmt == "Q" else "PDI"
         self._barriered_store(
             f"sw{j}_ and (sw{j}_ := "
@@ -430,6 +478,71 @@ class _TraceCompiler(_BlockCompiler):
             f"{fn}(sd{j}_, {t} - sb{j}_, {value_expr})", t, count_inline)
         # the re-read of hoisted cells, rendered once all are known
         self.lines.append(j)
+        self._stored(slot, j, fmt, value_expr)
+
+    # ------------------------------------------------- stack forwarding
+    def ea(self, mem):
+        """Tier 1's address expression; one of the form ``rsp + c`` is
+        recorded as a stack slot."""
+        expr = super().ea(mem)
+        if (mem.base is not None and int(mem.base) == _RSP
+                and mem.index is None):
+            anchor, off = self._sp
+            self._slots[expr] = (anchor, (off + mem.disp) & MASK64)
+        return expr
+
+    def _forwarded(self, slot, fmt):
+        """``(store site, value)`` of this iteration's store into the
+        stack slot a load in format ``fmt`` reads, or None.  Memory
+        holds the same bytes (no store in between could touch the slot,
+        see :meth:`_stored`), so the load may read the kept value
+        instead; it stays counted as a load."""
+        fwd = self._fwd.get(slot)
+        if fwd is None or fwd[1] != fmt:
+            return None
+        return fwd[0], fwd[2]
+
+    def _stored(self, slot, j, fmt, value):
+        """Record store site ``j``'s store of ``value`` into ``slot``.
+        A store to an address not known as ``rsp + c`` may alias any
+        slot, and one that partly overlaps a slot changes its bytes:
+        both cancel the forwards they may touch."""
+        if slot is None:
+            self._fwd.clear()
+            return
+        off = slot[1]
+        for kept in [k for k in self._fwd
+                     if k != slot and (k[1] - off + 7) & MASK64 < 15]:
+            del self._fwd[kept]
+        self._fwd[slot] = (j, fmt, value)
+
+    def _sp_moved(self, delta):
+        """``rsp`` moved by ``delta`` within its anchor: the kept values
+        stay valid, address expressions naming ``rsp`` do not."""
+        anchor, off = self._sp
+        self._sp = (anchor, (off + delta) & MASK64)
+        self._slots = {_SP: self._sp}
+
+    def _track_sp(self, insn):
+        """Follow a body instruction's write to ``rsp`` (PUSH and POP
+        follow their own).  Only ``add``/``sub`` by an immediate and
+        ``lea rsp, [rsp + c]`` keep the anchor; any other write starts
+        a new one and forgets every kept value, so every kept slot is
+        in the current anchor, as :meth:`_stored` assumes."""
+        ops = insn.operands
+        if (not ops or type(ops[0]) is not Reg or int(ops[0].reg) != _RSP
+                or insn.info.opclass in (OpClass.CMP, OpClass.PUSH)):
+            return
+        src = ops[1] if len(ops) > 1 else None
+        if insn.op in (Op.ADD, Op.SUB) and type(src) is Imm:
+            self._sp_moved(src.value if insn.op is Op.ADD else -src.value)
+        elif (insn.op is Op.LEA and src.base is not None
+              and int(src.base) == _RSP and src.index is None):
+            self._sp_moved(src.disp)
+        else:
+            self._sp = (self._sp[0] + 1, 0)
+            self._slots = {_SP: self._sp}
+            self._fwd.clear()
 
     def _reread_lines(self, j):
         """After store site ``j``: read again the hoisted cells of the
@@ -450,10 +563,11 @@ class _TraceCompiler(_BlockCompiler):
 
     # ------------------------------------------------------ translation
     def gen_insn(self, insn, flags_needed):
-        """Tier-1 translation plus two trace-only forms: comparisons
-        keep their operands in ``_ga``/``_gb`` instead of computing four
-        flags (guards and exits consume them directly), and a load into
-        a register or scalar lane lands straight in its local."""
+        """Tier-1 translation plus the trace-only forms: CMP/TEST, and
+        ADD/SUB whose flags are live, keep their operands in
+        ``_ga``/``_gb`` instead of computing four flags (guards and
+        exits consume them); a load into a register or scalar lane lands
+        straight in its local; PUSH and POP move the tracked ``rsp``."""
         cls = insn.info.opclass
         ops = insn.operands
         if cls is OpClass.CMP and flags_needed:
@@ -462,12 +576,21 @@ class _TraceCompiler(_BlockCompiler):
             self.emit(f"_ga = {a}; _gb = {b}")
             self._defer = "test" if insn.op is Op.TEST else "cmp"
             return
+        if (insn.op is Op.ADD or insn.op is Op.SUB) and flags_needed:
+            self._defer_add_sub(insn.op, ops[0], ops[1])
+            return
         if cls is OpClass.MOV and type(ops[0]) is Reg and type(ops[1]) is Mem:
             self.load(self.ea(ops[1]), self.reg(int(ops[0].reg)))
             return
         if (insn.op is Op.MOVSD and type(ops[0]) is FReg
                 and type(ops[1]) is Mem):
             self.load(self.ea(ops[1]), self.lane(int(ops[0].reg), 0), "D")
+            return
+        if cls is OpClass.PUSH:
+            self._push(ops[0])
+            return
+        if cls is OpClass.POP:
+            self._pop(ops[0])
             return
         if cls is OpClass.SETCC and self._defer is not None:
             self._materialize_locals()
@@ -476,19 +599,61 @@ class _TraceCompiler(_BlockCompiler):
                 and cls is not OpClass.DIV and cls is not OpClass.CMP):
             self._defer = None  # flag locals are current again
 
+    def _defer_add_sub(self, op, dst, src):
+        """ADD/SUB with live flags: the result, with the operands kept
+        in ``_ga``/``_gb`` (a SUB's flags are a CMP's of the same
+        operands), so the flags are built only where something reads
+        them."""
+        result = f"(_ga {'+' if op is Op.ADD else '-'} _gb) & M"
+        if type(dst) is Mem:  # read-modify-write through one address
+            at = self.load(self.ea(dst), "_ga")
+            self.emit(f"_gb = {self.read_int(src)}")
+            self.store(at, result)
+        else:
+            a = self.read_int(dst)
+            self.emit(f"_ga = {a}; _gb = {self.read_int(src)}")
+            self.write_int(dst, result)
+        self._defer = "add" if op is Op.ADD else "cmp"
+
+    def _push(self, src):
+        """PUSH: move ``rsp`` down, then store through it."""
+        v = self.read_int(src)
+        sp = self.reg(_RSP)
+        if v == sp:  # ``push rsp`` stores the value before the push
+            self.emit(f"_v = {v}")
+            v = "_v"
+        self.emit(f"{sp} = ({sp} - 8) & M")
+        self._sp_moved(-8)
+        self.store(sp, v)
+
+    def _pop(self, dst):
+        """POP: load through ``rsp`` (into a register's local directly),
+        then move it up; a memory destination's address is taken
+        after the move, as the interpreter takes it."""
+        sp = self.reg(_RSP)
+        direct = type(dst) is Reg and int(dst.reg) != _RSP
+        v = self.reg(int(dst.reg)) if direct else self.tmp()
+        self.load(sp, v)
+        self.emit(f"{sp} = ({sp} + 8) & M")
+        self._sp_moved(8)
+        if not direct:
+            self.write_int(dst, v)
+
     def _deferred_flags(self, defer):
         """The statement and the four flag expressions that materialize
-        a deferred CMP/TEST from ``_ga``/``_gb``."""
+        a deferred CMP/TEST/ADD from ``_ga``/``_gb``."""
         if defer == "test":
             return "_gr = _ga & _gb", ("_gr == 0", "_gr >= SB", "False",
                                        "False")
         ts = self.signed
-        return "_gr = (_ga - _gb) & M", (
-            "_gr == 0", "_gr >= SB", "_ga < _gb",
-            f"{ts('_ga')} - {ts('_gb')} != {ts('_gr')}")
+        op, cf = (("+", "_ga + _gb > M") if defer == "add"
+                  else ("-", "_ga < _gb"))
+        return f"_gr = (_ga {op} _gb) & M", (
+            "_gr == 0", "_gr >= SB", cf,
+            f"{ts('_ga')} {op} {ts('_gb')} != {ts('_gr')}")
 
     def _materialize_locals(self):
-        """Fold a deferred CMP/TEST into the four flag locals."""
+        """Fold a deferred CMP/TEST/ADD into the four flag locals."""
         setup, flags = self._deferred_flags(self._defer)
         self.emit(setup)
         self.set_flags(*flags)
@@ -580,6 +745,7 @@ class _TraceCompiler(_BlockCompiler):
         self._exit(_EXIT_IND, self._prefix(k), insn.addr)
         sp = self.reg(_RSP)
         self.emit(f"{sp} = ({sp} - 8) & M")
+        self._sp_moved(-8)
         self.store(sp, repr(ret))
         self._calls += 1
         self._cyc += self._costs.base_cost(insn, False)
@@ -588,22 +754,32 @@ class _TraceCompiler(_BlockCompiler):
 
     def _emit_ret(self, insn, k, ret):
         """Inline the return to the recorded return site ``ret`` after
-        ``k`` instructions: pop through a load site, and exit to the
-        popped address when it differs (the callee rewrote its return
-        slot)."""
-        t = self.tmp()
+        ``k`` instructions: pop, and exit to the popped address when it
+        differs (the callee rewrote its return slot).  A pop that reads
+        back the matching call's push of ``ret`` needs no guard."""
         sp = self.reg(_RSP)
-        self.load(sp, t)
+        fwd = self._forwarded(self._sp, "Q")
+        if fwd is not None and fwd[1] == repr(ret):
+            self._surcharge(fwd[0])
+            self.n_loads += 1
+            t = None
+        else:
+            t = self.tmp()
+            self.load(sp, t)
         self.emit(f"{sp} = ({sp} + 8) & M")
+        self._sp_moved(8)
         self._rets += 1
         self._cyc += self._costs.base_cost(insn, False)
         self._frames.pop()
-        self.emit(f"if {t} != {ret}:")
-        self._exit(_EXIT_IND, self._prefix(k + 1), t)
+        if t is not None:
+            self.emit(f"if {t} != {ret}:")
+            self._exit(_EXIT_IND, self._prefix(k + 1), t)
 
     def _emit_guard(self, insn, direction, k, fall_pc):
         """Guard an on-trace conditional branch; exit on disagreement."""
         cond = insn.info.cond
+        if self._defer == "add":
+            self._materialize_locals()
         if self._defer == "cmp":
             expr = _CMP_DIRECT[cond]
         elif self._defer == "test":
@@ -640,6 +816,7 @@ class _TraceCompiler(_BlockCompiler):
             for insn in body:
                 sites = self._store_sites
                 self.gen_insn(insn, need[k])
+                self._track_sp(insn)
                 k += 1
                 self._cyc += costs.base_cost(insn, False)
                 if self._store_sites > sites:

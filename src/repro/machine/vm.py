@@ -44,14 +44,21 @@ class Machine:
         :class:`~repro.machine.tracejit.TraceJIT`, which contains tier 1
         and adds hot-cycle superblock traces; ``tuning`` forwards its
         threshold overrides (``hot_threshold=4, min_edge=1`` makes tests
-        and torture sweeps promote aggressively).  Idempotent: an
-        attached engine is returned as it is, except that asking for the
-        trace tier on a machine running tier 1 raises ``RuntimeError``.
+        and torture sweeps promote aggressively); tier 1 has no
+        thresholds, so ``tuning`` without ``trace=True`` raises
+        ``TypeError``.  Idempotent: an attached engine is returned as it
+        is, except that asking for the trace tier on a machine running
+        tier 1, or for thresholds the attached trace JIT does not run
+        with, raises ``RuntimeError``.
         See :mod:`repro.machine.blockjit` and
         :mod:`repro.machine.tracejit` for the invalidation contract."""
         from repro.machine.blockjit import BlockJIT
         from repro.machine.tracejit import TraceJIT
 
+        if tuning and not trace:
+            raise TypeError(
+                f"enable_jit() got trace tuning {sorted(tuning)} without "
+                "trace=True; the tier-1 engine has no thresholds")
         jit = self.cpu.jit
         if jit is None:
             return (TraceJIT(self.cpu, **tuning) if trace
@@ -60,6 +67,12 @@ class Machine:
             raise RuntimeError(
                 "a tier-1 BlockJIT is already attached; enable the trace "
                 "tier first (enable_jit(trace=True)) or use a fresh machine")
+        held = {k: getattr(jit, k) for k, v in tuning.items()
+                if getattr(jit, k) != v}
+        if held:
+            raise RuntimeError(
+                f"the attached trace JIT runs with {held}; its thresholds "
+                "are set when it is attached (use a fresh machine)")
         return jit
 
     def load(self, source: str, opt: int = 2, unit: str = "<unit>"):

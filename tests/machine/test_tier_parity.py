@@ -9,14 +9,17 @@ MOV and LEA; CMP/TEST feeding each of the 12 SETcc/Jcc conditions;
 scalar and packed FP; PUSH/POP; DIV; loads and stores; and parts of the
 body run inside helpers reached by ``call`` or ``calli``.  Loads from,
 and stores into, two read-only cells at constant addresses exercise the
-trace tier's hoisted loads.  Bodies never fault: memory operands stay
-inside one scratch buffer or those cells, PUSH/POP come in balanced
-pairs and every divisor is a nonzero immediate.  With
-hair-trigger thresholds the loop promotes to a trace within a few
-iterations, so forward branches inside the body exercise guards and
-side exits.  Random operands rarely sit on a flag boundary, so a
-deterministic sweep also runs every condition after CMP, TEST and
-UCOMISD on operands that cross equality, sign and overflow mid-loop.
+trace tier's hoisted loads, and spills to and reloads from stack slots
+(aliased, overlapped, reloaded as a double, 4 bytes off or after
+``rsp`` moved) its forwarding of stored values.  Bodies never fault: memory operands stay
+inside one scratch buffer, those cells or the stack below ``rsp``,
+PUSH/POP come in balanced pairs and every divisor is a nonzero
+immediate.  With hair-trigger thresholds the loop promotes to a trace
+within a few iterations, so forward branches inside the body exercise
+guards and side exits.  Random operands rarely sit on a flag boundary,
+so a deterministic sweep also runs every condition after CMP, TEST,
+UCOMISD, ADD and SUB on operands that cross equality, sign and
+overflow mid-loop.
 Hand-written hot loops cover the ways a trace leaves through a call or
 a return: guards inside callees, switching indirect targets, shared and
 nested helpers, rewritten return slots and self-modifying callees.  The
@@ -537,6 +540,64 @@ def _divide(dividend, divisor, slot):
 _reader = st.one_of(
     SIMPLE[OpClass.SETCC],
     st.builds(lambda c, inner: [("jcc", c, inner)], _cond, _simple))
+
+#: Stack slots below ``rsp`` (never the return address a helper's
+#: ``ret`` pops), and how far a misaligned access sits from one.
+_slot = st.integers(2, 8).map(lambda q: 8 * q)
+_off = st.sampled_from((4, -4))
+
+
+def _spill(c, src, middle, dst):
+    return [f"mov [rsp - {c}], {src}", *middle, f"mov {dst}, [rsp - {c}]"]
+
+
+def _aliased(c, d, src, copy, value, dst):
+    return [f"mov [rsp - {c}], {src}", f"mov {copy}, rsp",
+            f"mov [{copy} - {c + d}], {value}", f"mov {dst}, [rsp - {c}]"]
+
+
+def _moved(c, d, how, src, copy, dst, other):
+    """Spill, move ``rsp`` down by ``d``, reload the slot (now at
+    ``rsp + d - c``) and the bytes at ``rsp - c``, and move it back.
+    ``sub``/``lea rsp, [rsp - d]`` keep the tracked anchor, ``lea`` from
+    a copy of ``rsp`` starts a new one."""
+    down = {"sub": [f"sub rsp, {d}"], "lea": [f"lea rsp, [rsp - {d}]"],
+            "copy": [f"mov {copy}, rsp", f"lea rsp, [{copy} - {d}]"]}[how]
+    back = d - c
+    return [f"mov [rsp - {c}], {src}", *down,
+            f"mov {dst}, [rsp {'-' if back < 0 else '+'} {abs(back)}]",
+            f"mov {other}, [rsp - {c}]", f"add rsp, {d}"]
+
+
+#: Spills to and reloads from stack slots, by what the trace tier's
+#: forwarding of a stored value to a later load of its slot must get
+#: right: the plain case, a store through a copy of ``rsp`` onto the
+#: slot (or 4 bytes beside it) before the reload, a store through
+#: ``rsp`` that half-overlaps the slot, an integer spill reloaded as a
+#: double, a reload 4 bytes off the slot, and ``rsp`` moving between
+#: spill and reload.  Only integers are spilled, so no NaN bits reach
+#: integer state.
+STACK = {
+    "spill and reload": st.builds(_spill, _slot, _reg,
+                                  st.one_of(st.just([]), _simple), _reg),
+    "store through a copy of rsp": st.builds(
+        _aliased, _slot, st.sampled_from((0, 4, -4)), _reg, _reg,
+        _int_src, _reg),
+    "overlapping store": st.builds(
+        lambda c, d, src, value, dst: _spill(
+            c, src, [f"mov [rsp - {c + d}], {value}"], dst),
+        _slot, _off, _reg, _int_src, _reg),
+    "integer spill, double reload": st.builds(
+        lambda c, src, x: [f"mov [rsp - {c}], {src}",
+                           f"movsd {x}, [rsp - {c}]"], _slot, _reg, _xmm),
+    "reload 4 bytes off": st.builds(
+        lambda c, d, src, dst: [f"mov [rsp - {c}], {src}",
+                                f"mov {dst}, [rsp - {c + d}]"],
+        _slot, _off, _reg, _reg),
+    "rsp moved between spill and reload": st.builds(
+        _moved, _slot, _slot, st.sampled_from(("sub", "lea", "copy")),
+        _reg, _reg, _reg, _reg),
+}
 _PLAIN_ITEM = st.one_of(
     _simple,
     st.builds(lambda w, r: w + r,
@@ -548,6 +609,7 @@ _PLAIN_ITEM = st.one_of(
               st.one_of(st.integers(1, 9), st.integers(-9, -1),
                         st.integers(1, 1 << 40), st.integers(-(1 << 40), -1)),
               st.one_of(st.none(), _int_mem)),
+    *STACK.values(),
 )
 #: ``("call", via, items)`` runs ``items`` inside a helper reached by
 #: ``call`` or by ``calli`` through r12, rendered after the function.
@@ -609,6 +671,11 @@ def test_generators_cover_every_body_class():
     body_classes = set(OpClass) - _BLOCK_ENDERS - {OpClass.JCC}
     assert set(SIMPLE) | {OpClass.PUSH, OpClass.POP, OpClass.DIV} == (
         body_classes)
+    # every stack shape the trace tier forwards, or must not forward
+    assert set(STACK) == {"spill and reload", "store through a copy of rsp",
+                          "overlapping store", "integer spill, double reload",
+                          "reload 4 bytes off",
+                          "rsp moved between spill and reload"}
 
 
 @pytest.fixture(scope="module")
@@ -646,10 +713,13 @@ def assert_tiers_agree(machines, items, init) -> None:
 #: double) runs from 6 down to -5: equal, above and below, signed and
 #: unsigned orders that differ, a signed overflow (against -2**63), zero
 #: and negative TEST results, a TEST result of exactly the sign bit, and
-#: float compares against 2.0 (xmm1) and NaN (xmm2, unordered).
+#: float compares against 2.0 (xmm1) and NaN (xmm2, unordered).  The
+#: ADD and SUB, whose flags the trace tier defers like a CMP's, cross
+#: zero, carry, and (against 2**63 - 1) signed overflow.
 COMPARES = ("cmp rax, 2", "cmp rax, 9223372036854775808", "test rax, rax",
             "test rax, 9223372036854775808", "ucomisd xmm0, xmm1",
-            "ucomisd xmm0, xmm2")
+            "ucomisd xmm0, xmm2", "add rax, 2", "add rax, 9223372036854775807",
+            "sub rax, 2")
 _SWEEP_INIT = [0] * BUF_QWORDS
 _SWEEP_INIT[2] = struct.unpack("<Q", struct.pack("<d", 2.0))[0]
 _SWEEP_INIT[4] = struct.unpack("<Q", struct.pack("<d", math.nan))[0]

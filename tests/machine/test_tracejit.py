@@ -3,8 +3,9 @@ interpreter with traces actually formed, exact side-exit accounting,
 multi-version promotion under a shifting branch profile, step-limit
 parity, invalidation severing installed traces, the guards of a trace
 that inlines a call (call hooks, host functions, code writes into the
-callee), and the memory state a trace keeps between entries (hoisted
-read-only cells, per-site segment slots).
+callee), the memory state a trace keeps between entries (hoisted
+read-only cells, per-site segment slots), and the shape of the code it
+emits for stack slots and live ADD flags.
 
 Every machine here uses hair-trigger thresholds (``hot_threshold=4,
 min_edge=1``) so small test loops promote; the assertions on
@@ -14,6 +15,7 @@ executed the iterations being compared, not tier 1.
 
 from __future__ import annotations
 
+import re
 import struct
 
 import pytest
@@ -25,8 +27,10 @@ from repro.isa.registers import GPR
 from repro.machine import blockjit, tracejit
 from repro.machine.tracejit import TraceJIT
 from repro.machine.vm import Machine
+from repro.models.stencil import StencilLab
 from repro.obs import Metrics
 from tests.machine.test_selfmodify import _call_heap_slot
+from tests.machine.test_tier_parity import CALL_LOOPS
 
 #: Aggressive promotion thresholds for test-sized loops.
 HOT = dict(hot_threshold=4, min_edge=1)
@@ -461,6 +465,19 @@ def test_enable_is_idempotent_and_guards_tier_conflict():
     with pytest.raises(RuntimeError):
         m2.enable_jit(trace=True)
     assert m2.enable_jit() is tier1
+    # Thresholds belong to the trace tier and are fixed once attached:
+    # neither call may hand back an engine that ignored them.
+    with pytest.raises(TypeError, match="trace=True"):
+        Machine().enable_jit(hot_threshold=4)
+    with pytest.raises(TypeError, match="trace=True"):
+        m2.enable_jit(min_edge=1)
+    with pytest.raises(RuntimeError, match="hot_threshold"):
+        m.enable_jit(trace=True, hot_threshold=4)
+    assert jit.hot_threshold == tracejit.HOT_THRESHOLD
+    m3 = Machine()
+    hot = m3.enable_jit(trace=True, **HOT)
+    assert (hot.hot_threshold, hot.min_edge) == (4, 1)
+    assert m3.enable_jit(trace=True, **HOT) is hot  # the same values
 
 
 #: A hot loop calling a helper once per iteration; ``bump`` is compiled
@@ -751,3 +768,100 @@ def test_site_moving_to_a_remote_segment_is_charged_its_surcharge():
     perf = dict(runs[1][1][3])
     assert perf["remote_accesses"] == 16 and perf["remote_cycles"] == 16 * 40
     assert m.jit.stats()["trace_entries"] >= 2
+
+
+# ------------------------------------------- stack forwarding, ADD flags
+#: A hot loop that pushes its counter, calls a helper and pops the
+#: counter back; ``{alias}`` may store through a copy of ``rsp`` onto the
+#: pushed slot in between.  The helper sits below the loop, so the
+#: return is no back-edge and the trace starts at ``top``: the push and
+#: the pop fall in one iteration.
+PUSH_CALL = """
+    jmp start
+bump:
+    add rax, 1
+    ret
+start:
+    mov r15, 40
+    mov rax, 0
+top:
+    push r15
+{alias}
+    call bump
+    pop rcx
+    add rax, rcx
+    sub r15, 1
+    jne top
+    ret
+"""
+#: A return guard: the popped address against the recorded return site.
+RET_GUARD = re.compile(r"if _t\d+ != \d+:")
+
+
+def _loops(src: str) -> tuple[Machine, list[str]]:
+    """Run ``src`` twice at tiers 0 and 2 (the fingerprints must agree);
+    returns the tier-2 machine and the iteration loop of each of its
+    trace versions."""
+    fps = []
+    for tier in (0, 2):
+        m = machine_at(tier)
+        fn = _load_fn(m, src)
+        fps.append([fingerprint(m, m.call(fn)) for _ in range(2)])
+    assert fps[0] == fps[1]
+    assert m.jit.stats()["trace_iterations"] > 0
+    return m, [ver.source.split("    for it_ in range(mx_):\n")[1]
+               for table in m.jit.versions.values()
+               for ver in table.values()]
+
+
+def _load_sites(loop: str) -> set[str]:
+    return set(re.findall(r"= U[QD]F\(sd(\d+)_", loop))
+
+
+def test_pushed_values_reach_the_pop_and_the_return_without_a_load():
+    """The pop reads the value the push kept, and the return reads the
+    address the call pushed, so it needs no guard: no load site is
+    left, though both loads are still counted (the fingerprint)."""
+    _, (loop,) = _loops(PUSH_CALL.format(alias=""))
+    assert _load_sites(loop) == set()
+    assert not RET_GUARD.search(loop)
+
+
+def test_a_store_through_a_copy_of_rsp_cancels_the_forward():
+    """``mov [rbx], rax`` may alias any stack slot, so the pop after it
+    reads memory (rax, not the pushed counter); the call's push comes
+    after it, so the return still reads the kept address."""
+    _, (loop,) = _loops(PUSH_CALL.format(alias="mov rbx, rsp\nmov [rbx], rax"))
+    assert len(_load_sites(loop)) == 1
+    assert not RET_GUARD.search(loop)
+
+
+def test_a_rewritten_return_slot_still_exits():
+    """The callee's store into its return slot replaces the address the
+    call pushed, so the return keeps its guard and exits to the new
+    address."""
+    m, loops = _loops(CALL_LOOPS["callee rewrites its return slot"])
+    assert all(RET_GUARD.search(loop) for loop in loops)
+    assert m.jit.stats()["trace_side_exits"] > 0
+
+
+def test_sweep_trace_reads_no_stack_slot_and_builds_no_add_flags():
+    """The Sec. V sweep's trace (``sweep`` calling the specialized
+    ``apply`` through its pointer) loads only the matrix and the frame
+    (7 sites; the three argument pops, the return and the reload of r14
+    read kept values), and its two flag-setting ADDs build no flags in
+    the loop: only exits read them."""
+    lab = StencilLab(48, 48)
+    lab.machine.enable_jit(trace=True)
+    lab.attach_service()
+    lab.apply_via_service()
+    lab.service.drain()
+    entry = lab.apply_via_service()
+    lab.machine.call("sweep", lab.m1, lab.m2, lab.xs, lab.ys, lab.s_addr,
+                     entry)
+    (table,) = lab.machine.jit.versions.values()
+    (ver,) = table.values()
+    loop = ver.source.split("    for it_ in range(mx_):\n")[1]
+    assert len(_load_sites(loop)) == 7
+    assert not RET_GUARD.search(loop)
+    assert "zf_ =" not in loop
