@@ -122,65 +122,3 @@ def profile_arg_count(profile) -> int:
     """How many integer parameters the profile observed."""
     return max(profile.values.keys(), default=0)
 
-
-class DispatchTable:
-    """Published specializations: ``key -> entry`` with atomic updates.
-
-    The rewrite service's callers look up a key (the manager cache key)
-    and jump to whatever entry is published — the original function
-    until a background rewrite lands, the specialized body afterwards.
-    Publication and withdrawal are single dict operations.
-
-    An entry may additionally be **on probation** — published but not
-    yet trusted.  Snapshot-restored variants start this way: the shadow
-    sampler validates the first live call against the original, and
-    only a matching call clears the flag (continuous assurance; see
-    :mod:`repro.core.shadowexec`).  Probation is metadata; ``lookup``
-    ignores it, the service's dispatch path consults it.
-    """
-
-    def __init__(self) -> None:
-        self._table: dict = {}
-        self._probation: set = set()
-
-    def lookup(self, key, default: int | None = None) -> int | None:
-        return self._table.get(key, default)
-
-    def publish(self, key, entry: int, *, probation: bool = False) -> None:
-        self._table[key] = entry
-        if probation:
-            self._probation.add(key)
-        else:
-            self._probation.discard(key)
-
-    def withdraw(self, keys) -> int:
-        """Remove published entries; returns how many were present."""
-        dropped = 0
-        for key in keys:
-            self._probation.discard(key)
-            if self._table.pop(key, None) is not None:
-                dropped += 1
-        return dropped
-
-    def on_probation(self, key) -> bool:
-        """Whether ``key`` is published but awaiting its first
-        shadow-validated call."""
-        return key in self._probation
-
-    def clear_probation(self, key) -> bool:
-        """Mark ``key`` trusted (its shadow call matched); returns
-        whether it had been on probation."""
-        if key in self._probation:
-            self._probation.discard(key)
-            return True
-        return False
-
-    def entries(self) -> set:
-        """The set of currently published entry addresses."""
-        return set(self._table.values())
-
-    def __contains__(self, key) -> bool:
-        return key in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)

@@ -11,11 +11,18 @@ trigger a new specialization whenever the domain map is changed").
 * variants are cached under ``(function, config fingerprint, example
   arguments, fingerprints of the known memory they depend on)``;
 * ``get`` returns a cached drop-in pointer or rewrites on miss;
+* the cache is also the one table of **published** variants: the
+  rewrite service (:mod:`repro.service`) marks a cache entry with the
+  entry point warm callers get (``publish``, read back by
+  ``published``).  Every hit, a ``get`` or a warm dispatch, passes one
+  freshness rule (the known cells the trace read still hold what it
+  read); a stale entry is evicted where it is found, so an unannounced
+  write to known memory is never served;
 * ``invalidate_memory(start, end)`` drops variants whose known-memory
-  ranges overlap a mutated region (the redistribute trigger) and bumps
-  the **known-memory epoch**, a counter that a persisted snapshot
-  records, so a snapshot taken before an invalidation restores nothing
-  (:mod:`repro.core.persist`);
+  ranges overlap a mutated region (the redistribute trigger, announced
+  eagerly) and bumps the **known-memory epoch**, a counter that a
+  persisted snapshot records, so a snapshot taken before an
+  invalidation restores nothing (:mod:`repro.core.persist`);
 * failures are **quarantined with backoff** rather than pinned forever:
   a failed rewrite is served from cache while its backoff window is
   open, then retried; repeated failures back off exponentially.  A
@@ -37,7 +44,7 @@ from typing import Callable
 
 from repro.core.config import Knownness, RewriteConfig
 from repro.core.rewriter import RewriteResult, rewrite
-from repro.errors import RewriteFailure
+from repro.errors import RewriteFailure, SegmentationFault
 from repro.obs import Metrics
 
 #: First-failure backoff window in (clock) seconds; doubles per repeat.
@@ -150,9 +157,41 @@ def portable_key(fn, key: tuple) -> tuple:
     return (str(fn),) + key[1:]
 
 
+def _cell_runs(memory, deps) -> tuple | None:
+    """A successful entry's world signature as the freshness check reads
+    it: one ``(segment bytes, start, end, expected bytes)`` per run of
+    adjacent or overlapping 8-byte cells in one segment, so the check is
+    one slice compare per run.  None when no memory contents can match:
+    a cell whose value is not an unsigned 64-bit int (a restored ``None``
+    among them), two overlapping cells that disagree, or a cell outside
+    every segment.  Segments are never unmapped and their buffers are
+    only written in place, so the runs stay valid for the entry's life."""
+    runs: list[list] = []
+    for start, _, value in sorted(deps, key=lambda dep: dep[0]):
+        if type(value) is not int or not 0 <= value < 1 << 64:
+            return None
+        try:
+            seg = memory.segment_for(start, 8)
+        except SegmentationFault:
+            return None
+        off, want = start - seg.base, value.to_bytes(8, "little")
+        run = runs[-1] if runs else None
+        if run and run[0] is seg.data and off <= run[1] + len(run[2]):
+            # sorted 8-byte cells: the run ends within this cell
+            shared = run[2][off - run[1]:]
+            if want[:len(shared)] != shared:
+                return None
+            run[2] += want[len(shared):]
+        else:
+            runs.append([seg.data, off, bytearray(want)])
+    return tuple((data, lo, lo + len(want), bytes(want))
+                 for data, lo, want in runs)
+
+
 @dataclass
 class _Entry:
-    """One cached rewrite outcome (success or quarantined failure)."""
+    """One cached rewrite outcome (success or quarantined failure) and,
+    once the rewrite service publishes it, what callers dispatch to."""
 
     result: RewriteResult
     #: Known-memory dependencies at rewrite time.  For a successful
@@ -166,10 +205,29 @@ class _Entry:
     fail_count: int = 0
     #: Clock time at which a quarantined failure becomes retryable.
     retry_at: float = 0.0
+    #: The world signature as byte runs (:func:`_cell_runs`); None for
+    #: a failure and for a success that can never read fresh.
+    runs: tuple | None = None
+    #: The entry point warm callers are dispatched to (None: unpublished).
+    published: int | None = None
+    #: Published but not yet trusted: the next dispatch through the
+    #: service's ``call`` is shadow-validated before it is admitted.
+    probation: bool = False
 
     def overlaps(self, start: int, end: int) -> bool:
         """Whether any known-memory dependency intersects [start, end)."""
         return any(s < end and start < e for s, e, _ in self.memory_deps)
+
+    def fresh(self) -> bool:
+        """The one freshness rule: every known cell the trace read still
+        holds the value it read."""
+        runs = self.runs
+        if runs is None:
+            return False
+        for data, lo, hi, want in runs:
+            if data[lo:hi] != want:
+                return False
+        return True
 
 
 class SpecializationManager:
@@ -204,7 +262,6 @@ class SpecializationManager:
         #: dispatch through one copy; the redundant emission's span goes
         #: back to the rewrite allocator when it is the latest one.
         self._code_index: dict[str, tuple[int, str]] = {}
-        self._listeners: list[Callable[[list[tuple]], None]] = []
         #: Monotone counter bumped on every invalidation; snapshots
         #: record it, and a restore rejects one from an older epoch.
         self.epoch = 1
@@ -232,52 +289,37 @@ class SpecializationManager:
             return [(addr, addr + 8, value) for addr, value in result.known_reads]
         return [(start, end, None) for start, end in conf.known_memory]
 
-    def _deps_fresh(self, deps: list[tuple[int, int, int | None]]) -> bool:
-        """Whether every recorded cell still holds the value the trace
-        read.  A dep without an int value never matches, so an ``ok``
-        entry restored with one reads as stale (it fails closed)."""
-        peek = self.machine.image.peek
-        return all(int.from_bytes(peek(s, 8), "little") == v for s, _, v in deps)
+    def _file(self, key: tuple, result: RewriteResult, memory_deps: list,
+              fail_count: int = 0, retry_at: float = 0.0) -> None:
+        """File an unpublished entry under ``key``; a success gets its
+        world signature's byte runs (an ``ok`` entry restored with a
+        ``None`` value never reads fresh: it fails closed)."""
+        runs = (_cell_runs(self.machine.memory, memory_deps)
+                if result.ok else None)
+        self._cache[key] = _Entry(
+            result, memory_deps, fail_count, retry_at, runs)
 
     def key_for(self, fn, conf: RewriteConfig, args: tuple) -> tuple:
         """The cache key ``get`` files ``(fn, conf, args)`` under.
 
         Rewriting never mutates ``conf``, so the key is the same before
-        and after a rewrite: layers that mirror published entries (the
-        rewrite service's dispatch table, the fabric's router) derive it
-        once per request, publish under it, and drop their mirror when
-        an invalidation listener reports it."""
+        and after a rewrite: the rewrite service and the fabric's router
+        derive it once per request, look the published entry up under
+        it (:meth:`published`) and publish under it."""
         return (
             self.machine.image.resolve(fn),
             _config_fingerprint(conf),
             _args_fingerprint(_relevant_args(conf, args)),
         )
 
-    def add_invalidation_listener(
-        self, callback: Callable[[list[tuple]], None]
-    ) -> None:
-        """Register ``callback(dropped_keys)``, fired whenever cache
-        entries are evicted (explicit invalidation or staleness)."""
-        self._listeners.append(callback)
-
-    def remove_invalidation_listener(
-        self, callback: Callable[[list[tuple]], None]
-    ) -> None:
-        """Unregister a listener (no-op when absent) — a closed rewrite
-        service detaches itself so a shared manager never fires into a
-        dead dispatch table."""
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-
     def _evict(self, keys: list[tuple]) -> None:
-        for k in keys:
-            del self._cache[k]
+        """Drop ``keys``; each published one counts as
+        ``service.withdrawn``."""
+        withdrawn = sum(self._cache.pop(k).published is not None for k in keys)
         if keys:
             self.metrics.inc("manager.evictions", len(keys))
-            for callback in self._listeners:
-                callback(list(keys))
+        if withdrawn:
+            self.metrics.inc("service.withdrawn", withdrawn)
 
     def _backoff(self, fail_count: int) -> float:
         return min(
@@ -294,10 +336,11 @@ class SpecializationManager:
         copy of ``conf``, so a fresh but equal config hits.
 
         Successes are served from cache while their known-memory
-        dependencies are byte-identical.  Failures are served from cache
-        only while their backoff window is open; after it expires the
-        rewrite is retried, and repeated failures double the window
-        (capped at ``max_backoff_seconds``).
+        dependencies are byte-identical (``_Entry.fresh``, the rule a
+        warm dispatch through :meth:`published` passes too).  Failures
+        are served from cache only while their backoff window is open;
+        after it expires the rewrite is retried, and repeated failures
+        double the window (capped at ``max_backoff_seconds``).
         """
         key = self.key_for(fn, conf, args)
         entry = self._cache.get(key)
@@ -305,7 +348,7 @@ class SpecializationManager:
         if entry is not None:
             if entry.result.ok:
                 # stale if any depended-on known cell changed content
-                if self._deps_fresh(entry.memory_deps):
+                if entry.fresh():
                     self.metrics.inc("manager.hits")
                     return entry.result
                 self.metrics.inc("manager.miss_stale")
@@ -323,16 +366,12 @@ class SpecializationManager:
         result = self._do_rewrite(conf, fn, *args)
         if result.ok:
             result = self._dedup_code(result)
-            self._cache[key] = _Entry(result, self._memory_deps(conf, result))
+            self._file(key, result, self._memory_deps(conf, result))
         else:
             self.metrics.inc("manager.fallbacks")
             fail_count = (retry_of.fail_count if retry_of else 0) + 1
-            self._cache[key] = _Entry(
-                result,
-                self._memory_deps(conf, result),
-                fail_count=fail_count,
-                retry_at=self.clock() + self._backoff(fail_count),
-            )
+            self._file(key, result, self._memory_deps(conf, result),
+                       fail_count, self.clock() + self._backoff(fail_count))
         return result
 
     def _dedup_code(self, result: RewriteResult) -> RewriteResult:
@@ -371,16 +410,61 @@ class SpecializationManager:
 
     def cached_result(self, key: tuple) -> RewriteResult | None:
         """The cached :class:`RewriteResult` under ``key`` (no freshness
-        check, no counters) — mirror layers use this to read the world
-        signature of an entry they are about to withdraw."""
+        check, no counters): the world signature a divergence report
+        records, the body size a fabric publication ships."""
         entry = self._cache.get(key)
         return entry.result if entry is not None else None
 
-    def __contains__(self, key: tuple) -> bool:
-        """Whether ``key`` is currently cached — the publish-side check
-        that closes the invalidate-during-rewrite race (a worker must
-        not publish an entry the manager has already evicted)."""
-        return key in self._cache
+    # ---------------------------------------------------------- publication
+    def publish(
+        self, key: tuple, entry: int, *, probation: bool = False
+    ) -> bool:
+        """Dispatch warm callers of ``key`` to ``entry``; ``probation``
+        holds it untrusted until a shadow-validated call admits it (a
+        plain re-publish).  Returns False, publishing nothing, when no
+        successful entry is cached under ``key``: an invalidation raced
+        the rewrite, and the variant must not become reachable."""
+        cached = self._cache.get(key)
+        if cached is None or not cached.result.ok:
+            return False
+        cached.published = entry
+        cached.probation = probation
+        return True
+
+    def published(self, key: tuple) -> int | None:
+        """The entry point published under ``key``, or None: the warm
+        path of the service and the fabric.  A published variant passes
+        the same freshness rule as a :meth:`get` hit; a stale one is
+        evicted here (no hit or miss counted) and the caller takes the
+        cold path."""
+        cached = self._cache.get(key)
+        if cached is None or cached.published is None:
+            return None
+        if cached.fresh():
+            return cached.published
+        self._evict([key])
+        return None
+
+    def on_probation(self, key: tuple) -> bool:
+        """Whether ``key`` is published but not yet trusted."""
+        cached = self._cache.get(key)
+        return cached is not None and cached.probation
+
+    def withdraw(self, key: tuple) -> bool:
+        """Unpublish ``key`` but keep its cache entry (the fabric's
+        publication lost on the wire; a later request republishes it).
+        Returns whether a variant was published."""
+        cached = self._cache.get(key)
+        if cached is None or cached.published is None:
+            return False
+        cached.published = None
+        cached.probation = False
+        return True
+
+    def published_entries(self) -> dict[tuple, int]:
+        """Every published key and its entry point (no freshness check)."""
+        return {key: cached.published for key, cached in self._cache.items()
+                if cached.published is not None}
 
     def quarantine_key(
         self, key: tuple, reason: str = "shadow-divergence", message: str = ""
@@ -389,11 +473,11 @@ class SpecializationManager:
 
         The continuous-assurance path: a published variant that diverged
         under shadow sampling is withdrawn by evicting its cache entry
-        (which fires the invalidation listeners, so the published entry
-        disappears atomically) and replaced with a quarantined
-        failure.  Later ``get`` calls serve the original while the
-        backoff window is open, then retry — exactly the PR-1 ladder a
-        rewrite-time failure takes.  Returns the quarantine result."""
+        (which unpublishes it in the same step) and replaced with a
+        quarantined failure.  Later ``get`` calls serve the original
+        while the backoff window is open, then retry — exactly the
+        backoff ladder a rewrite-time failure takes.  Returns the
+        quarantine result."""
         failure = RewriteFailure(reason, message or reason)
         prior = self._cache.get(key)
         fail_count = 1
@@ -404,12 +488,8 @@ class SpecializationManager:
         result = RewriteResult(
             ok=False, original=key[0], reason=failure.reason, message=str(failure)
         )
-        self._cache[key] = _Entry(
-            result,
-            [],
-            fail_count=fail_count,
-            retry_at=self.clock() + self._backoff(fail_count),
-        )
+        self._file(key, result, [], fail_count,
+                   self.clock() + self._backoff(fail_count))
         self.metrics.inc("manager.shadow_quarantines")
         return result
 
@@ -439,12 +519,11 @@ class SpecializationManager:
         fail_count: int = 0,
         backoff_remaining: float = 0.0,
     ) -> None:
-        """Insert one entry restored from a snapshot (no counters move;
-        restored variants earn their hits back through ``get``)."""
+        """Insert one unpublished entry restored from a snapshot (no
+        counters move; restored variants earn their hits back through
+        ``get``, and the service republishes them on probation)."""
         retry_at = self.clock() + backoff_remaining if not result.ok else 0.0
-        self._cache[key] = _Entry(
-            result, list(memory_deps), fail_count=fail_count, retry_at=retry_at
-        )
+        self._file(key, result, list(memory_deps), fail_count, retry_at)
         if result.ok and result.entry is not None and result.code_size:
             digest = hashlib.sha1(
                 self.machine.image.peek(result.entry, result.code_size)
@@ -456,15 +535,6 @@ class SpecializationManager:
         ``[start, end)`` and bump the epoch; returns how many were
         dropped."""
         stale = [k for k, e in self._cache.items() if e.overlaps(start, end)]
-        self._evict(stale)
-        self.epoch += 1
-        self.metrics.inc("manager.invalidations")
-        return len(stale)
-
-    def invalidate_function(self, fn) -> int:
-        """Drop every cached variant of ``fn`` and bump the epoch."""
-        addr = self.machine.image.resolve(fn)
-        stale = [k for k in self._cache if k[0] == addr]
         self._evict(stale)
         self.epoch += 1
         self.metrics.inc("manager.invalidations")

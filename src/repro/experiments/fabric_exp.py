@@ -227,7 +227,7 @@ def _poison_probe(fabric: RewriteFabric, rounds: int = 80) -> dict:
     owner = route.shard_ref
     key = owner.manager.key_for(fn, conf, args)
     evil = owner.machine.image.resolve("poly_evil")
-    owner.service.table.publish(key, evil)
+    owner.manager.publish(key, evil)
     caught = 0
     for _ in range(rounds):
         fabric.call(tenant, conf, fn, *args)
@@ -244,7 +244,8 @@ def _poison_probe(fabric: RewriteFabric, rounds: int = 80) -> dict:
             s.metrics.value("shadow.divergences") for s in others
         ),
         "evil_elsewhere": sum(
-            1 for s in others if evil in s.service.table.entries()
+            1 for s in others
+            if evil in s.manager.published_entries().values()
         ),
     }
 

@@ -134,16 +134,16 @@ def _run_soak(seed: int, calls: int = SOAK_CALLS) -> dict:
         st = per_key[(fn, k)]
         cache_key = service.manager.key_for(fn, _conf(), (x, k))
         if i in inject_at or st["deferred"]:
-            entry = service.table.lookup(cache_key)
+            entry = service.manager.published(cache_key)
             if (
                 entry is not None
                 and entry != evil[fn]
-                and not service.table.on_probation(cache_key)
+                and not service.manager.on_probation(cache_key)
                 and st["corrupt_at"] is None
             ):
                 # the seeded miscompile: the published body silently
                 # starts computing k+1 — no fault, no crash, just wrong
-                service.table.publish(cache_key, evil[fn])
+                service.manager.publish(cache_key, evil[fn])
                 st["corrupt_at"] = st["calls"]
                 st["deferred"] = False
                 injected += 1

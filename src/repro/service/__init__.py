@@ -12,9 +12,10 @@ contract.  ``request()`` never blocks: it returns the published
 specialized entry on a warm hit and the *original* entry on a cold miss,
 queueing the rewrite.  ``step()`` and ``drain()`` run queued rewrites
 on the caller's own thread (the only schedule), so runs are bit-for-bit
-reproducible.  Finished variants are published into a
-:class:`~repro.core.dispatch.DispatchTable`, and manager invalidations
-withdraw them.
+reproducible.  Finished variants are published on the manager's own
+cache entries (:meth:`~repro.core.manager.SpecializationManager.publish`),
+so whatever evicts an entry (an announced invalidation, a stale hit, a
+quarantine) withdraws its publication in the same step.
 
 PR-4 adds the **continuous assurance** layer: sampled shadow execution
 of published variants (``shadow_interval=`` + the :meth:`call` dispatch

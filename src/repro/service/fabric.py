@@ -15,10 +15,10 @@ Architecture
   keys and emitted layouts are portable across shards), a private
   :class:`~repro.obs.Metrics` registry (surfaced under
   ``fabric.shard<i>.*``), a private
-  :class:`~repro.core.manager.SpecializationManager` and a private
-  ``RewriteService`` with its own dispatch table and quarantine state.
-  Nothing is shared between shards — a fault in one shard *cannot*
-  touch another's manager or dispatch table, by construction.
+  :class:`~repro.core.manager.SpecializationManager`, which holds the
+  shard's published variants and quarantine state, and a private
+  ``RewriteService``.  Nothing is shared between shards — a fault in
+  one shard *cannot* touch another's manager, by construction.
 
 * :class:`RewriteFabric` — the router.  Requests are keyed by the same
   deterministic fingerprint the manager caches under and assigned to a
@@ -412,7 +412,7 @@ class RewriteFabric:
                 tenant, owner.index, "degraded", original, original,
                 cycles, reason=report.reason, shard_ref=owner,
             )
-        entry = owner.service.table.lookup(key)
+        entry = owner.manager.published(key)
         if entry is not None:
             self.metrics.inc("fabric.warm_hits")
             return RouteResult(
@@ -563,7 +563,7 @@ class RewriteFabric:
         crashed (it has been declared dead and drained)."""
         digest, key, conf, fn, args = work
         shard.queued_digests.discard(digest)
-        published_before = shard.service.table.lookup(key)
+        published_before = shard.manager.published(key)
         try:
             shard.perform((key, conf, fn, args))
         except Exception as exc:  # the bulkhead: a crash is contained
@@ -571,7 +571,7 @@ class RewriteFabric:
             self._declare_dead(shard, f"crash: {exc}")
             return False
         self.metrics.inc("fabric.performed")
-        entry = shard.service.table.lookup(key)
+        entry = shard.manager.published(key)
         if entry is not None and published_before is None:
             self._publish_transfer(shard, key, entry)
         return True
@@ -591,10 +591,9 @@ class RewriteFabric:
         if report.ok:
             self.metrics.inc("fabric.published")
             return
-        withdrawn = shard.service.table.withdraw([key])
         self.metrics.inc("fabric.publish_link_failures")
-        if withdrawn:
-            self.metrics.inc("fabric.publish_withdrawn", withdrawn)
+        if shard.manager.withdraw(key):
+            self.metrics.inc("fabric.publish_withdrawn")
 
     def _snapshot_path(self, index: int) -> Path:
         return self.snapshot_dir / f"shard{index}.snap"
@@ -744,9 +743,8 @@ class RewriteFabric:
         """Shut every shard down deterministically and go deaf.
 
         Idempotent (parity with ``RewriteService.close()``): the first
-        call drains nothing further — every shard's private service is
-        closed (which detaches its manager invalidation listener) — and
-        later calls return immediately.  After close the fabric stays
+        call closes every shard's private service, and later calls
+        return immediately.  After close the fabric stays
         deaf: :meth:`request` degrades callers to the original and
         :meth:`pump` performs no work."""
         if self._closed:

@@ -5,9 +5,12 @@ Keying
 A request is keyed by :meth:`SpecializationManager.key_for`, derived
 once from the caller's config.  Rewriting never mutates a config, so the
 manager files the finished entry under that same key and the service
-publishes it there.  An invalidation listener on the manager withdraws
-the published entry when the underlying cache entry is dropped,
-whatever the cause.
+publishes it there, on the manager's cache entry itself
+(:meth:`SpecializationManager.publish`): the manager's cache is the one
+table of published variants.  A warm dispatch reads it through
+:meth:`SpecializationManager.published`, which applies the same
+freshness rule as a manager hit, so a variant whose known data changed
+is evicted and never served, whether or not the write was announced.
 
 Determinism
 -----------
@@ -53,7 +56,6 @@ from typing import Callable
 
 from repro.errors import RewriteFailure
 from repro.core.config import RewriteConfig
-from repro.core.dispatch import DispatchTable
 from repro.core.manager import SpecializationManager
 from repro.core.persist import RestoreReport, load_manager, save_manager
 from repro.core.rewriter import RewriteResult
@@ -88,8 +90,10 @@ class RewriteService:
     :class:`~repro.core.resilience.RewriteSupervisor` via the manager's
     ``rewrite_fn``) to share caching policy with synchronous callers;
     by default the service builds a private manager charging the same
-    metrics registry.  ``shadow_interval`` opts the :meth:`call`
-    dispatch path into online shadow validation (module docstring).
+    metrics registry.  Published variants live in that manager, which
+    also counts ``service.withdrawn`` when an eviction drops one.
+    ``shadow_interval`` opts the :meth:`call` dispatch path into online
+    shadow validation (module docstring).
     """
 
     def __init__(
@@ -115,7 +119,6 @@ class RewriteService:
                 machine, rewrite_fn=rewrite_fn, metrics=metrics
             )
         self.manager = manager
-        self.table = DispatchTable()
         #: Optional :class:`~repro.core.forensics.ForensicsHub`: state
         #: changes and anomalies (cold miss, shed, publish, failure,
         #: divergence) are journaled on the ``service`` channel and every
@@ -147,13 +150,13 @@ class RewriteService:
         #: keys whose next publication must start on probation (they
         #: were withdrawn for a shadow divergence and must re-validate)
         self._requalify: set = set()
-        manager.add_invalidation_listener(self._on_invalidation)
 
     # ------------------------------------------------------------------ api
     def request(self, conf: RewriteConfig, fn, *args) -> int:
         """An entry point for ``fn`` under ``conf`` — *right now*.
 
-        Warm hit: the published specialized entry.  Cold miss: the
+        Warm hit: the published specialized entry, while the known
+        memory it was specialized for is unchanged.  Cold miss: the
         original entry, with the rewrite queued in the background (one
         queue slot per key — concurrent requests for the same key
         coalesce).  Under overload the admission controller sheds the
@@ -166,7 +169,7 @@ class RewriteService:
     def _dispatch(self, key, conf: RewriteConfig, fn, args: tuple) -> int:
         """:meth:`request` for an already derived ``key``."""
         self.metrics.inc("service.requests")
-        entry = self.table.lookup(key)
+        entry = self.manager.published(key)
         if entry is not None:
             self.metrics.inc("service.warm_hits")
             return entry
@@ -208,13 +211,16 @@ class RewriteService:
         run_kwargs = {} if max_steps is None else {"max_steps": max_steps}
         if entry == original or self.shadow is None:
             return self.machine.call(entry, *args, **run_kwargs)
-        probation = self.table.on_probation(key)
+        probation = self.manager.on_probation(key)
         if not probation and not self.shadow.decide(key):
             return self.machine.call(entry, *args, **run_kwargs)
         outcome = self.shadow.run_shadowed(entry, original, tuple(args), max_steps)
         if outcome.divergence is None:
-            if probation and not outcome.unjudged:
-                self._admit_from_probation(key)
+            # a probation entry whose shadow call matched is trusted:
+            # republished off probation, it rejoins steady-state sampling
+            if (probation and not outcome.unjudged
+                    and self.manager.publish(key, entry)):
+                self.metrics.inc("shadow.probation_admits")
             return outcome.run
         self._handle_divergence(
             key, tuple(args), entry, original, outcome.divergence,
@@ -254,10 +260,9 @@ class RewriteService:
         report = load_manager(self.manager, path)
         for key in report.restored_ok:
             result = self.manager.cached_result(key)
-            if result is None or not result.ok or result.entry is None:
-                continue
-            self.table.publish(key, result.entry, probation=True)
-            self.metrics.inc("service.restored_publishes")
+            if result is not None and result.entry is not None and (
+                    self.manager.publish(key, result.entry, probation=True)):
+                self.metrics.inc("service.restored_publishes")
         return report
 
     # ------------------------------------------------------------- health
@@ -278,23 +283,15 @@ class RewriteService:
             "shadow_divergences": self.metrics.value("shadow.divergences"),
             "probation_admits": self.metrics.value("shadow.probation_admits"),
             "pending": self.pending(),
-            "published": len(self.table),
+            "published": len(self.manager.published_entries()),
         }
 
     def close(self) -> None:
-        """Deterministic shutdown: drain queued work and detach from the
-        manager.
-
-        Idempotent.  The manager invalidation listener is removed so a
-        shared manager that keeps living never fires into this service's
-        dead dispatch table."""
+        """Deterministic shutdown: drain queued work.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        try:
-            self.drain()
-        finally:
-            self.manager.remove_invalidation_listener(self._on_invalidation)
+        self.drain()
 
     def __enter__(self) -> "RewriteService":
         return self
@@ -326,20 +323,13 @@ class RewriteService:
             return f"retry budget exhausted ({self.retry_budget})"
         return None
 
-    def _admit_from_probation(self, key) -> None:
-        """A probation entry's shadow call matched: trust it for
-        steady-state sampling."""
-        if self.table.clear_probation(key):
-            self.metrics.inc("shadow.probation_admits")
-
     def _handle_divergence(
         self, key, args: tuple, entry: int, original: int, description: str,
         *, conf: RewriteConfig | None = None, fn=None,
     ) -> None:
         """Withdraw + quarantine + record: the shadow caught a published
         variant lying.  Quarantining the key evicts the cache entry,
-        which fires the invalidation listener and withdraws the
-        published entry in the same step."""
+        which withdraws the published entry in the same step."""
         cached = self.manager.cached_result(key)
         known_reads = cached.known_reads if cached is not None else ()
         failure = RewriteFailure("shadow-divergence", description)
@@ -355,9 +345,6 @@ class RewriteService:
                 known_reads=tuple(known_reads), metrics=self.metrics,
             )
         self.manager.quarantine_key(key, failure.reason, description)
-        # the eviction listener withdrew the entry if the manager held
-        # the key; a diverging variant must not stay published either way
-        self.table.withdraw([key])
         self._requalify.add(key)
         self.metrics.inc("service.shadow_withdrawn")
 
@@ -378,15 +365,13 @@ class RewriteService:
             # would coalesce against a rewrite that will never land)
             self._inflight.discard(key)
         if result.ok and result.entry is not None:
-            if key not in self.manager:
+            if not self.manager.publish(
+                    key, result.entry, probation=key in self._requalify):
                 # an invalidation raced the rewrite and already evicted
-                # the cache entry: publishing now would expose a stale
-                # variant with nobody left to withdraw it
+                # the cache entry: there is nothing to publish on
                 self.metrics.inc("service.publish_races")
             else:
-                probation = key in self._requalify
                 self._requalify.discard(key)
-                self.table.publish(key, result.entry, probation=probation)
                 self.metrics.inc("service.publishes")
                 self.metrics.record(
                     "service.rewrite_cycles", modeled_rewrite_cycles(result)
@@ -402,8 +387,3 @@ class RewriteService:
                 "fn": str(fn), "reason": result.reason,
             })
         self.metrics.set("service.queue_depth", self.pending())
-
-    def _on_invalidation(self, dropped_keys: list) -> None:
-        withdrawn = self.table.withdraw(dropped_keys)
-        if withdrawn:
-            self.metrics.inc("service.withdrawn", withdrawn)

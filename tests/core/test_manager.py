@@ -105,17 +105,6 @@ def test_invalidate_memory_by_range(setup):
     assert mgr.invalidate_memory(far, far + 8) == 0
 
 
-def test_invalidate_function(setup):
-    m, mgr = setup
-    c1, c2 = brew_init_conf(), brew_init_conf()
-    brew_setpar(c1, 2, BREW_KNOWN)
-    brew_setpar(c2, 1, BREW_KNOWN)
-    mgr.get(c1, "poly", 0, 3)
-    mgr.get(c2, "poly", 9, 0)
-    assert len(mgr) == 2
-    assert mgr.invalidate_function("poly") == 2
-
-
 def test_failures_are_cached(setup):
     m, mgr = setup
     conf = brew_init_conf()
@@ -259,16 +248,18 @@ def test_stats_keys_complete(setup):
     """``stats()`` exposes the full health vocabulary, including the
     cache-size and eviction counters."""
     m, mgr = setup
+    cfg = m.image.malloc(16)
+    m.memory.write_u64(cfg, 2)
     conf = brew_init_conf()
-    brew_setpar(conf, 2, BREW_KNOWN)
-    mgr.get(conf, "poly", 0, 3)
+    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+    mgr.get(conf, "apply_cfg", 0, cfg)
     stats = mgr.stats()
     for key in ("hits", "misses", "fallbacks", "quarantine_hits",
                 "quarantine_retries", "quarantined", "cached",
                 "evictions", "code_dedup", "epoch"):
         assert key in stats, key
     assert stats["cached"] == 1 and stats["evictions"] == 0
-    assert mgr.invalidate_function("poly") == 1
+    assert mgr.invalidate_memory(cfg, cfg + 8) == 1
     assert mgr.stats()["evictions"] == 1
     assert mgr.stats()["cached"] == 0
 
@@ -439,3 +430,59 @@ def test_key_parts_equal_the_reference_derivation(conf, args):
         for arg, ref in zip(args, reference))
     assert repr(relevant) == repr(expected)
     assert [type(a) for a in relevant] == [type(a) for a in expected]
+
+
+# ----------------------------------------------- freshness as byte runs
+_FRESHNESS_SEGMENTS = ("heap", "data")
+_cells = st.lists(st.tuples(
+    st.sampled_from(_FRESHNESS_SEGMENTS),
+    # whole cells (adjacent runs and gaps) and any byte offset (overlaps)
+    st.one_of(st.integers(0, 7).map(lambda i: 8 * i), st.integers(0, 56)),
+    st.sampled_from(("read", "other", "none")),
+), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def freshness_machine():
+    m = Machine()
+    bases = {"heap": m.image.malloc(64),
+             "data": m.image.add_data(None, bytes(64))}
+    return m, bases
+
+
+@settings(max_examples=300, deadline=None)
+@given(contents=st.binary(min_size=128, max_size=128), cells=_cells,
+       flip=st.none() | st.tuples(st.sampled_from(_FRESHNESS_SEGMENTS),
+                                  st.integers(0, 63)))
+def test_run_freshness_agrees_with_the_per_cell_rule(
+        freshness_machine, contents, cells, flip):
+    """A published entry reads fresh exactly when every recorded cell,
+    peeked on its own, still holds its value: over adjacent, gapped and
+    overlapping cells in two segments, a value that was never there, a
+    ``None`` value, and one byte flipped inside or outside the runs."""
+    m, bases = freshness_machine
+    m.image.poke(bases["heap"], contents[:64])
+    m.image.poke(bases["data"], contents[64:])
+    deps = []
+    for segment, offset, kind in cells:
+        addr = bases[segment] + offset
+        value = int.from_bytes(m.image.peek(addr, 8), "little")
+        if kind == "other":
+            value = (value + 1) % (1 << 64)
+        elif kind == "none":
+            value = None
+        deps.append((addr, addr + 8, value))
+    mgr = SpecializationManager(m)
+    key = ("f", (), ())
+    mgr.restore_entry(key, RewriteResult(ok=True, original=0, entry=16), deps)
+    if flip is not None:
+        addr = bases[flip[0]] + flip[1]
+        m.image.poke(addr, bytes([m.image.peek(addr, 1)[0] ^ 0xFF]))
+    # the per-cell rule: one peek per recorded cell
+    want = all(
+        int.from_bytes(m.image.peek(start, 8), "little") == value
+        for start, _, value in deps)
+    assert mgr.publish(key, 16)
+    assert (mgr.published(key) == 16) == want
+    assert (mgr.cached_result(key) is not None) == want, (
+        "a stale published entry is evicted where it is found")

@@ -206,7 +206,7 @@ def test_older_snapshot_after_newer_is_rejected_step_mode(tmp_path):
         newer = svc.restore_snapshot(new_path)
         assert newer.version_ok and len(newer.restored_ok) == 2
         assert svc.manager.epoch == 7
-        published_before = len(svc.table)
+        published_before = len(svc.manager.published_entries())
         assert published_before == 2
 
         older = svc.restore_snapshot(old_path)
@@ -215,7 +215,8 @@ def test_older_snapshot_after_newer_is_rejected_step_mode(tmp_path):
         assert len(older.rejected) == 1
         assert all(f.reason == "snapshot-stale" for f in older.rejected)
         assert svc.manager.epoch == 7, "the epoch never moves backwards"
-        assert len(svc.table) == published_before, "live state undisturbed"
+        assert len(svc.manager.published_entries()) == published_before, (
+            "live state undisturbed")
         # the service still works end to end after the rejected restore
         entry = svc.request(_conf(), "poly", 0, 3)
         assert machine.call(entry, 5, 3).int_return == 5 * 3 + 3

@@ -112,13 +112,19 @@ def test_invalidate_memory_is_read_filtered(setup):
     conf = brew_init_conf()
     brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
     assert mgr.get(conf, "scaled", 0, cfg).ok
-    # a range covering only unread fields overlaps no dependency
+    key = mgr.key_for("scaled", conf, (0, cfg))
+    # a range covering only unread fields overlaps no dependency, and
+    # neither does one far away
     assert mgr.invalidate_memory(cfg + 8, cfg + 24) == 0
+    far = cfg + 1_000_000
+    assert mgr.invalidate_memory(far, far + 8) == 0
     assert len(mgr) == 1
-    # the read field does
+    # the read field does: exactly that key goes
     assert mgr.invalidate_memory(cfg, cfg + 8) == 1
-    assert len(mgr) == 0
+    assert len(mgr) == 0 and mgr.cached_result(key) is None
+    # nothing overlaps any more: re-invalidating drops nothing
     assert mgr.invalidate_memory(cfg, cfg + 8) == 0
+    assert mgr.stats()["evictions"] == 1
 
 
 # ------------------------------------------------- content-addressed dedup
@@ -161,22 +167,6 @@ def test_stats_report_evictions_and_cache_size(setup):
     assert mgr.get(conf, "scaled", 0, cfg).ok
     assert mgr.stats()["evictions"] == 1
     # explicit invalidation counts too
-    assert mgr.invalidate_function("scaled") == 1
+    assert mgr.invalidate_memory(cfg, cfg + 8) == 1
     stats = mgr.stats()
     assert stats["evictions"] == 2 and stats["cached"] == 0
-
-
-def test_invalidation_listener_receives_dropped_keys(setup):
-    m, mgr = setup
-    cfg = _make_cfg(m)
-    conf = brew_init_conf()
-    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
-    dropped: list = []
-    mgr.add_invalidation_listener(dropped.extend)
-    assert mgr.get(conf, "scaled", 0, cfg).ok
-    key = mgr.key_for("scaled", conf, (0, cfg))
-    assert mgr.invalidate_memory(cfg, cfg + 8) == 1
-    assert dropped == [key]
-    # no entries overlap any more: listener not re-fired
-    mgr.invalidate_memory(cfg, cfg + 8)
-    assert dropped == [key]

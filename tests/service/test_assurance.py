@@ -71,18 +71,20 @@ def test_sampled_match_serves_the_variant(machine):
     run = svc.call(_conf(), "poly", 5, 3)
     assert run.int_return == 18
     assert svc.stats()["shadow_samples"] == 1
-    assert key in svc.table, "a matching variant stays published"
+    assert key in svc.manager.published_entries(), (
+        "a matching variant stays published")
 
 
 def test_divergence_withdraws_quarantines_and_records_a_repro(machine):
     svc = _assured(machine)
     key = _warm(svc)
     # the miscompile: the published body silently starts lying
-    svc.table.publish(key, machine.image.resolve("poly_evil"))
+    assert svc.manager.publish(key, machine.image.resolve("poly_evil"))
     run = svc.call(_conf(), "poly", 5, 3)
     # the sampled call never delivers the wrong answer
     assert run.int_return == 18
-    assert key not in svc.table, "the lying variant is withdrawn"
+    assert key not in svc.manager.published_entries(), (
+        "the lying variant is withdrawn")
     assert svc.manager.stats()["quarantined"] == 1
     assert svc.stats()["shadow_divergences"] == 1
     (repro,) = svc.divergences
@@ -96,16 +98,16 @@ def test_divergence_withdraws_quarantines_and_records_a_repro(machine):
 def test_requalified_key_republishes_on_probation(machine):
     svc = _assured(machine)
     key = _warm(svc)
-    svc.table.publish(key, machine.image.resolve("poly_evil"))
+    assert svc.manager.publish(key, machine.image.resolve("poly_evil"))
     svc.call(_conf(), "poly", 5, 3)  # divergence: withdrawn + quarantined
     svc.clock.now += 1.0  # backoff expires
     svc.request(_conf(), "poly", 0, 3)
     svc.drain()
-    assert key in svc.table and svc.table.on_probation(key), (
+    assert svc.manager.published(key) and svc.manager.on_probation(key), (
         "a key withdrawn for divergence must re-enter on probation"
     )
     assert svc.call(_conf(), "poly", 5, 3).int_return == 18
-    assert not svc.table.on_probation(key), "the matching call re-admits it"
+    assert not svc.manager.on_probation(key), "the matching call re-admits it"
 
 
 def test_unsampled_calls_run_the_published_entry(machine):
@@ -132,7 +134,7 @@ def test_shadow_fault_class_end_to_end(machine):
         run = svc.call(_conf(), "poly", 5, 3)
     assert fault.fired
     assert run.int_return == 18
-    assert key not in svc.table
+    assert key not in svc.manager.published_entries()
     assert svc.manager.stats()["quarantined"] == 1
 
 
@@ -148,11 +150,11 @@ def test_restore_publishes_on_probation_and_revalidates(machine, tmp_path):
     svc2 = _assured(fresh)
     report = svc2.restore_snapshot(path)
     assert report.restored == 1 and not report.rejected
-    assert key in svc2.table and svc2.table.on_probation(key)
+    assert svc2.manager.published(key) and svc2.manager.on_probation(key)
     assert svc2.stats()["restored_publishes"] == 1
     # first call shadow-validates and admits
     assert svc2.call(_conf(), "poly", 5, 3).int_return == 18
-    assert not svc2.table.on_probation(key)
+    assert not svc2.manager.on_probation(key)
     assert svc2.stats()["probation_admits"] == 1
     # and it is a warm hit, not a re-rewrite
     assert svc2.stats()["publishes"] == 0

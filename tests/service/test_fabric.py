@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN
+from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
 from repro.machine.link import FaultProfile
 from repro.service import (
     RewriteFabric, SHARD_DEAD, SHARD_HEALTHY, SHARD_SUSPECT,
@@ -174,13 +174,53 @@ def test_bulkheads_share_nothing():
         route = fabric.request("alice", _conf(), "poly", 0, 3)
         fabric.pump()
         owner = fabric.shards[route.shard]
-        assert len(owner.service.table) == 1
+        assert len(owner.manager.published_entries()) == 1
         for shard in fabric.shards:
             if shard.index != owner.index:
-                assert len(shard.service.table) == 0
+                assert not shard.manager.published_entries()
                 assert shard.manager is not owner.manager
                 assert shard.machine is not owner.machine
                 assert shard.metrics is not owner.metrics
+
+
+#: A program with a known config every shard places at one address.
+CFG_SOURCE = """
+struct Cfg { long scale; long bias; };
+struct Cfg cfg;
+noinline long scaled(long x, struct Cfg *c) { return x * c->scale; }
+"""
+
+
+def test_unannounced_write_to_known_memory_is_never_served():
+    """The fabric's warm lookup passes the owner manager's freshness
+    rule: after a write to the known config that nobody announced, the
+    next request gets the original and queues a respecialization, which
+    reads the new value once pumped."""
+    with RewriteFabric(CFG_SOURCE, shards=2, seed=5) as fabric:
+        cfg = fabric.shards[0].machine.image.symbol("cfg")
+        for shard in fabric.shards:
+            shard.machine.memory.write_u64(cfg, 2)
+        conf = brew_init_conf()
+        brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+        route = fabric.request("alice", conf, "scaled", 0, cfg)
+        for _ in range(8):
+            if route.outcome == "warm":
+                break
+            fabric.pump()
+            route = fabric.request("alice", conf, "scaled", 0, cfg)
+        assert route.outcome == "warm"
+        owner = route.shard_ref
+        assert owner.machine.call(route.entry, 5, cfg).int_return == 10
+
+        owner.machine.memory.write_u64(cfg, 7)  # no invalidate_memory
+        stale = fabric.request("alice", conf, "scaled", 5, cfg)
+        assert stale.outcome == "cold" and stale.entry == stale.original
+        assert owner.service.stats()["withdrawn"] == 1
+
+        fabric.pump()
+        fresh = fabric.request("alice", conf, "scaled", 5, cfg)
+        assert fresh.outcome == "warm" and fresh.shard_ref is owner
+        assert owner.machine.call(fresh.entry, 5, cfg).int_return == 35
 
 
 # ------------------------------------------------------------- admission
@@ -414,18 +454,17 @@ def test_closed_fabric_is_deaf_and_degrades_callers():
     assert fabric.metrics.value("fabric.closed_requests") == 1
 
 
-def test_close_detaches_every_shard_listener():
-    """No leak: after close, no shard service remains registered on its
-    manager, so a manager that keeps living cannot fire into a dead
-    dispatch table."""
+def test_close_closes_every_shard_service():
+    """An explicit close shuts every shard's private service down, and
+    the variants they published stay in their own managers."""
     fabric = RewriteFabric(SOURCE, shards=3, seed=5)
-    fabric.request("alice", _conf(), "poly", 0, 3)
+    route = fabric.request("alice", _conf(), "poly", 0, 3)
     fabric.pump(2)
     fabric.close()
     for shard in fabric.shards:
-        service = shard.service
-        assert service._closed
-        assert service._on_invalidation not in service.manager._listeners
+        assert shard.service._closed and shard.service.pending() == 0
+        assert len(shard.manager.published_entries()) == (
+            shard.index == route.shard)
 
 
 def test_context_manager_close_parity_with_service():

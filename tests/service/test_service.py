@@ -1,5 +1,5 @@
 """RewriteService behaviour: non-blocking misses, publication, coalescing,
-invalidation withdrawal, shutdown, and the DispatchTable itself."""
+withdrawal of stale variants (announced or not), and shutdown."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 import repro
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
-from repro.core.dispatch import DispatchTable
 from repro.core.manager import SpecializationManager
 from repro.core.resilience import RewriteSupervisor
 from repro.machine.vm import Machine
@@ -21,6 +20,7 @@ SOURCE = """
 struct Cfg { long scale; long bias; };
 noinline long apply_cfg(long x, struct Cfg *c) { return x * c->scale + c->bias; }
 noinline long poly(long x, long k) { return x * k + k; }
+noinline long scaled(long x, struct Cfg *c) { return x * c->scale; }
 """
 
 
@@ -35,20 +35,6 @@ def _poly_conf():
     conf = brew_init_conf()
     brew_setpar(conf, 2, BREW_KNOWN)
     return conf
-
-
-# --------------------------------------------------------- dispatch table
-def test_dispatch_table_publish_lookup_withdraw():
-    table = DispatchTable()
-    assert table.lookup("k") is None
-    assert table.lookup("k", 7) == 7
-    table.publish("k", 100)
-    table.publish("j", 200)
-    assert table.lookup("k") == 100 and "k" in table and len(table) == 2
-    table.publish("k", 150)  # republish replaces atomically
-    assert table.lookup("k") == 150
-    assert table.withdraw(["k", "missing"]) == 1
-    assert "k" not in table and len(table) == 1
 
 
 # -------------------------------------------------------------- the queue
@@ -150,8 +136,8 @@ def test_ptr_to_known_publish_leaves_one_table_entry(machine):
     svc.request(conf, "apply_cfg", 0, cfg)
     svc.drain()
     assert svc.stats()["publishes"] == 1
-    assert len(svc.table) == 1
-    assert svc.manager.key_for("apply_cfg", conf, (0, cfg)) in svc.table
+    published = svc.manager.published_entries()
+    assert list(published) == [svc.manager.key_for("apply_cfg", conf, (0, cfg))]
 
 
 def test_service_routes_through_supervisor(machine):
@@ -263,7 +249,7 @@ def test_invalidation_racing_a_rewrite_never_publishes_stale(machine):
 
     assert svc.metrics.value("service.publish_races") == 1
     assert svc.stats()["publishes"] == 0
-    assert len(svc.table) == 0, "no stale entry may be reachable"
+    assert svc.stats()["published"] == 0, "no stale entry may be reachable"
     # the caller keeps the original and the next cycle specializes fresh
     assert svc.request(conf, "apply_cfg", 0, cfg) == original
     svc.drain()
@@ -271,15 +257,43 @@ def test_invalidation_racing_a_rewrite_never_publishes_stale(machine):
     assert machine.call(fresh, 5, cfg).int_return == 45
 
 
+@pytest.mark.parametrize("dispatch", ["request", "call"])
+def test_unannounced_write_to_known_memory_is_never_served(machine, dispatch):
+    """A warm hit passes the manager's freshness rule: after a write to
+    the known descriptor that nobody announced, the next dispatch gets
+    the original (the stale variant is withdrawn), and the variant
+    republished after ``drain`` reads the new value."""
+    svc = RewriteService(machine)
+    cfg = machine.image.malloc(16)
+    machine.memory.write_u64(cfg, 2)
+    conf = brew_init_conf()
+    brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
+    original = machine.image.resolve("scaled")
+    svc.request(conf, "scaled", 0, cfg)
+    svc.drain()
+    entry = svc.request(conf, "scaled", 5, cfg)
+    assert entry != original and machine.call(entry, 5, cfg).int_return == 10
+
+    machine.memory.write_u64(cfg, 7)  # no invalidate_memory
+    if dispatch == "request":
+        assert svc.request(conf, "scaled", 5, cfg) == original
+    else:
+        assert svc.call(conf, "scaled", 5, cfg).int_return == 35
+    assert svc.stats()["withdrawn"] == 1 and svc.pending() == 1
+
+    svc.drain()
+    fresh = svc.request(conf, "scaled", 5, cfg)
+    assert fresh != original and machine.call(fresh, 5, cfg).int_return == 35
+
+
 # ------------------------------------------------------ shutdown contract
-def test_close_is_idempotent_and_detaches_the_listener(machine):
+def test_close_is_idempotent_and_drains(machine):
     svc = RewriteService(machine)
     svc.request(_poly_conf(), "poly", 0, 3)
-    assert svc._on_invalidation in svc.manager._listeners
     svc.close()
     svc.close()  # idempotent: the second call is a no-op, not an error
-    assert svc._on_invalidation not in svc.manager._listeners
     assert svc.pending() == 0, "close drains queued work first"
+    assert svc.stats()["publishes"] == 1
 
 
 def test_context_manager_closes_and_drains(machine):
@@ -291,9 +305,9 @@ def test_context_manager_closes_and_drains(machine):
     assert svc.stats()["publishes"] == 1
 
 
-def test_closed_service_does_not_hear_manager_invalidations(machine):
-    """A shared manager outliving the service must not fire withdrawals
-    into the dead service's dispatch table."""
+def test_invalidation_after_close_withdraws_the_published_entry(machine):
+    """Published variants live in the manager, so a manager outliving
+    the service still withdraws them: nothing stale stays reachable."""
     svc = RewriteService(machine)
     cfg = machine.image.malloc(16)
     machine.memory.write_u64(cfg, 2)
@@ -302,10 +316,9 @@ def test_closed_service_does_not_hear_manager_invalidations(machine):
     brew_setpar(conf, 2, BREW_PTR_TO_KNOWN)
     svc.request(conf, "apply_cfg", 0, cfg)
     svc.drain()
-    published = len(svc.table)
-    assert published >= 1
+    assert svc.stats()["published"] == 1
     svc.close()
     machine.memory.write_u64(cfg, 7)
     assert svc.manager.invalidate_memory(cfg, cfg + 8) == 1
-    assert svc.stats()["withdrawn"] == 0, "a closed service hears nothing"
-    assert len(svc.table) == published
+    assert svc.stats()["withdrawn"] == 1
+    assert svc.stats()["published"] == 0

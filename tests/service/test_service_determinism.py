@@ -78,7 +78,8 @@ def run_workload(seed: int) -> dict:
     svc.drain()
 
     published = sorted(
-        e for e in svc.table.entries() if e in m.image.function_sizes
+        e for e in set(svc.manager.published_entries().values())
+        if e in m.image.function_sizes
     )
     code = {
         hex(e): m.image.peek(e, m.image.function_sizes[e]).hex()

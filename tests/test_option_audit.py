@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.forensics import ForensicsHub
+from repro.core.manager import SpecializationManager
 from repro.core.resilience import RewriteSupervisor
 from repro.core.shadowexec import ShadowSampler
 from repro.machine.link import Link, TransferManager
@@ -34,6 +35,7 @@ CALLER_DIRS = ("src", "bench", "examples")
 AUDITED = (
     Machine, RewriteService, RewriteShard, RewriteFabric, TransferManager,
     Link, ShadowSampler, RewriteSupervisor, ForensicsHub, FlightRecorder,
+    SpecializationManager,
 )
 
 #: Options no call in ``CALLER_DIRS`` passes, kept on purpose.

@@ -70,7 +70,7 @@ def test_shadow_divergence_replays_to_identical_fingerprint():
     service.request(_conf(), "poly", 0, 3)
     service.drain()
     key = service.manager.key_for("poly", _conf(), (5, 3))
-    service.table.publish(key, machine.image.resolve("poly_evil"))
+    assert service.manager.publish(key, machine.image.resolve("poly_evil"))
     service.call(_conf(), "poly", 5, 3)
     (bundle,) = hub.bundles
     out = replay_bundle(bundle)
