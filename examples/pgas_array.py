@@ -48,7 +48,8 @@ def main() -> None:
     pre = RdmaPrefetcher(lab)
     lo, hi = block, 4 * block  # three remote slices
     naive = pre.run_naive(lo, hi)
-    run, preload_cost = pre.run_prefetched(lo, hi)
+    prefetched = pre.run_resilient(lo, hi)
+    run, preload_cost = prefetched.run, prefetched.transfer_cycles
     print(f"\nSec. VIII in action over the remote range [{lo}, {hi}):")
     print(f"  naive traversal:  {naive.cycles:>8,} cycles, "
           f"{naive.perf.remote_accesses} remote accesses")

@@ -20,9 +20,10 @@ Internally (Sections III.E–III.G of the paper):
   *known-world state* over registers, flags and memory;
 * :mod:`repro.core.tracer` — rewriting by tracing (partial evaluation,
   inlining via a shadow stack, jump processing);
-* :mod:`repro.core.blocks` / :mod:`repro.core.variants` — the
-  yet-to-be-rewritten queue keyed by ``(address, world)``, the variant
-  threshold and world migration;
+* :mod:`repro.core.blocks` — the yet-to-be-rewritten queue keyed by
+  ``(address, world)`` and the per-address variant counts
+  (:class:`~repro.core.blocks.BlockRegistry`) the tracer holds against
+  the variant threshold before it migrates a world (Sec. III.F);
 * :mod:`repro.core.compensation` — materialization code for world
   migrations and non-inlined calls;
 * :mod:`repro.core.layout` / :mod:`repro.core.emit` — block ordering,

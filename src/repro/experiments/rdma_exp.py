@@ -16,7 +16,8 @@ def ext1_rdma_prefetch(nelems: int = 512, nnodes: int = 4) -> Experiment:
     lo, hi = block, 4 * block  # three remote slices
 
     naive = pre.run_naive(lo, hi)
-    run, preload_cost = pre.run_prefetched(lo, hi)
+    prefetched = pre.run_resilient(lo, hi)
+    run, preload_cost = prefetched.run, prefetched.transfer_cycles
     total = run.cycles + preload_cost
 
     exp = Experiment(

@@ -1,11 +1,13 @@
 """Simulated unreliable interconnect for the distributed runtime.
 
-The PGAS/RDMA models (``repro.models.pgas`` / ``.rdma`` /
-``.distributed_stencil``) originally assumed a perfect network: a bulk
-copy between the simulated remote-node segments and local mirrors always
-arrived, intact, on time.  Real one-sided HPC transports drop, delay,
-corrupt and partition.  This module makes the interconnect a first-class
-(and first-class *unreliable*) machine component:
+Every bulk copy the distributed models make between the simulated
+remote-node segments and local mirrors — an RDMA preload range
+(``repro.models.rdma``), a halo row (``repro.models.distributed_stencil``)
+— goes through :meth:`TransferManager.transfer`; each lab builds a
+clean manager, and a caller that wants faults replaces it with a seeded
+one.  Real one-sided HPC transports drop, delay, corrupt and partition,
+so this module makes the interconnect a first-class (and first-class
+*unreliable*) machine component:
 
 * :class:`Link` — one one-sided channel to a remote node.  Every bulk
   transfer goes through :meth:`Link.transfer`, where a seeded RNG decides
@@ -115,7 +117,7 @@ class Link:
 
     ``transfer`` models a single bulk-copy attempt.  A clean delivery
     costs ``STARTUP_CYCLES`` plus ``PER_ELEMENT_CYCLES`` per element
-    (the same RDMA cost shape the models already used); a
+    (the one RDMA cost model every model copy is charged); a
     drop/delay/partition costs the full ``TIMEOUT_CYCLES`` (the sender
     waited for a completion that never came); a corrupt delivery costs
     normal latency but arrives damaged.  All fault decisions come from a

@@ -19,8 +19,9 @@ This model puts the pieces of this repository together:
   the accessor inlines — the abstraction cost disappears, the halo
   traffic remains;
 * halo prefetch on top (the Sec. VIII recipe): bulk-copy the two halo
-  rows into a local mirror, respecialize against an *extended local*
-  descriptor — the remote traffic disappears too.
+  rows into a local mirror through the interconnect
+  (:class:`~repro.machine.link.TransferManager`), respecialize against
+  an *extended local* descriptor — the remote traffic disappears too.
 """
 
 from __future__ import annotations
@@ -175,7 +176,11 @@ class DistributedStencilLab:
         self.dg_addr = image.malloc(8 * _DG_FIELDS)
         self._write_descriptor(halo_avail=False)
         self.fill()
-        self.transfers: TransferManager | None = None
+        #: The interconnect every halo exchange crosses.  It starts
+        #: clean; replace it with a
+        #: ``TransferManager(self.machine, faults=..., seed=...)`` to
+        #: model a faulty network.
+        self.transfers = TransferManager(self.machine)
         self._guarded: RewriteResult | None = None
         self.promotions = 0
         self.fallbacks = 0
@@ -270,32 +275,41 @@ class DistributedStencilLab:
         return SweepOutcome(run)
 
     # ------------------------------------------------------------ halo path
-    HALO_STARTUP = 600
-    HALO_PER_ELEMENT = 2
-
-    def exchange_halo(self) -> int:
+    def exchange_halo(self) -> tuple[int, list[TransferReport]]:
         """Bulk-copy the neighbour rows this node's sweep needs into the
-        halo mirror (simulated RDMA cost, as in models.rdma)."""
-        image = self.machine.image
+        halo mirror; returns the charged cycles and the reports.  Each
+        row is one managed transfer to its owner's link; only
+        checksum-verified rows land in the mirror."""
         first = self.myrank * self.rowblock
-        cost = 0
         row_bytes = self.xs * 8
+        cost = 0
+        reports: list[TransferReport] = []
+        wanted = []
         if first - 1 >= 0:
-            image.poke(self.halo, image.peek(self.row_address(first - 1), row_bytes))
-            cost += self.HALO_STARTUP + self.xs * self.HALO_PER_ELEMENT
+            wanted.append((first - 1, self.halo))
         last = first + self.rowblock
         if last <= self.ys - 1:
-            image.poke(self.halo + row_bytes,
-                       image.peek(self.row_address(last), row_bytes))
-            cost += self.HALO_STARTUP + self.xs * self.HALO_PER_ELEMENT
-        self.machine.cpu.perf.cycles += cost
-        return cost
+            wanted.append((last, self.halo + row_bytes))
+        for y, dst in wanted:
+            owner = y // self.rowblock
+            report = self.transfers.transfer(
+                owner, self.row_address(y), dst, row_bytes
+            )
+            reports.append(report)
+            cost += report.cycles
+        return cost, reports
 
     def run_halo_prefetched(self) -> tuple[SweepOutcome, RewriteResult]:
         """Exchange halos, then run a sweep respecialized against the
-        halo-enabled descriptor: zero per-access remote traffic."""
-        cost = self.exchange_halo()
-        result = self.rewrite_sweep(halo=True)
+        halo-enabled descriptor: zero per-access remote traffic.  When a
+        halo row fails to deliver the mirror is stale, so the sweep is
+        the plain specialized one (:meth:`rewrite_sweep`), which reads
+        the neighbour rows remotely instead."""
+        cost, reports = self.exchange_halo()
+        self.transfers.advance_epoch()
+        result = self.rewrite_sweep(
+            halo=bool(reports) and all(r.ok for r in reports)
+        )
         if not result.ok:
             raise RuntimeError(f"halo respecialization failed: {result.message}")
         outcome = self.run_rewritten(result)
@@ -313,12 +327,6 @@ class DistributedStencilLab:
         self.machine.image.poke(
             self.haloavail_addr, struct.pack("<q", 1 if avail else 0)
         )
-
-    def attach_interconnect(self, *, faults=None, seed: int = 0) -> TransferManager:
-        """Route halo exchanges through an unreliable interconnect; the
-        returned manager is also stored on ``self.transfers``."""
-        self.transfers = TransferManager(self.machine, faults=faults, seed=seed)
-        return self.transfers
 
     def rewrite_sweep_guarded(self, memory_hook: int | None = None) -> RewriteResult:
         """The degradation-ready sweep: like ``rewrite_sweep(halo=True)``
@@ -344,31 +352,6 @@ class DistributedStencilLab:
             self.dg_addr, self.out, self.s_addr, self.machine.symbol("dg_get"),
         )
 
-    def exchange_halo_resilient(self) -> tuple[int, list[TransferReport]]:
-        """Exchange halos through the unreliable interconnect.  Each
-        neighbour row is one managed transfer to its owner's link; only
-        checksum-verified rows land in the mirror."""
-        if self.transfers is None:
-            raise RuntimeError("exchange_halo_resilient requires attach_interconnect")
-        first = self.myrank * self.rowblock
-        row_bytes = self.xs * 8
-        cost = 0
-        reports: list[TransferReport] = []
-        wanted = []
-        if first - 1 >= 0:
-            wanted.append((first - 1, self.halo))
-        last = first + self.rowblock
-        if last <= self.ys - 1:
-            wanted.append((last, self.halo + row_bytes))
-        for y, dst in wanted:
-            owner = y // self.rowblock
-            report = self.transfers.transfer(
-                owner, self.row_address(y), dst, row_bytes
-            )
-            reports.append(report)
-            cost += report.cycles
-        return cost, reports
-
     def run_resilient(self) -> EpochOutcome:
         """One fault-tolerant epoch: attempt the halo exchange, set the
         ``haloavail`` flag to match, run the *guarded* sweep.  A failed
@@ -377,11 +360,9 @@ class DistributedStencilLab:
         the exchange, so the model re-promotes itself once the breaker
         half-opens and the network delivers again.  Never raises for
         interconnect faults and the output is correct on every path."""
-        if self.transfers is None:
-            raise RuntimeError("run_resilient requires attach_interconnect")
         if self._guarded is None:
             self._guarded = self.rewrite_sweep_guarded()
-        cost, reports = self.exchange_halo_resilient()
+        cost, reports = self.exchange_halo()
         failures = tuple(r.reason for r in reports if not r.ok)
         halo_ok = bool(reports) and all(r.ok for r in reports)
         self.set_halo_avail(halo_ok)

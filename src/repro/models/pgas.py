@@ -37,6 +37,7 @@ from repro.core.resilience import RewriteSupervisor
 from repro.core.rewriter import RewriteResult
 from repro.isa.costs import CostModel
 from repro.machine.cpu import RunResult
+from repro.machine.link import TransferManager
 from repro.machine.vm import Machine
 from repro.models.lab import ServiceLab
 
@@ -140,9 +141,12 @@ class PgasLab(ServiceLab):
         #: Rewrites are supervised: ladder degradation on failure, then
         #: differential validation of every variant before handing it out.
         self.supervisor = RewriteSupervisor(self.machine, validation_vectors=2)
-        #: Optional unreliable-interconnect model for bulk transfers
-        #: (see :meth:`attach_interconnect`); None means a perfect network.
-        self.transfers = None
+        #: The interconnect every bulk transfer crosses (e.g. the
+        #: :class:`~repro.models.rdma.RdmaPrefetcher` preloads).  It
+        #: starts clean; replace it with a
+        #: ``TransferManager(self.machine, faults=..., seed=...)`` to
+        #: model a faulty network.
+        self.transfers = TransferManager(self.machine)
         self.fill()
 
     def sum_via_service(self, lo: int, hi: int, passes: tuple[str, ...] = ()):
@@ -159,17 +163,6 @@ class PgasLab(ServiceLab):
             conf, "ga_sum_range",
             self.ga_addr, lo, hi, self.machine.symbol("ga_get"),
         )
-
-    def attach_interconnect(self, *, faults=None, seed: int = 0):
-        """Route bulk transfers (e.g. :class:`~repro.models.rdma.
-        RdmaPrefetcher` preloads) through a seeded *unreliable*
-        interconnect: a :class:`~repro.machine.link.TransferManager` with
-        checksums, retry/backoff and per-link circuit breakers.  Stored
-        on ``self.transfers`` and returned."""
-        from repro.machine.link import TransferManager
-
-        self.transfers = TransferManager(self.machine, faults=faults, seed=seed)
-        return self.transfers
 
     # ------------------------------------------------------------- data
     def element_address(self, i: int) -> int:

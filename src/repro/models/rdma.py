@@ -11,9 +11,11 @@ The three steps map onto existing machinery:
 1. **detect** — rewrite the kernel with a ``memory_hook``; a sample run
    records which remote node windows it touches (no source knowledge of
    the kernel needed — "in arbitrary code");
-2. **preload** — an RDMA transfer is simulated as a bulk copy charged a
-   startup latency plus a per-byte cost (much cheaper per element than
-   the per-access remote surcharge, like real one-sided bulk transfers);
+2. **preload** — each touched window is one bulk transfer through the
+   lab's interconnect (:class:`~repro.machine.link.TransferManager`),
+   charged a startup latency plus a per-element cost (much cheaper per
+   element than the per-access remote surcharge, like real one-sided
+   bulk transfers);
 3. **redirect** — the kernel is rewritten a *second* time against a
    mirror descriptor whose window base points at the local copy.  No
    code patching: redirection falls out of specializing on different
@@ -29,12 +31,8 @@ from repro.core import (
     BREW_KNOWN, BREW_PTR_TO_KNOWN, brew_init_conf, brew_rewrite, brew_setpar,
 )
 from repro.machine.cpu import RunResult
-from repro.machine.link import TransferManager, TransferReport
+from repro.machine.link import TransferReport
 from repro.models.pgas import PgasLab
-
-#: Simulated RDMA bulk-transfer cost: startup + per 8-byte element.
-RDMA_STARTUP_CYCLES = 600
-RDMA_PER_ELEMENT_CYCLES = 2
 
 
 @dataclass
@@ -54,20 +52,17 @@ class PrefetchPlan:
 class RdmaPrefetcher:
     """Detect → preload → redirect, on top of a :class:`PgasLab`.
 
-    With ``transfers`` attached (a :class:`TransferManager`), the bulk
-    copies additionally go through the *unreliable* interconnect model:
-    checksummed, retried, surcharged, and subject to the per-link
-    circuit breaker.  :meth:`run_resilient` then degrades gracefully —
-    any failed transfer means the epoch runs the per-access remote path
-    instead of the redirected mirror kernel, and promotion is re-tried
-    on the next epoch once the breaker half-opens.
+    The bulk copies go through the lab's interconnect, ``lab.transfers``
+    (a :class:`~repro.machine.link.TransferManager`, read at each
+    preload): checksummed, retried, surcharged, and subject to the
+    per-link circuit breaker.  :meth:`run_resilient` degrades
+    gracefully — any failed transfer means the epoch runs the
+    per-access remote path instead of the redirected mirror kernel, and
+    promotion is re-tried on the next epoch once the breaker half-opens.
     """
 
-    def __init__(self, lab: PgasLab, transfers: TransferManager | None = None) -> None:
+    def __init__(self, lab: PgasLab) -> None:
         self.lab = lab
-        # default to whatever interconnect the lab attached (None = the
-        # legacy perfect-network preload path)
-        self.transfers = transfers if transfers is not None else lab.transfers
         machine = lab.machine
         # local mirror window: same stride layout as the remote window so
         # the same owner arithmetic works against a different base
@@ -130,21 +125,23 @@ class RdmaPrefetcher:
         return self._detected
 
     # ----------------------------------------------------------- preload
-    def preload(self, plan: PrefetchPlan) -> int:
-        """Simulate the RDMA bulk transfers into the mirror; returns the
-        charged cycle cost (added to the machine's counters)."""
+    def preload(self, plan: PrefetchPlan) -> tuple[int, list[TransferReport]]:
+        """Bulk-copy every range of ``plan`` into the mirror, one managed
+        transfer each; returns the charged cycles and the reports.  Only
+        transfers whose checksum verified land in the mirror;
+        ``mirror_valid`` becomes True only if *every* range delivered."""
         lab = self.lab
-        machine = lab.machine
         cost = 0
+        reports: list[TransferReport] = []
         for lo, hi in plan.ranges:
-            data = machine.image.peek(lo, hi - lo)
             node = (lo - lab.remote_base) // lab.remote_stride
             offset = lo - (lab.remote_base + node * lab.remote_stride)
             dst = self.mirror_base + node * self.mirror_stride + offset
-            machine.image.poke(dst, data)
-            cost += RDMA_STARTUP_CYCLES + ((hi - lo) // 8) * RDMA_PER_ELEMENT_CYCLES
-        machine.cpu.perf.cycles += cost
-        return cost
+            report = lab.transfers.transfer(node, lo, dst, hi - lo)
+            reports.append(report)
+            cost += report.cycles
+        self.mirror_valid = bool(reports) and all(r.ok for r in reports)
+        return cost, reports
 
     # ---------------------------------------------------------- redirect
     def redirect_kernel(self) -> int:
@@ -167,49 +164,17 @@ class RdmaPrefetcher:
     def run_naive(self, lo: int, hi: int) -> RunResult:
         return self.lab.sum_generic(lo, hi)
 
-    def run_prefetched(self, lo: int, hi: int) -> tuple[RunResult, int]:
-        """Detect + preload + run redirected; returns (run, preload cost)."""
-        plan = self.detect(lo, hi)
-        cost = self.preload(plan)
-        kernel = self.redirect_kernel()
-        run = self.lab.machine.call(
-            kernel, self.mirror_ga, lo, hi, self.lab.machine.symbol("ga_get")
-        )
-        return run, cost
-
-    # --------------------------------------------------- resilient drive
-    def preload_resilient(self, plan: PrefetchPlan) -> tuple[int, list[TransferReport]]:
-        """Preload through the unreliable interconnect.  Only transfers
-        whose checksum verified land in the mirror; ``mirror_valid``
-        becomes True only if *every* range delivered."""
-        if self.transfers is None:
-            raise RuntimeError("preload_resilient requires a TransferManager")
-        lab = self.lab
-        cost = 0
-        reports: list[TransferReport] = []
-        for lo, hi in plan.ranges:
-            node = (lo - lab.remote_base) // lab.remote_stride
-            offset = lo - (lab.remote_base + node * lab.remote_stride)
-            dst = self.mirror_base + node * self.mirror_stride + offset
-            report = self.transfers.transfer(node, lo, dst, hi - lo)
-            reports.append(report)
-            cost += report.cycles
-        self.mirror_valid = bool(reports) and all(r.ok for r in reports)
-        return cost, reports
-
     def run_resilient(self, lo: int, hi: int) -> "ResilientRun":
-        """One epoch: try promotion (detect + resilient preload +
-        redirected kernel); on any transfer failure fall back to the
-        per-access remote path.  Always correct, never raises for
-        interconnect faults; advances the manager's epoch at the end so
-        breakers can cool down between calls."""
-        if self.transfers is None:
-            raise RuntimeError("run_resilient requires a TransferManager")
+        """One epoch: try promotion (detect + preload + redirected
+        kernel); on any transfer failure fall back to the per-access
+        remote path.  Always correct, never raises for interconnect
+        faults; advances the interconnect's epoch at the end so breakers
+        can cool down between calls."""
         plan = self._plan_cache.get((lo, hi))
         if plan is None:
             plan = self.detect(lo, hi)
             self._plan_cache[(lo, hi)] = plan
-        cost, reports = self.preload_resilient(plan)
+        cost, reports = self.preload(plan)
         attempts = sum(r.attempts for r in reports)
         failures = tuple(r.reason for r in reports if not r.ok)
         try:
@@ -225,7 +190,7 @@ class RdmaPrefetcher:
             self.fallbacks += 1
             return ResilientRun(run, "remote-fallback", cost, attempts, failures)
         finally:
-            self.transfers.advance_epoch()
+            self.lab.transfers.advance_epoch()
 
 
 @dataclass

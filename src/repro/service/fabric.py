@@ -348,6 +348,10 @@ class RewriteFabric:
         happens, the returned ``entry`` is executable and correct —
         at worst it is the original function on the owning shard's
         machine."""
+        return self._route(tenant, self._key_for(conf, fn, args), conf, fn, args)
+
+    def _route(self, tenant: str, key: tuple, conf, fn, args: tuple) -> RouteResult:
+        """:meth:`request` for an already derived manager ``key``."""
         if self._closed:
             # a closed fabric is deaf: nothing queues, nothing pumps,
             # callers degrade to the original (same shape as an outage)
@@ -361,7 +365,6 @@ class RewriteFabric:
             )
         self.metrics.inc("fabric.requests")
         self.metrics.inc(f"fabric.tenant.{tenant}.requests")
-        key = self._key_for(conf, fn, args)
         routes = self._routes
         route = routes.get((fn, key))
         if route is None:
@@ -451,11 +454,13 @@ class RewriteFabric:
         :meth:`~repro.service.rewrite_service.RewriteService.call` path
         (probation entries re-validate before admission; sampled calls
         never return a wrong answer); every other outcome executes the
-        original directly.  The run lands on ``RouteResult.run``."""
-        route = self.request(tenant, conf, fn, *args)
+        original directly.  The run lands on ``RouteResult.run``.  The
+        manager key is derived once, for the route and the warm call."""
+        key = self._key_for(conf, fn, args)
+        route = self._route(tenant, key, conf, fn, args)
         shard = route.shard_ref
         if route.outcome == "warm":
-            route.run = shard.service.call(conf, fn, *args)
+            route.run = shard.service._call(key, conf, fn, args, None)
         else:
             route.run = shard.machine.call(route.original, *args)
         return route

@@ -205,7 +205,13 @@ class RewriteService:
         the original's result — a sampled call never returns a wrong
         answer.  Returns the :class:`~repro.machine.cpu.RunResult`.
         """
-        key = self.manager.key_for(fn, conf, args)
+        return self._call(
+            self.manager.key_for(fn, conf, args), conf, fn, args, max_steps
+        )
+
+    def _call(self, key, conf: RewriteConfig, fn, args: tuple,
+              max_steps: int | None):
+        """:meth:`call` for an already derived ``key``."""
         entry = self._dispatch(key, conf, fn, args)
         original = self.machine.image.resolve(fn)
         run_kwargs = {} if max_steps is None else {"max_steps": max_steps}

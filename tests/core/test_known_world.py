@@ -44,6 +44,11 @@ def test_world_dicts_keep_enum_order():
 def test_digest_equality_and_hash():
     a = make_world(rax=KnownInt(5))
     b = make_world(rax=KnownInt(5))
+    # the digest sorts the cells, so insertion order does not matter
+    a.mem[abs_key(0x1000)] = KnownInt(1)
+    a.mem[stack_key(-8)] = None
+    b.mem[stack_key(-8)] = None
+    b.mem[abs_key(0x1000)] = KnownInt(1)
     assert a == b and hash(a) == hash(b)
     b.regs[GPR.RAX] = KnownInt(6)
     assert a != b
@@ -57,13 +62,30 @@ def test_digest_ignores_flags():
 
 
 def test_copy_is_deep_enough():
+    """Mutating a copy in any part leaves the original, and its digest,
+    unchanged, while the copy's digest moves."""
     a = make_world(rax=KnownInt(1))
     a.mem[stack_key(-8)] = KnownInt(2)
+    a.mem[abs_key(0x1000)] = KnownInt(3)
+    a.xmm[XMM.XMM0] = KnownFloat(1.5)
+    a.flags[Flag.ZF] = True
+    before = a.digest()
     b = a.copy()
+    assert b.digest() == before
     b.regs[GPR.RAX] = None
+    b.xmm[XMM.XMM0] = None
+    b.flags[Flag.ZF] = False
     b.mem[stack_key(-8)] = None
+    del b.mem[abs_key(0x1000)]
+    b.mem[abs_key(0x1008)] = KnownInt(4)
+    b.escaped = True
     assert a.regs[GPR.RAX] == KnownInt(1)
-    assert a.mem[stack_key(-8)] == KnownInt(2)
+    assert a.xmm[XMM.XMM0] == KnownFloat(1.5)
+    assert a.flags[Flag.ZF] is True
+    assert a.mem == {stack_key(-8): KnownInt(2), abs_key(0x1000): KnownInt(3)}
+    assert a.escaped is False
+    assert a.digest() == before
+    assert b.digest() != before
 
 
 def test_migration_subset_rule():
@@ -180,100 +202,3 @@ def test_generalize_never_gains_knowledge(a, b):
         if g.regs[reg] is not None:
             assert g.regs[reg] == a.regs[reg] == b.regs[reg]
 
-
-# ----------------------------------------------------------------- CowMem
-from repro.core.known import CowMem  # noqa: E402
-
-
-def test_cowmem_fork_shares_base_o_delta():
-    """Forking must share the base dict (O(delta), the whole point)."""
-    w = World.entry_world()
-    for i in range(10):
-        w.mem[stack_key(-8 * i)] = KnownInt(i)
-    child = w.copy()
-    assert child.mem._base is w.mem._base
-    # mutating the child never leaks into the parent, and vice versa
-    child.mem[stack_key(-80)] = KnownInt(99)
-    w.mem[stack_key(-88)] = KnownInt(77)
-    assert stack_key(-80) not in w.mem
-    assert stack_key(-88) not in child.mem
-
-
-def test_cowmem_digest_cached_across_unmutated_forks():
-    w = World.entry_world()
-    w.mem[abs_key(0x1000)] = KnownInt(1)
-    first = w.digest()
-    child = w.copy()
-    assert child.mem.snapshot_items() is w.mem.snapshot_items()
-    assert child.digest() == first
-    child.mem[abs_key(0x1008)] = KnownInt(2)
-    assert child.digest() != first
-    assert w.digest() == first
-
-
-def test_cowmem_delete_and_readd_matches_dict_order():
-    plain: dict = {}
-    cow = CowMem()
-    for target in (plain, cow):
-        target[("a", 1)] = "one"
-        target[("a", 2)] = "two"
-        target[("a", 3)] = "three"
-        del target[("a", 2)]
-        target[("a", 2)] = "again"      # re-added: moves to the end
-        target[("a", 1)] = "overwrite"  # overwrite: keeps its position
-    assert list(plain.items()) == list(cow.items())
-    assert len(cow) == len(plain)
-
-
-def test_cowmem_layered_lookup_and_pop():
-    base = CowMem({("a", 1): KnownInt(1), ("a", 2): KnownInt(2)})
-    fork = base.fork()
-    del fork[("a", 1)]
-    assert ("a", 1) not in fork and ("a", 1) in base
-    assert fork.get(("a", 1), "absent") == "absent"
-    assert fork.pop(("a", 1), None) is None
-    assert fork.pop(("a", 2)) == KnownInt(2)
-    assert len(fork) == 0 and len(base) == 2
-    try:
-        fork.pop(("a", 9))
-        raise AssertionError("expected KeyError")
-    except KeyError:
-        pass
-
-
-def test_cowmem_flatten_threshold_preserves_content_and_sharers():
-    parent = CowMem({("a", i): i for i in range(4)})
-    fork = parent.fork()
-    for i in range(CowMem.FLATTEN_THRESHOLD + 4):
-        fork[("a", 100 + i)] = i
-    before = dict(fork.items())
-    sibling = fork.fork()  # crosses the flatten threshold
-    assert dict(sibling.items()) == before == dict(fork.items())
-    # the flatten rebuilt fork's base without touching the parent's view
-    assert dict(parent.items()) == {("a", i): i for i in range(4)}
-
-
-@given(st.lists(st.tuples(st.sampled_from(["set", "del", "fork"]),
-                          st.integers(0, 7), st.integers(0, 99)),
-                max_size=60))
-def test_cowmem_random_ops_match_plain_dict(ops):
-    """Property: a CowMem fork chain behaves exactly like dict copies."""
-    cow, plain = CowMem(), {}
-    for action, key, value in ops:
-        k = ("a", key)
-        if action == "set":
-            cow[k] = value
-            plain[k] = value
-        elif action == "del":
-            if k in plain:
-                del cow[k]
-                del plain[k]
-            else:
-                assert k not in cow
-        else:
-            cow = cow.fork()
-            plain = dict(plain)
-        assert len(cow) == len(plain)
-        assert dict(cow.items()) == plain
-        assert sorted(cow) == sorted(plain)
-    assert tuple(sorted(plain.items())) == cow.snapshot_items()

@@ -88,7 +88,7 @@ def test_static_coexists_with_rdma_prefetcher():
     assert via_static.float_return == want
 
     pre = RdmaPrefetcher(lab)
-    run, _cost = pre.run_prefetched(lo, hi)
+    run = pre.run_resilient(lo, hi).run
     assert run.float_return == want
 
 

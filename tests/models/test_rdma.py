@@ -33,7 +33,7 @@ def test_prefetched_run_is_remote_free_and_correct(setup):
     block = lab.block
     lo, hi = block, 2 * block  # node 1's whole slice
     naive = pre.run_naive(lo, hi)
-    run, cost = pre.run_prefetched(lo, hi)
+    run = pre.run_resilient(lo, hi).run
     assert math.isclose(run.float_return, naive.float_return, rel_tol=1e-12)
     assert run.perf.remote_accesses == 0
     assert naive.perf.remote_accesses == hi - lo
@@ -44,8 +44,7 @@ def test_prefetch_beats_naive_on_large_remote_ranges(setup):
     block = lab.block
     lo, hi = block, 4 * block  # three remote slices
     naive = pre.run_naive(lo, hi)
-    run, cost = pre.run_prefetched(lo, hi)
-    assert run.cycles + cost < naive.cycles
+    assert pre.run_resilient(lo, hi).total_cycles < naive.cycles
 
 
 def test_redirect_kernel_reused_across_runs(setup):

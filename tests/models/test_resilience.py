@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import FAILURE_REASONS
 from repro.machine import link as link_module
-from repro.machine.link import BREAKER_OPEN, FaultProfile
+from repro.machine.link import BREAKER_OPEN, FaultProfile, TransferManager
 from repro.models.distributed_stencil import DistributedStencilLab
 from repro.models.pgas import PgasLab
 from repro.models.rdma import RdmaPrefetcher
@@ -24,14 +24,14 @@ from repro.testing import EXPECTED_REASON, NETWORK_FAULT_KINDS, FaultInjector
 
 def _rdma_setup(faults=None, seed=0):
     lab = PgasLab(nelems=512, nnodes=4)
-    lab.attach_interconnect(faults=faults, seed=seed)
+    lab.transfers = TransferManager(lab.machine, faults=faults, seed=seed)
     pre = RdmaPrefetcher(lab)
     return lab, pre, lab.block, 3 * lab.block
 
 
 def _stencil_setup(faults=None, seed=0):
     lab = DistributedStencilLab(xs=16, rows_per_node=4, nnodes=3)
-    lab.attach_interconnect(faults=faults, seed=seed)
+    lab.transfers = TransferManager(lab.machine, faults=faults, seed=seed)
     return lab
 
 
@@ -41,15 +41,26 @@ def _matches(out, oracle) -> bool:
 
 # ------------------------------------------------------------ RDMA resilient
 def test_resilient_rdma_clean_network_matches_legacy_bit_for_bit():
+    """A clean network charges each preloaded range the bulk-copy cost
+    the models always charged (``repro.machine.link``: STARTUP_CYCLES
+    plus PER_ELEMENT_CYCLES per 8-byte element), and the redirected
+    answer equals the oracle's bit for bit."""
     lab, pre, lo, hi = _rdma_setup()
-    rr = pre.run_resilient(lo, hi)
-    assert rr.path == "redirected" and not rr.failures
+    plan = pre.detect(lo, hi)
+    cycles_before = lab.machine.cpu.perf.cycles
+    cost, reports = pre.preload(plan)
+    assert [r.cycles for r in reports] == [
+        link_module.STARTUP_CYCLES
+        + (end - start) // 8 * link_module.PER_ELEMENT_CYCLES
+        for start, end in plan.ranges
+    ]
+    assert cost == lab.machine.cpu.perf.cycles - cycles_before
+    assert pre.mirror_valid
 
-    legacy_lab = PgasLab(nelems=512, nnodes=4)
-    legacy = RdmaPrefetcher(legacy_lab)
-    run, cost = legacy.run_prefetched(lo, hi)
-    assert rr.run.float_return == run.float_return
-    assert rr.total_cycles == run.cycles + cost
+    rr = RdmaPrefetcher(lab).run_resilient(lo, hi)
+    assert rr.path == "redirected" and not rr.failures
+    assert rr.transfer_cycles == cost
+    assert rr.run.float_return == lab.reference_sum(lo, hi)
 
 
 def test_rdma_dead_network_falls_back_with_tagged_reason():
@@ -94,6 +105,27 @@ def test_guarded_sweep_halo_path_matches_legacy_and_oracle():
     assert out == legacy.read_out()
 
 
+def test_halo_prefetch_on_dead_network_runs_plain_sweep():
+    """An undelivered halo row leaves the mirror stale, so the
+    halo-prefetched sweep runs the plain specialized sweep, which reads
+    the neighbour rows remotely: the oracle's answer, no exception."""
+    lab = _stencil_setup(faults=FaultProfile(drop=1.0), seed=5)
+    oracle = lab.reference_out()
+    for _ in range(link_module.BREAKER_THRESHOLD):
+        outcome, result = lab.run_halo_prefetched()
+        assert result.ok
+        assert lab.read_out() == oracle
+        assert outcome.run.perf.remote_accesses > 0
+    assert lab.transfers.stats()["failures"] == link_module.BREAKER_THRESHOLD
+    # each sweep is an epoch, so the opened breaker cools down and the
+    # healed network serves the halo again
+    lab.transfers.set_faults(FaultProfile())
+    remote = [lab.run_halo_prefetched()[0].run.perf.remote_accesses
+              for _ in range(link_module.BREAKER_COOLDOWN_EPOCHS + 1)]
+    assert remote[-1] == 0
+    assert lab.read_out() == oracle
+
+
 def test_one_flag_degradation_takes_remote_path_and_stays_correct():
     lab = _stencil_setup()
     ep = lab.run_resilient()
@@ -133,7 +165,7 @@ def test_mid_sweep_invalidation_falls_back_via_guard_compare():
     per-access remote path and the output is still correct."""
     lab = _stencil_setup()
     # fill the mirror and mark it valid, as run_resilient would
-    cost, reports = lab.exchange_halo_resilient()
+    cost, reports = lab.exchange_halo()
     assert reports and all(r.ok for r in reports)
     lab.set_halo_avail(True)
 

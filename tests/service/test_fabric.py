@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import brew_init_conf, brew_setpar, BREW_KNOWN, BREW_PTR_TO_KNOWN
+from repro.core.manager import SpecializationManager
 from repro.machine.link import FaultProfile
 from repro.service import (
     RewriteFabric, SHARD_DEAD, SHARD_HEALTHY, SHARD_SUSPECT,
@@ -136,6 +137,25 @@ def test_cold_then_warm_and_both_paths_execute_correctly():
         assert warm.run.int_return == 7 * 3 + 3
         assert warm.shard == cold.shard, "the key's owner must not move"
         assert fabric.metrics.value("fabric.published") == 1
+
+
+def test_warm_call_derives_its_key_once(monkeypatch):
+    """A warm ``fabric.call`` derives the manager key once and hands it
+    to both the route and the owner service's call."""
+    with RewriteFabric(SOURCE, shards=2, seed=5) as fabric:
+        fabric.call("alice", _conf(), "poly", 5, 3)
+        fabric.pump()
+        derived = []
+        key_for = SpecializationManager.key_for
+
+        def counting_key_for(self, fn, conf, args):
+            derived.append(fn)
+            return key_for(self, fn, conf, args)
+
+        monkeypatch.setattr(SpecializationManager, "key_for", counting_key_for)
+        warm = fabric.call("alice", _conf(), "poly", 7, 3)
+        assert warm.outcome == "warm" and warm.run.int_return == 7 * 3 + 3
+        assert derived == ["poly"]
 
 
 def test_request_costs_are_pinned_in_absolute_cycles():

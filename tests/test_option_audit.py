@@ -24,6 +24,7 @@ from repro.core.resilience import RewriteSupervisor
 from repro.core.shadowexec import ShadowSampler
 from repro.machine.link import Link, TransferManager
 from repro.machine.vm import Machine
+from repro.models.rdma import RdmaPrefetcher
 from repro.obs.flightrec import FlightRecorder
 from repro.service import RewriteFabric, RewriteService, RewriteShard
 
@@ -35,7 +36,7 @@ CALLER_DIRS = ("src", "bench", "examples")
 AUDITED = (
     Machine, RewriteService, RewriteShard, RewriteFabric, TransferManager,
     Link, ShadowSampler, RewriteSupervisor, ForensicsHub, FlightRecorder,
-    SpecializationManager,
+    SpecializationManager, RdmaPrefetcher,
 )
 
 #: Options no call in ``CALLER_DIRS`` passes, kept on purpose.
